@@ -4,7 +4,7 @@ from .core import ParameterVector, RandomKey, flatten, gaussian_like, split, str
 from .data import BatchSpec, Dataset, MiniBatch, full_data_map, load_in_memory, next_batch
 from .models import BuiltinModel, ensemble_predict, get_model, rwmh_oracle, synth_data_generate
 from .potential import (LogDensityModel, fd_gradient, full_potential_eval,
-                        minibatch_potential_eval)
+                        minibatch_potential_eval, per_observation)
 from .scheduler import ScheduleItem, init_scheduler, polynomial_schedule, scheduler_next
 from .solver import SamplerBundle, build_sampler, run_mcmc
 
@@ -13,7 +13,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ParameterVector", "RandomKey", "flatten", "structure", "split", "gaussian_like",
     "Dataset", "MiniBatch", "BatchSpec", "load_in_memory", "next_batch", "full_data_map",
-    "LogDensityModel", "minibatch_potential_eval", "full_potential_eval", "fd_gradient",
+    "LogDensityModel", "per_observation", "minibatch_potential_eval", "full_potential_eval",
+    "fd_gradient",
     "ScheduleItem", "polynomial_schedule", "init_scheduler", "scheduler_next",
     "build_sampler", "run_mcmc", "SamplerBundle",
     "BuiltinModel", "get_model", "synth_data_generate", "rwmh_oracle", "ensemble_predict",

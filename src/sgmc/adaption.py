@@ -2,8 +2,7 @@
 
 RMSProp supplies the diagonal preconditioner for preconditioned Langevin
 steps; the Welford accumulator tracks streaming mean/covariance (used e.g.
-for the tempered-swap noise correction); the Fisher block estimates the
-diagonal empirical Fisher information from per-observation scores.
+for the tempered-swap noise correction).
 """
 
 from __future__ import annotations
@@ -81,27 +80,3 @@ def welford_finalize(state: OnlineCovState):
     if state.count < 2:
         raise ValueError(f"covariance needs count >= 2, have {state.count}")
     return state.mean.copy(), state.m2 / (state.count - 1)
-
-
-@dataclass(frozen=True)
-class FisherDiagState:
-    """Running mean of elementwise squared scores (diagonal empirical Fisher)."""
-
-    diag: np.ndarray
-    count: int = 0
-
-    @classmethod
-    def init(cls, dim: int) -> "FisherDiagState":
-        return cls(np.zeros(dim), 0)
-
-
-def fisher_diag_step(state: FisherDiagState, scores) -> FisherDiagState:
-    """Fold a set of per-observation score vectors (rows) into the estimate."""
-    scores = np.atleast_2d(np.asarray(scores, dtype=np.float64))
-    m = scores.shape[0]
-    if m == 0:
-        raise ValueError("score set must be nonempty")
-    count = state.count + m
-    # running mean is associative over batches
-    diag = state.diag + ((scores * scores).sum(axis=0) - m * state.diag) / count
-    return FisherDiagState(diag, count)

@@ -23,7 +23,7 @@ from .core import RandomKey
 from .diagnostics import diagnostics_summary, weighted_moments
 from .errors import ChainError, ConfigurationError, IngestionError
 from .models import get_model, rwmh_oracle, synth_data_generate
-from .solver import SAMPLER_NAMES, build_sampler
+from .solver import SAMPLER_NAMES, SAMPLERS, build_sampler
 
 SCHEMA_VERSION = 1
 
@@ -52,7 +52,6 @@ class RunConfig:
     selections: int | None = None
     batch_size: int = 32
     batch_strategy: str = "draw_replacement"
-    cache_count: int = 1
     temperature: float = 1.0
     seed: int = 0
     chains: int = 1
@@ -157,30 +156,21 @@ def validate_config(cfg: RunConfig):
     if cfg.selections is not None and cfg.selections > cfg.iterations - cfg.burn_in:
         raise ConfigurationError("selections exceed non-burn-in iterations",
                                  field="selections")
+    # another sampler's knob is fine: presets switch samplers but keep their args
+    knobs = {knob for spec in SAMPLERS.values() for knob in spec.knobs}
+    for key in cfg.sampler_args:
+        if key in RunConfig.__dataclass_fields__:
+            raise ConfigurationError("set this top-level field outside sampler_args",
+                                     field=key)
+        if key not in knobs:
+            raise ConfigurationError("no sampler has this knob", field=key)
 
 
 def _assemble(cfg: RunConfig):
     model = get_model(cfg.model, **cfg.model_args)
     dataset = synth_data_generate(model, RandomKey(cfg.seed).child(0), cfg.n_obs,
                                   cfg.true_params or None)
-    bundle_cfg = {
-        "model": model,
-        "dataset": dataset,
-        "iterations": cfg.iterations,
-        "burn_in": cfg.burn_in,
-        "selections": cfg.selections,
-        "batch_size": cfg.batch_size,
-        "batch_strategy": cfg.batch_strategy,
-        "cache_count": cfg.cache_count,
-        "temperature": cfg.temperature,
-        "seed": cfg.seed,
-        "step_size_first": cfg.step_size_first,
-        "step_size_last": cfg.step_size_last,
-        "step_size_decay": cfg.step_size_decay,
-        "target_accept": cfg.target_accept,
-        "step_size_init": cfg.step_size_init,
-    }
-    bundle_cfg.update(cfg.sampler_args)
+    bundle_cfg = {**vars(cfg), **cfg.sampler_args, "model": model, "dataset": dataset}
     return model, dataset, build_sampler(cfg.sampler, bundle_cfg)
 
 
@@ -248,7 +238,7 @@ def run_command(args) -> int:
     out_dir = Path(cfg.output)
     started = time.perf_counter()
     try:
-        results = bundle.run(chains=cfg.chains, parallel=cfg.chains > 1,
+        results = bundle.run(chains=cfg.chains,
                              metadata={"sampler": cfg.sampler, "seed": cfg.seed,
                                        "config_digest": cfg.digest()})
     except ChainError as exc:
@@ -266,7 +256,9 @@ def run_command(args) -> int:
 def _load_run(run_dir: Path):
     with open(run_dir / "summary.json", encoding="utf-8") as fh:
         summary = json.load(fh)
-    cfg = RunConfig(**summary["config"])
+    config = dict(summary["config"])
+    config.pop("cache_count", None)  # a removed no-op knob, kept by older runs
+    cfg = RunConfig(**config)
     reader = sample_io.read_jsonl if cfg.format == "jsonl" else sample_io.read_csv_samples
     columns: dict[str, list[np.ndarray]] = {}
     for chain in summary["chains"]:

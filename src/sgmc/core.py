@@ -115,10 +115,6 @@ class ParameterVector:
     def __neg__(self):
         return ParameterVector(self.layout, -self.values)
 
-    def dot(self, other: "ParameterVector") -> float:
-        self._check(other)
-        return float(self.values @ other.values)
-
     def __eq__(self, other):
         return (
             isinstance(other, ParameterVector)
@@ -139,10 +135,6 @@ def flatten(pv: ParameterVector) -> np.ndarray:
 def structure(layout: Layout, vec) -> ParameterVector:
     """Inverse of :func:`flatten`; rejects vectors of the wrong length."""
     return ParameterVector(layout, np.array(vec, dtype=np.float64).reshape(-1))
-
-
-def zeros_like(layout: Layout) -> ParameterVector:
-    return ParameterVector(layout, np.zeros(layout_size(layout)))
 
 
 @dataclass(frozen=True)

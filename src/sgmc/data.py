@@ -57,7 +57,6 @@ class BatchSpec:
     size: int
     strategy: str = "draw_replacement"
     key: RandomKey = RandomKey(0)
-    cache_count: int = 1  # prefetch depth only; never affects the sequence
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:

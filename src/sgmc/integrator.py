@@ -10,29 +10,11 @@ wrapping solver reduces to -dH, which the test suite enforces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import RandomKey, normal_flat
 from .errors import NumericError
-
-
-@dataclass(frozen=True)
-class FrictionParams:
-    """Friction coefficient C and the derived half-step damping beta = eps*C/2."""
-
-    coefficient: float  # C >= 0
-
-    def __post_init__(self):
-        if self.coefficient < 0:
-            raise ValueError("friction coefficient must be >= 0")
-
-    def beta(self, step_size: float) -> float:
-        b = 0.5 * step_size * self.coefficient
-        if not 0.0 <= b < 1.0:
-            raise ValueError(f"half-step friction beta={b} outside [0, 1)")
-        return b
 
 
 def langevin_step(theta, grad, step_size, tau=1.0, precond=None, key: RandomKey = None):

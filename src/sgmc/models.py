@@ -1,8 +1,8 @@
 """Built-in example models, synthetic data, the full-batch Metropolis oracle,
 and the posterior-predictive ensemble estimator.
 
-Each model supplies analytic per-observation log-density and score, the
-matching vectorized batch evaluators, a seeded synthetic-data generator and a
+Each model supplies analytic vectorized batch log-likelihood and score, a
+flat log-prior and its gradient, a seeded synthetic-data generator and a
 predictive function.  ``gaussian_mean`` additionally exposes its conjugate
 closed-form posterior, which the sampler tests treat as exact ground truth.
 """
@@ -39,15 +39,6 @@ class BuiltinModel:
         return self.density.layout
 
 
-def model_logdensity_and_grad(model: BuiltinModel, theta: ParameterVector, observation):
-    """Analytic per-observation log-density and score vector."""
-    d = model.density
-    return (
-        float(d.log_likelihood(theta, observation)),
-        d.grad_log_likelihood(theta, observation),
-    )
-
-
 def synth_data_generate(model: BuiltinModel, key: RandomKey, n_obs: int,
                         true_params: dict | None = None) -> Dataset:
     """Reproducible synthetic dataset from the model's generative process."""
@@ -66,19 +57,12 @@ def make_gaussian_mean(prior_std: float = 10.0) -> BuiltinModel:
     layout = make_layout({"mu": ()})
     var0 = prior_std * prior_std
 
-    def log_likelihood(theta, obs):
-        r = float(obs["y"]) - float(theta.values[0])
-        return -0.5 * r * r - 0.5 * LOG_2PI
-
-    def grad_log_likelihood(theta, obs):
-        return ParameterVector(layout, np.array([float(obs["y"]) - theta.values[0]]))
-
-    def log_prior(theta):
-        mu = float(theta.values[0])
+    def log_prior(flat):
+        mu = float(flat[0])
         return -0.5 * mu * mu / var0 - 0.5 * math.log(2.0 * math.pi * var0)
 
-    def grad_log_prior(theta):
-        return ParameterVector(layout, np.array([-theta.values[0] / var0]))
+    def grad_log_prior(flat):
+        return np.array([-flat[0] / var0])
 
     def batch_log_likelihood(flat, arrays):
         r = arrays["y"] - flat[0]
@@ -96,9 +80,8 @@ def make_gaussian_mean(prior_std: float = 10.0) -> BuiltinModel:
         var_n = 1.0 / (1.0 / var0 + y.shape[0])
         return {"mean": {"mu": var_n * y.sum()}, "std": {"mu": math.sqrt(var_n)}}
 
-    density = LogDensityModel(layout, log_likelihood, grad_log_likelihood,
-                              log_prior, grad_log_prior,
-                              batch_log_likelihood, batch_score)
+    density = LogDensityModel(layout, batch_log_likelihood, batch_score,
+                              log_prior, grad_log_prior)
     return BuiltinModel(
         name="gaussian_mean",
         density=density,
@@ -122,28 +105,13 @@ def make_linreg_sigma(n_weights: int = 4) -> BuiltinModel:
     def _parts(flat):
         return flat[:d], flat[d]
 
-    def log_likelihood(theta, obs):
-        w, ls = _parts(theta.values)
-        sigma = math.exp(ls)
-        r = float(obs["y"]) - float(obs["x"] @ w)
-        return -0.5 * (r / sigma) ** 2 - ls - 0.5 * LOG_2PI
+    def log_prior(flat):
+        return -math.exp(flat[d])  # exponential(1) on sigma; flat on w
 
-    def grad_log_likelihood(theta, obs):
-        w, ls = _parts(theta.values)
-        sigma2 = math.exp(2.0 * ls)
-        r = float(obs["y"]) - float(obs["x"] @ w)
-        g = np.empty(d + 1)
-        g[:d] = (r / sigma2) * obs["x"]
-        g[d] = r * r / sigma2 - 1.0
-        return ParameterVector(layout, g)
-
-    def log_prior(theta):
-        return -math.exp(theta.values[d])  # exponential(1) on sigma; flat on w
-
-    def grad_log_prior(theta):
+    def grad_log_prior(flat):
         g = np.zeros(d + 1)
-        g[d] = -math.exp(theta.values[d])
-        return ParameterVector(layout, g)
+        g[d] = -math.exp(flat[d])
+        return g
 
     def batch_log_likelihood(flat, arrays):
         w, ls = _parts(flat)
@@ -169,9 +137,8 @@ def make_linreg_sigma(n_weights: int = 4) -> BuiltinModel:
         y = x @ w + params["sigma"] * ke.generator().standard_normal(n_obs)
         return load_in_memory(arrays={"x": x, "y": y})
 
-    density = LogDensityModel(layout, log_likelihood, grad_log_likelihood,
-                              log_prior, grad_log_prior,
-                              batch_log_likelihood, batch_score)
+    density = LogDensityModel(layout, batch_log_likelihood, batch_score,
+                              log_prior, grad_log_prior)
     init = np.zeros(d + 1)
     init[d] = 0.0  # sigma starts at 1
     return BuiltinModel(
@@ -193,21 +160,11 @@ def make_logreg_2d(prior_std: float = 10.0) -> BuiltinModel:
     layout = make_layout({"w": (2,)})
     var0 = prior_std * prior_std
 
-    def log_likelihood(theta, obs):
-        z = float(obs["x"] @ theta.values)
-        return float(obs["y"]) * z - np.logaddexp(0.0, z)
+    def log_prior(flat):
+        return float(-0.5 * (flat @ flat) / var0 - math.log(2.0 * math.pi * var0))
 
-    def grad_log_likelihood(theta, obs):
-        z = float(obs["x"] @ theta.values)
-        resid = float(obs["y"]) - 1.0 / (1.0 + math.exp(-z))
-        return ParameterVector(layout, resid * np.asarray(obs["x"], dtype=np.float64))
-
-    def log_prior(theta):
-        w = theta.values
-        return float(-0.5 * (w @ w) / var0 - math.log(2.0 * math.pi * var0))
-
-    def grad_log_prior(theta):
-        return ParameterVector(layout, -theta.values / var0)
+    def grad_log_prior(flat):
+        return -flat / var0
 
     def batch_log_likelihood(flat, arrays):
         z = arrays["x"] @ flat
@@ -226,9 +183,8 @@ def make_logreg_2d(prior_std: float = 10.0) -> BuiltinModel:
         y = (ky.generator().random(n_obs) < prob).astype(np.float64)
         return load_in_memory(arrays={"x": x, "y": y})
 
-    density = LogDensityModel(layout, log_likelihood, grad_log_likelihood,
-                              log_prior, grad_log_prior,
-                              batch_log_likelihood, batch_score)
+    density = LogDensityModel(layout, batch_log_likelihood, batch_score,
+                              log_prior, grad_log_prior)
     return BuiltinModel(
         name="logreg_2d",
         density=density,
@@ -254,12 +210,6 @@ def surrogate_from_logdensity(name: str, layout: Layout, log_density, grad_log_d
     """
     dim = sum(int(np.prod(s)) for _, s in layout)
 
-    def log_likelihood(theta, obs):
-        return 0.0
-
-    def grad_log_likelihood(theta, obs):
-        return ParameterVector(layout, np.zeros(dim))
-
     def generate(key, n_obs, params):
         if sample is not None:
             return load_in_memory(arrays={"y": sample(key, n_obs)})
@@ -267,12 +217,10 @@ def surrogate_from_logdensity(name: str, layout: Layout, log_density, grad_log_d
 
     density = LogDensityModel(
         layout,
-        log_likelihood,
-        grad_log_likelihood,
-        lambda theta: float(log_density(theta.values)),
-        lambda theta: ParameterVector(layout, np.asarray(grad_log_density(theta.values))),
-        batch_log_likelihood=lambda flat, arrays: np.zeros(arrays["y"].shape[0]),
-        batch_score=lambda flat, arrays: np.zeros((arrays["y"].shape[0], dim)),
+        lambda flat, arrays: np.zeros(arrays["y"].shape[0]),
+        lambda flat, arrays: np.zeros((arrays["y"].shape[0], dim)),
+        lambda flat: float(log_density(flat)),
+        lambda flat: np.asarray(grad_log_density(flat), dtype=np.float64),
     )
     return BuiltinModel(
         name=name,

@@ -1,20 +1,18 @@
-"""Potential builders: negative unnormalized log posterior and its gradient.
+"""Potentials: negative unnormalized log posterior and its gradient.
 
-The user supplies a per-observation log-likelihood and a log-prior (all in
-log space).  The stochastic potential scales the mini-batch likelihood sum by
-N/n_eff, where n_eff counts unmasked rows, so padded epoch tails stay
-unbiased; the true potential sums the whole dataset via masked sweeps.
-
-Models may additionally carry vectorized batch evaluators.  Those are a pure
-fast path: they must agree with the per-observation functions row for row
-(the test suite enforces this), and evaluation falls back to the row loop
-whenever they are absent.
+A model supplies the vectorized log-likelihood and score of a batch of
+observations plus the log-prior and its gradient, all on the flat parameter
+vector and in log space.  The stochastic potential scales the mini-batch
+likelihood sum by N/n_eff, where n_eff counts unmasked rows, so padded epoch
+tails stay unbiased; the true potential sums the whole dataset via masked
+sweeps.  :func:`per_observation` lifts per-observation functions of a
+:class:`ParameterVector` to this contract.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -24,47 +22,51 @@ from .data import Dataset, MiniBatch, full_data_map, sequential_batches
 
 @dataclass(frozen=True)
 class LogDensityModel:
-    """Per-observation log-likelihood/score plus log-prior/gradient.
+    """Batch log-likelihood/score plus flat log-prior/gradient.
 
-    ``log_likelihood(theta, obs)`` consumes a single observation (a mapping
-    name -> row) and returns a float; ``grad_log_likelihood`` returns the
-    score as a ParameterVector.  ``batch_log_likelihood(flat_theta, arrays)``
-    and ``batch_score(flat_theta, arrays)`` are optional vectorized versions
-    returning shape (n,) and (n, dim).
+    ``batch_log_likelihood(flat, arrays)`` and ``batch_score(flat, arrays)``
+    take the flat parameter vector and a mapping name -> (n, ...) array and
+    return shape (n,) and (n, dim); ``log_prior(flat)`` returns a float and
+    ``grad_log_prior(flat)`` a (dim,) array.
     """
 
     layout: Layout
-    log_likelihood: Callable
-    grad_log_likelihood: Callable
+    batch_log_likelihood: Callable
+    batch_score: Callable
     log_prior: Callable
     grad_log_prior: Callable
-    batch_log_likelihood: Optional[Callable] = None
-    batch_score: Optional[Callable] = None
 
     @property
     def dim(self) -> int:
         return layout_size(self.layout)
 
 
-def _row(batch: MiniBatch, i: int) -> dict[str, np.ndarray]:
-    return {name: arr[i] for name, arr in batch.arrays.items()}
+def per_observation(layout: Layout, log_likelihood, grad_log_likelihood,
+                    log_prior, grad_log_prior) -> LogDensityModel:
+    """Build a model from per-observation functions of a ParameterVector.
 
+    ``log_likelihood(theta, obs)`` consumes one observation (a mapping
+    name -> row) and returns a float; ``grad_log_likelihood`` returns the
+    score as a ParameterVector, and so does ``grad_log_prior(theta)``.  The
+    batch evaluators loop over the rows, so a vectorized model is faster.
+    """
 
-def _batch_loglik(model: LogDensityModel, flat: np.ndarray, batch: MiniBatch) -> np.ndarray:
-    if model.batch_log_likelihood is not None:
-        return np.asarray(model.batch_log_likelihood(flat, batch.arrays), dtype=np.float64)
-    theta = structure(model.layout, flat)
-    return np.array(
-        [model.log_likelihood(theta, _row(batch, i)) for i in range(batch.size)]
-    )
+    def rows(arrays):
+        n = next(iter(arrays.values())).shape[0]
+        return ({name: arr[i] for name, arr in arrays.items()} for i in range(n))
 
+    def batch_log_likelihood(flat, arrays):
+        theta = structure(layout, flat)
+        return np.array([log_likelihood(theta, obs) for obs in rows(arrays)])
 
-def _batch_scores(model: LogDensityModel, flat: np.ndarray, batch: MiniBatch) -> np.ndarray:
-    if model.batch_score is not None:
-        return np.asarray(model.batch_score(flat, batch.arrays), dtype=np.float64)
-    theta = structure(model.layout, flat)
-    return np.stack(
-        [model.grad_log_likelihood(theta, _row(batch, i)).values for i in range(batch.size)]
+    def batch_score(flat, arrays):
+        theta = structure(layout, flat)
+        return np.stack([grad_log_likelihood(theta, obs).values for obs in rows(arrays)])
+
+    return LogDensityModel(
+        layout, batch_log_likelihood, batch_score,
+        lambda flat: log_prior(structure(layout, flat)),
+        lambda flat: grad_log_prior(structure(layout, flat)).values,
     )
 
 
@@ -74,17 +76,16 @@ def minibatch_value_grad(model: LogDensityModel, flat: np.ndarray, batch: MiniBa
     if n_eff == 0:
         raise ValueError("mini-batch is fully masked")
     scale = batch.full_size / n_eff
-    ll = _batch_loglik(model, flat, batch)
-    scores = _batch_scores(model, flat, batch)
+    ll = np.asarray(model.batch_log_likelihood(flat, batch.arrays), dtype=np.float64)
+    scores = np.asarray(model.batch_score(flat, batch.arrays), dtype=np.float64)
     if batch.mask.all():
         ll_sum, score_sum = float(ll.sum()), scores.sum(axis=0)
     else:
         # select, don't multiply: masked rows may hold arbitrary garbage
         ll_sum = float(ll[batch.mask].sum())
         score_sum = scores[batch.mask].sum(axis=0)
-    theta = structure(model.layout, flat)
-    value = -scale * ll_sum - float(model.log_prior(theta))
-    grad = -scale * score_sum - model.grad_log_prior(theta).values
+    value = -scale * ll_sum - float(model.log_prior(flat))
+    grad = -scale * score_sum - model.grad_log_prior(flat)
     return value, grad
 
 
@@ -96,58 +97,26 @@ def minibatch_potential_eval(model: LogDensityModel, theta: ParameterVector, bat
 
 def full_value(model: LogDensityModel, flat: np.ndarray, dataset: Dataset, n: int) -> float:
     def fn(_, batch):
-        ll = _batch_loglik(model, flat, batch)
+        ll = np.asarray(model.batch_log_likelihood(flat, batch.arrays), dtype=np.float64)
         return float(ll[batch.mask].sum())
 
     total = full_data_map(fn, dataset, None, n, reduce="sum")
-    theta = structure(model.layout, flat)
-    return -total - float(model.log_prior(theta))
-
-
-def full_value_grad(model: LogDensityModel, flat: np.ndarray, dataset: Dataset, n: int):
-    value = None
-    total_ll = 0.0
-    total_score = np.zeros(model.dim)
-    for batch in sequential_batches(dataset, n):
-        ll = _batch_loglik(model, flat, batch)
-        scores = _batch_scores(model, flat, batch)
-        total_ll += float(ll[batch.mask].sum())
-        total_score += scores[batch.mask].sum(axis=0)
-    theta = structure(model.layout, flat)
-    value = -total_ll - float(model.log_prior(theta))
-    grad = -total_score - model.grad_log_prior(theta).values
-    return value, grad
+    return -total - float(model.log_prior(flat))
 
 
 def full_potential_eval(model: LogDensityModel, theta: ParameterVector, dataset: Dataset, n: int):
     """True potential U = -sum_i log p(y_i | x_i, theta) - log p(theta)."""
-    value, grad = full_value_grad(model, theta.values, dataset, n)
+    flat = theta.values
+    total_ll = 0.0
+    total_score = np.zeros(model.dim)
+    for batch in sequential_batches(dataset, n):
+        ll = np.asarray(model.batch_log_likelihood(flat, batch.arrays), dtype=np.float64)
+        scores = np.asarray(model.batch_score(flat, batch.arrays), dtype=np.float64)
+        total_ll += float(ll[batch.mask].sum())
+        total_score += scores[batch.mask].sum(axis=0)
+    value = -total_ll - float(model.log_prior(flat))
+    grad = -total_score - model.grad_log_prior(flat)
     return value, ParameterVector(model.layout, grad)
-
-
-@dataclass(frozen=True)
-class PotentialEvaluator:
-    """Bound potential: ``stochastic`` takes (theta, batch), ``exact`` takes theta."""
-
-    kind: str
-    model: LogDensityModel
-    dataset: Optional[Dataset] = None
-    batch_size: int = 0
-
-    def __call__(self, theta: ParameterVector, batch: MiniBatch | None = None):
-        if self.kind == "stochastic":
-            if batch is None:
-                raise ValueError("stochastic potential requires a mini-batch")
-            return minibatch_potential_eval(self.model, theta, batch)
-        return full_potential_eval(self.model, theta, self.dataset, self.batch_size)
-
-
-def stochastic_potential(model: LogDensityModel) -> PotentialEvaluator:
-    return PotentialEvaluator("stochastic", model)
-
-
-def true_potential(model: LogDensityModel, dataset: Dataset, batch_size: int) -> PotentialEvaluator:
-    return PotentialEvaluator("exact", model, dataset, batch_size)
 
 
 def fd_gradient(f, theta: ParameterVector, h: float = 1e-5) -> ParameterVector:

@@ -12,6 +12,11 @@ Replica exchange couples a tau=1 chain with a tempered one and proposes state
 swaps at a fixed interval, with a variance correction for the mini-batch noise
 of the potential estimate.
 
+Each sampler is one entry of :data:`SAMPLERS`: its knobs with their defaults,
+its transition and how its chains start.  :func:`make_solver` binds an entry
+to a model and a dataset; :func:`build_sampler` adds the schedule from a flat
+configuration mapping.
+
 Per-chain randomness is split from the chain key into fixed streams:
 child(0) batches, child(1).child(t) iteration t, child(2) extras.
 """
@@ -20,8 +25,7 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -38,8 +42,6 @@ from .models import BuiltinModel
 from .potential import LogDensityModel, full_value, minibatch_value_grad
 from .scheduler import (DualAveragingState, ScheduleItem, SchedulerState,
                         init_scheduler, polynomial_schedule, scheduler_next)
-
-SAMPLER_NAMES = ("sgld", "psgld", "sghmc", "amagold", "sggmc", "resgld")
 
 # fixed per-chain stream indices (see module docstring)
 _STREAM_BATCH = 0
@@ -78,36 +80,34 @@ class SolverState:
 
 @dataclass(frozen=True)
 class SamplerContext:
-    """Static bindings shared by every step of one sampler."""
+    """Static bindings shared by every step of one sampler.
+
+    The knob fields are set from the sampler's table entry; knobs the
+    sampler does not have keep the defaults below.
+    """
 
     density: LogDensityModel
     dataset: Dataset
     batch_size: int
     batch_strategy: str = "draw_replacement"
-    cache_count: int = 1
-    leapfrog_steps: int = 5
-    obabo_steps: int = 1
-    friction: float = 0.0        # C for sghmc/amagold, gamma for sggmc
-    noise_estimate: float = 0.0  # sghmc B-hat
-    rms_prop: bool = False
-    rms_alpha: float = 0.99
+    friction: Optional[float] = None        # C for sghmc/amagold, gamma for sggmc
+    noise_estimate: Optional[float] = None  # sghmc B-hat
+    leapfrog_steps: Optional[int] = None
+    obabo_steps: Optional[int] = None
+    debug: Optional[bool] = None
+    rms_prop: Optional[bool] = None
+    rms_alpha: float = 0.99  # also the values of reSGLD, which has no knobs for them
     rms_lam: float = 1e-5
-    debug: bool = False
-
-
-@dataclass(frozen=True)
-class Solver:
-    name: str
-    context: SamplerContext
-    init: Callable
-    step: Callable
-    metropolis: bool
+    temperature: Optional[float] = None     # tau of the cold replica
+    tau_high: Optional[float] = None        # tau of the tempered replica
+    swap_interval: Optional[int] = None
+    correction: Optional[float] = None      # F in the noise-corrected swap exponent
+    hot_step_factor: Optional[float] = None  # step-size multiplier, tempered replica
 
 
 def _init_state(ctx: SamplerContext, theta0: ParameterVector, key: RandomKey,
-                momentum: bool, cache_potential: bool) -> SolverState:
-    spec = BatchSpec(ctx.batch_size, ctx.batch_strategy, key.child(_STREAM_BATCH),
-                     ctx.cache_count)
+                momentum: bool = False, cache_potential: bool = False) -> SolverState:
+    spec = BatchSpec(ctx.batch_size, ctx.batch_strategy, key.child(_STREAM_BATCH))
     flat = theta0.values.copy()
     dim = flat.shape[0]
     return SolverState(
@@ -124,32 +124,25 @@ def _init_state(ctx: SamplerContext, theta0: ParameterVector, key: RandomKey,
     )
 
 
-def _fresh_grad(ctx: SamplerContext, state_box: list, flat: np.ndarray):
-    """Stochastic gradient on a fresh mini-batch; advances the boxed cursor."""
-    batch, state_box[0] = next_batch(ctx.dataset, state_box[1], state_box[0])
-    _, grad = minibatch_value_grad(ctx.density, flat, batch)
-    return grad
-
-
 # ---------------------------------------------------------------------------
 # Accept-all solvers
 
-def sgmc_update(ctx: SamplerContext, state: SolverState, item: ScheduleItem,
-                kind: str) -> SolverState:
-    """One accept-all transition (kind in {sgld, psgld, sghmc})."""
+def sgmc_update(ctx: SamplerContext, state: SolverState, item: ScheduleItem) -> SolverState:
+    """One accept-all transition: SGHMC if the state carries momentum, else
+    SGLD, preconditioned (pSGLD) if it carries an RMSProp estimate."""
     t = state.step_index
     it_key = state.key.child(_STREAM_ITER).child(t)
     batch, bstate = next_batch(ctx.dataset, state.batch_spec, state.batch_state)
     _, grad = minibatch_value_grad(ctx.density, state.theta, batch)
     rms = state.rms
     p = state.p
-    if kind == "sghmc":
+    if p is not None:
         theta, p = sghmc_step(state.theta, state.p, grad, item.step_size,
                               ctx.friction, ctx.noise_estimate, item.temperature,
                               key=it_key.child(0))
     else:
         precond = None
-        if kind == "psgld":
+        if rms is not None:
             rms, precond = rmsprop_step(rms, grad)
         theta = langevin_step(state.theta, grad, item.step_size, item.temperature,
                               precond, key=it_key.child(0))
@@ -184,19 +177,21 @@ def _mh_round(ctx: SamplerContext, state: SolverState, item: ScheduleItem,
     dim = state.theta.shape[0]
     p0 = normal_flat(it_key.child(0), dim, math.sqrt(tau))
 
-    box = [state.batch_state, state.batch_spec]
+    box = [state.batch_state]  # the batch cursor, advanced by every gradient
     evals = [0]
 
     def grad_fn(flat):
         evals[0] += 1
-        return _fresh_grad(ctx, box, flat)
+        batch, box[0] = next_batch(ctx.dataset, state.batch_spec, box[0])
+        return minibatch_value_grad(ctx.density, flat, batch)[1]
 
     theta_new, p_new, work = trajectory(state.theta, p0, grad_fn, it_key.child(1))
 
     u0 = state.cached_potential
     u_new = full_value(ctx.density, theta_new, ctx.dataset, ctx.dataset.size)
     exponent = (u0 - u_new + work) / tau
-    if not math.isfinite(exponent):
+    # -inf (an endpoint outside the support) is a certain rejection
+    if math.isnan(exponent) or exponent == math.inf:
         raise NumericError(f"non-finite acceptance exponent {exponent}")
     alpha = math.exp(min(exponent, 0.0))
     accept = math.log(it_key.child(2).generator().random()) < exponent
@@ -250,13 +245,7 @@ class TemperingPair:
 
     low: SolverState
     high: SolverState
-    tau_low: float
-    tau_high: float
-    swap_interval: int
-    correction: float  # F in the noise-corrected swap exponent
     noise_var: OnlineCovState
-    context: SamplerContext = field(repr=False)
-    hot_step_factor: float = 1.0  # step-size multiplier for the tempered chain
     steps_since_swap: int = 0
     swap_attempts: int = 0
     stats: AcceptanceStats = AcceptanceStats()
@@ -265,10 +254,6 @@ class TemperingPair:
     @property
     def theta(self) -> np.ndarray:
         return self.low.theta
-
-    @property
-    def step_index(self) -> int:
-        return self.low.step_index
 
     @property
     def gradient_evals(self) -> int:
@@ -292,21 +277,20 @@ def _stochastic_u_pair(ctx: SamplerContext, state: SolverState):
     return u_a, u_b, box[0]
 
 
-def resgld_swap(pair: TemperingPair) -> TemperingPair:
+def resgld_swap(ctx: SamplerContext, pair: TemperingPair) -> TemperingPair:
     """Attempt one state swap between the two chains of the pair.
 
     The noise variance of the stochastic potential is estimated online from
     paired fresh-batch evaluations, Var(U~) ~= Var((U~_a - U~_b)/sqrt(2)),
     which isolates mini-batch noise from the drift of the chains.
     """
-    ctx = pair.context
     u_low, u_low_b, bstate_low = _stochastic_u_pair(ctx, pair.low)
     u_high, u_high_b, bstate_high = _stochastic_u_pair(ctx, pair.high)
     nv = welford_step(pair.noise_var, (u_low - u_low_b) / math.sqrt(2.0))
     nv = welford_step(nv, (u_high - u_high_b) / math.sqrt(2.0))
     sigma2 = float(welford_finalize(nv)[1][0]) if nv.count >= 2 else 0.0
-    exponent = swap_exponent(pair.tau_low, pair.tau_high, u_low, u_high,
-                             sigma2, pair.correction)
+    exponent = swap_exponent(ctx.temperature, ctx.tau_high, u_low, u_high,
+                             sigma2, ctx.correction)
     key = pair.low.key.child(_STREAM_EXTRA).child(pair.swap_attempts)
     accept = math.log(key.generator().random()) < exponent
     low = replace(pair.low, batch_state=bstate_low)
@@ -326,119 +310,125 @@ def resgld_swap(pair: TemperingPair) -> TemperingPair:
                    swap_attempts=pair.swap_attempts + 1, stats=stats)
 
 
-def resgld_step(pair: TemperingPair, item: ScheduleItem) -> TemperingPair:
+def resgld_step(ctx: SamplerContext, pair: TemperingPair, item: ScheduleItem) -> TemperingPair:
     """Advance both chains one SGLD step; swap every ``swap_interval`` steps."""
-    ctx = pair.context
-    if abs(item.temperature - pair.tau_low) > 1e-12:
+    if abs(item.temperature - ctx.temperature) > 1e-12:
         raise ValueError("replica exchange requires a constant temperature schedule")
     hot_item = replace(item,
-                       temperature=item.temperature * pair.tau_high / pair.tau_low,
-                       step_size=item.step_size * pair.hot_step_factor)
-    kind = "psgld" if ctx.rms_prop else "sgld"
+                       temperature=item.temperature * ctx.tau_high / ctx.temperature,
+                       step_size=item.step_size * ctx.hot_step_factor)
     pair = replace(pair,
-                   low=sgmc_update(ctx, pair.low, item, kind),
-                   high=sgmc_update(ctx, pair.high, hot_item, kind),
+                   low=sgmc_update(ctx, pair.low, item),
+                   high=sgmc_update(ctx, pair.high, hot_item),
                    steps_since_swap=pair.steps_since_swap + 1)
-    if pair.steps_since_swap >= pair.swap_interval:
-        pair = resgld_swap(pair)
+    if pair.steps_since_swap >= ctx.swap_interval:
+        pair = resgld_swap(ctx, pair)
     return pair
 
 
 # ---------------------------------------------------------------------------
-# Solver factories
+# The sampler table
 
-def _accept_all_factory(name: str, kind: str, ctx: SamplerContext) -> Solver:
-    def init(theta0, key):
-        return _init_state(ctx, theta0, key, momentum=(kind == "sghmc"),
-                           cache_potential=False)
+@dataclass(frozen=True)
+class SamplerSpec:
+    """One sampler: its knobs, its transition and how its chains start.
 
-    def step(state, item):
-        return sgmc_update(ctx, state, item, kind)
+    ``knobs`` maps each knob to its default; a bare type in place of the
+    default marks a required knob.  Given values are converted to the type.
+    """
 
-    return Solver(name, ctx, init, step, metropolis=False)
-
-
-def sgld_solver(density: LogDensityModel, dataset: Dataset, batch_size: int,
-                *, rms_prop: bool = False, batch_strategy: str = "draw_replacement",
-                cache_count: int = 1, rms_alpha: float = 0.99, rms_lam: float = 1e-5) -> Solver:
-    ctx = SamplerContext(density, dataset, batch_size, batch_strategy, cache_count,
-                         rms_prop=rms_prop, rms_alpha=rms_alpha, rms_lam=rms_lam)
-    return _accept_all_factory("psgld" if rms_prop else "sgld",
-                               "psgld" if rms_prop else "sgld", ctx)
+    knobs: dict
+    step: Callable            # (ctx, state, item) -> state
+    metropolis: bool = False  # amortized MH rounds; caches the exact potential
+    momentum: bool = False
+    tempered: bool = False    # a replica pair instead of a single state
 
 
-def sghmc_solver(density: LogDensityModel, dataset: Dataset, batch_size: int,
-                 *, friction: float, noise_estimate: float = 0.0,
-                 batch_strategy: str = "draw_replacement", cache_count: int = 1) -> Solver:
-    ctx = SamplerContext(density, dataset, batch_size, batch_strategy, cache_count,
-                         friction=friction, noise_estimate=noise_estimate)
-    return _accept_all_factory("sghmc", "sghmc", ctx)
+_RMS = {"rms_alpha": SamplerContext.rms_alpha, "rms_lam": SamplerContext.rms_lam}
+
+# The steps look the transition functions up when called, so that wrappers
+# set on these module attributes (tracing, profiling) see every call.
+SAMPLERS = {
+    "sgld": SamplerSpec({"rms_prop": False, **_RMS},
+                        lambda ctx, s, item: sgmc_update(ctx, s, item)),
+    "psgld": SamplerSpec({"rms_prop": True, **_RMS},
+                         lambda ctx, s, item: sgmc_update(ctx, s, item)),
+    "sghmc": SamplerSpec({"friction": float, "noise_estimate": 0.0},
+                         lambda ctx, s, item: sgmc_update(ctx, s, item), momentum=True),
+    "amagold": SamplerSpec({"leapfrog_steps": int, "friction": 0.1, "debug": False},
+                           lambda ctx, s, item: amagold_round(ctx, s, item),
+                           metropolis=True, momentum=True),
+    "sggmc": SamplerSpec({"obabo_steps": int, "friction": 0.0, "debug": False},
+                         lambda ctx, s, item: sggmc_round(ctx, s, item),
+                         metropolis=True, momentum=True),
+    "resgld": SamplerSpec({"tau_high": float, "swap_interval": 50, "correction": 1.0,
+                           "hot_step_factor": 1.0, "temperature": 1.0, "rms_prop": False},
+                          lambda ctx, s, item: resgld_step(ctx, s, item), tempered=True),
+}
+SAMPLER_NAMES = tuple(SAMPLERS)
+
+# knob -> (validity test, message), applied wherever the knob appears
+_KNOB_CHECKS = {
+    "leapfrog_steps": (lambda v: v >= 1, "need at least one leapfrog step"),
+    "obabo_steps": (lambda v: v >= 1, "need at least one OBABO step"),
+    "tau_high": (lambda v: v > 1.0, "tempered chain needs tau_high > 1"),
+    "swap_interval": (lambda v: v >= 1, "swap interval must be >= 1"),
+    "correction": (lambda v: v > 0, "correction factor must be > 0"),
+    "hot_step_factor": (lambda v: v > 0, "hot-chain step factor must be > 0"),
+}
 
 
-def amagold_solver(density: LogDensityModel, dataset: Dataset, batch_size: int,
-                   *, leapfrog_steps: int, friction: float = 0.1,
-                   batch_strategy: str = "draw_replacement", cache_count: int = 1,
-                   debug: bool = False) -> Solver:
-    if leapfrog_steps < 1:
-        raise ConfigurationError("need at least one leapfrog step", field="leapfrog_steps")
-    ctx = SamplerContext(density, dataset, batch_size, batch_strategy, cache_count,
-                         leapfrog_steps=leapfrog_steps, friction=friction, debug=debug)
-
-    def init(theta0, key):
-        return _init_state(ctx, theta0, key, momentum=True, cache_potential=True)
-
-    def step(state, item):
-        return amagold_round(ctx, state, item)
-
-    return Solver("amagold", ctx, init, step, metropolis=True)
+def _spec(name: str) -> SamplerSpec:
+    if name not in SAMPLERS:
+        raise ConfigurationError(f"unknown sampler {name!r}", field="sampler")
+    return SAMPLERS[name]
 
 
-def sggmc_solver(density: LogDensityModel, dataset: Dataset, batch_size: int,
-                 *, obabo_steps: int, friction: float = 0.0,
-                 batch_strategy: str = "draw_replacement", cache_count: int = 1,
-                 debug: bool = False) -> Solver:
-    if obabo_steps < 1:
-        raise ConfigurationError("need at least one OBABO step", field="obabo_steps")
-    ctx = SamplerContext(density, dataset, batch_size, batch_strategy, cache_count,
-                         obabo_steps=obabo_steps, friction=friction, debug=debug)
+@dataclass(frozen=True)
+class Solver:
+    """A table entry bound to a model and a dataset."""
 
-    def init(theta0, key):
-        return _init_state(ctx, theta0, key, momentum=True, cache_potential=True)
+    name: str
+    context: SamplerContext
+    spec: SamplerSpec
 
-    def step(state, item):
-        return sggmc_round(ctx, state, item)
+    def init(self, theta0: ParameterVector, key: RandomKey):
+        ctx = self.context
+        if self.spec.tempered:
+            return TemperingPair(_init_state(ctx, theta0, key.child(0)),
+                                 _init_state(ctx, theta0, key.child(1)),
+                                 OnlineCovState.init(1, diagonal_only=True))
+        return _init_state(ctx, theta0, key, self.spec.momentum, self.spec.metropolis)
 
-    return Solver("sggmc", ctx, init, step, metropolis=True)
+    def step(self, state, item: ScheduleItem):
+        return self.spec.step(self.context, state, item)
 
 
-def resgld_solver(density: LogDensityModel, dataset: Dataset, batch_size: int,
-                  *, tau_high: float, swap_interval: int = 50, correction: float = 1.0,
-                  hot_step_factor: float = 1.0, rms_prop: bool = False,
-                  batch_strategy: str = "draw_replacement",
-                  cache_count: int = 1, temperature: float = 1.0) -> Solver:
-    if tau_high <= 1.0:
-        raise ConfigurationError("tempered chain needs tau_high > 1", field="tau_high")
-    if swap_interval < 1:
-        raise ConfigurationError("swap interval must be >= 1", field="swap_interval")
-    if correction <= 0:
-        raise ConfigurationError("correction factor must be > 0", field="correction")
-    if hot_step_factor <= 0:
-        raise ConfigurationError("hot-chain step factor must be > 0",
-                                 field="hot_step_factor")
-    ctx = SamplerContext(density, dataset, batch_size, batch_strategy, cache_count,
-                         rms_prop=rms_prop)
+def make_solver(name: str, density: LogDensityModel, dataset: Dataset, batch_size: int,
+                batch_strategy: str = "draw_replacement", **knobs) -> Solver:
+    """Bind sampler ``name`` to a model and a dataset.
 
-    def init(theta0, key):
-        low = _init_state(ctx, theta0, key.child(0), momentum=False, cache_potential=False)
-        high = _init_state(ctx, theta0, key.child(1), momentum=False, cache_potential=False)
-        return TemperingPair(low, high, temperature, tau_high, swap_interval,
-                             correction, OnlineCovState.init(1, diagonal_only=True),
-                             context=ctx, hot_step_factor=hot_step_factor)
-
-    def step(pair, item):
-        return resgld_step(pair, item)
-
-    return Solver("resgld", ctx, init, step, metropolis=False)
+    ``knobs`` are knobs of the sampler's table entry; an omitted (or None)
+    knob takes its default, and a required one raises ConfigurationError.
+    """
+    spec = _spec(name)
+    for knob in knobs:
+        if knob not in spec.knobs:
+            raise ConfigurationError(f"sampler {name!r} has no such knob", field=knob)
+    values = {}
+    for knob, default in spec.knobs.items():
+        kind = default if isinstance(default, type) else type(default)
+        value = knobs.get(knob)
+        if value is None:
+            if isinstance(default, type):
+                raise ConfigurationError(f"sampler {name!r} requires a value", field=knob)
+            value = default
+        values[knob] = kind(value)
+        valid, message = _KNOB_CHECKS.get(knob, (None, None))
+        if valid is not None and not valid(values[knob]):
+            raise ConfigurationError(message, field=knob)
+    ctx = SamplerContext(density, dataset, batch_size, batch_strategy, **values)
+    return Solver(name, ctx, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -483,50 +473,31 @@ def _run_chain(solver: Solver, scheduler: SchedulerState, init_theta: ParameterV
 
 def run_mcmc(solver: Solver, scheduler: SchedulerState, init_theta: ParameterVector,
              iterations: int, *, key: RandomKey, chains: int = 1,
-             parallel: bool = False, metadata: dict | None = None,
-             collector_factory=None) -> list[dict]:
-    """Run ``chains`` independent chains; returns one result mapping per chain.
+             metadata: dict | None = None, collector_factory=None) -> list[dict]:
+    """Run ``chains`` independent chains in turn; returns one result per chain.
 
-    Chain c draws every stream from ``key.child(c)``, so results are
-    reproducible regardless of execution order.  ``collector_factory``
-    (chain_id, layout) -> SampleStore swaps in a custom collector.  On a
-    numeric failure a ChainError propagates with ``.partial`` holding the
-    failing chain's collected samples.
+    Chain c draws every stream from ``key.child(c)``, so each chain is a pure
+    function of its key.  ``collector_factory`` (chain_id, layout) ->
+    SampleStore swaps in a custom collector.  On a numeric failure a
+    ChainError propagates with ``.partial`` holding the failing chain's
+    collected samples.
     """
     if iterations < 1:
         raise ConfigurationError("need at least one iteration", field="iterations")
     if chains < 1:
         raise ConfigurationError("need at least one chain", field="chains")
     metadata = metadata or {}
-    if scheduler.is_adaptive and not solver.metropolis:
+    if scheduler.is_adaptive and not solver.spec.metropolis:
         raise ConfigurationError(
             "adaptive step sizes need a Metropolis solver (no acceptance statistics "
             f"exist for {solver.name})", field="step_size")
-
-    def one(chain_id):
-        return _run_chain(solver, scheduler, init_theta, iterations,
-                          key.child(chain_id), chain_id, metadata,
-                          collector_factory)
-
-    if chains == 1 or not parallel:
-        return [one(c) for c in range(chains)]
-    with ThreadPoolExecutor(max_workers=chains) as pool:
-        futures = [pool.submit(one, c) for c in range(chains)]
-        return [f.result() for f in futures]
+    return [_run_chain(solver, scheduler, init_theta, iterations, key.child(c), c,
+                       metadata, collector_factory)
+            for c in range(chains)]
 
 
 # ---------------------------------------------------------------------------
 # High-level assembly
-
-_REQUIRED = {
-    "sgld": (),
-    "psgld": (),
-    "sghmc": ("friction",),
-    "amagold": ("leapfrog_steps",),
-    "sggmc": ("obabo_steps",),
-    "resgld": ("tau_high",),
-}
-
 
 @dataclass
 class SamplerBundle:
@@ -541,10 +512,10 @@ class SamplerBundle:
     config: dict
 
     def run(self, iterations: int | None = None, chains: int = 1,
-            parallel: bool = False, metadata: dict | None = None) -> list[dict]:
+            metadata: dict | None = None) -> list[dict]:
         return run_mcmc(self.solver, self.scheduler, self.init_theta,
                         iterations or self.iterations, key=self.run_key,
-                        chains=chains, parallel=parallel, metadata=metadata)
+                        chains=chains, metadata=metadata)
 
 
 def build_sampler(name: str, config: dict) -> SamplerBundle:
@@ -553,11 +524,10 @@ def build_sampler(name: str, config: dict) -> SamplerBundle:
     Required for every sampler: model (BuiltinModel), dataset, iterations,
     batch_size, seed, and a step-size block (step_size_first/step_size_last/
     step_size_decay, or target_accept/step_size_init for adaptive runs).
-    Sampler-specific requirements: sghmc -> friction, amagold ->
-    leapfrog_steps, sggmc -> obabo_steps, resgld -> tau_high.
+    The sampler's knobs are read from the same mapping; its entry in
+    :data:`SAMPLERS` says which are required.
     """
-    if name not in SAMPLER_NAMES:
-        raise ConfigurationError(f"unknown sampler {name!r}", field="sampler")
+    spec = _spec(name)
     cfg = dict(config)
 
     def need(field_name):
@@ -571,8 +541,9 @@ def build_sampler(name: str, config: dict) -> SamplerBundle:
     iterations = int(need("iterations"))
     batch_size = int(need("batch_size"))
     seed = int(need("seed"))
-    for field_name in _REQUIRED[name]:
-        need(field_name)
+    solver = make_solver(name, model.density, dataset, batch_size,
+                         cfg.get("batch_strategy", "draw_replacement"),
+                         **{knob: cfg.get(knob) for knob in spec.knobs})
     if iterations < 1:
         raise ConfigurationError("iterations must be >= 1", field="iterations")
 
@@ -580,8 +551,6 @@ def build_sampler(name: str, config: dict) -> SamplerBundle:
     burn_in = int(cfg.get("burn_in", 0))
     selections = cfg.get("selections")
     temperature = float(cfg.get("temperature", 1.0))
-    strategy = cfg.get("batch_strategy", "draw_replacement")
-    cache_count = int(cfg.get("cache_count", 1))
 
     adaptive = None
     step_sizes = None
@@ -594,42 +563,11 @@ def build_sampler(name: str, config: dict) -> SamplerBundle:
         decay = float(cfg.get("step_size_decay", 0.33))
         step_sizes = polynomial_schedule(float(first), float(last), decay, iterations)
 
-    common = dict(batch_strategy=strategy, cache_count=cache_count)
-    density = model.density
-    if name in ("sgld", "psgld"):
-        rms = bool(cfg.get("rms_prop", name == "psgld"))
-        solver = sgld_solver(density, dataset, batch_size, rms_prop=rms,
-                             rms_alpha=float(cfg.get("rms_alpha", 0.99)),
-                             rms_lam=float(cfg.get("rms_lam", 1e-5)), **common)
-    elif name == "sghmc":
-        solver = sghmc_solver(density, dataset, batch_size,
-                              friction=float(cfg["friction"]),
-                              noise_estimate=float(cfg.get("noise_estimate", 0.0)),
-                              **common)
-    elif name == "amagold":
-        solver = amagold_solver(density, dataset, batch_size,
-                                leapfrog_steps=int(cfg["leapfrog_steps"]),
-                                friction=float(cfg.get("friction", 0.1)),
-                                debug=bool(cfg.get("debug", False)), **common)
-    elif name == "sggmc":
-        solver = sggmc_solver(density, dataset, batch_size,
-                              obabo_steps=int(cfg["obabo_steps"]),
-                              friction=float(cfg.get("friction", 0.0)),
-                              debug=bool(cfg.get("debug", False)), **common)
-    else:
-        solver = resgld_solver(density, dataset, batch_size,
-                               tau_high=float(cfg["tau_high"]),
-                               swap_interval=int(cfg.get("swap_interval", 50)),
-                               correction=float(cfg.get("correction", 1.0)),
-                               hot_step_factor=float(cfg.get("hot_step_factor", 1.0)),
-                               rms_prop=bool(cfg.get("rms_prop", False)),
-                               temperature=temperature, **common)
-
-    if adaptive is not None and not solver.metropolis:
+    if adaptive is not None and not spec.metropolis:
         raise ConfigurationError(
             f"adaptive step size is not available for accept-all sampler {name!r}",
             field="target_accept")
-    if solver.metropolis and temperature <= 0:
+    if spec.metropolis and temperature <= 0:
         raise ConfigurationError("Metropolis solvers need temperature > 0",
                                  field="temperature")
 

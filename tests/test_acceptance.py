@@ -21,7 +21,7 @@ from sgmc.potential import (fd_gradient, full_potential_eval,
                             minibatch_potential_eval)
 from sgmc.scheduler import (init_scheduler, polynomial_schedule,
                             random_thinning_plan, scheduler_next)
-from sgmc.solver import amagold_solver, build_sampler, run_mcmc, sggmc_solver
+from sgmc.solver import build_sampler, make_solver, run_mcmc
 
 from conftest import quadratic_model
 
@@ -66,7 +66,7 @@ def test_criterion_2_regression_vs_oracle():
         model=model, dataset=dataset, iterations=10000, burn_in=2000,
         selections=1000, batch_size=128, batch_strategy="shuffle_in_epochs",
         seed=7, step_size_first=0.05, step_size_last=0.001, step_size_decay=0.33))
-    results = bundle.run(chains=2, parallel=True)
+    results = bundle.run(chains=2)
     assert all(r["sample_count"] == 1000 for r in results)
     flat = np.concatenate([r["store"].stacked() for r in results], axis=0)
     mean_s, std_s = flat.mean(axis=0), flat.std(axis=0, ddof=1)
@@ -102,13 +102,13 @@ def test_criterion_3_hmc_reduction():
     # (a) the acceptance exponent reproduces -dH on random quadratics
     rng = RandomKey(19).generator()
     worst = 0.0
-    for factory, kw, rounds in (
-        (amagold_solver, {"leapfrog_steps": 15, "friction": 0.0}, 100),
-        (sggmc_solver, {"obabo_steps": 9, "friction": 0.0}, 100),
+    for name, kw, rounds in (
+        ("amagold", {"leapfrog_steps": 15, "friction": 0.0}, 100),
+        ("sggmc", {"obabo_steps": 9, "friction": 0.0}, 100),
     ):
         model = quadratic_model(rng.uniform(0.5, 2.5, 3), rng.uniform(-1, 1, 3))
         dataset = synth_data_generate(model, RandomKey(0), 1)
-        solver = factory(model.density, dataset, 1, debug=True, **kw)
+        solver = make_solver(name, model.density, dataset, 1, debug=True, **kw)
         state = solver.init(model.init, RandomKey(23))
         sched = init_scheduler(rounds, step_size=0.12)
         for _ in range(rounds):
@@ -122,11 +122,11 @@ def test_criterion_3_hmc_reduction():
     model = get_model("std_normal")
     dataset = synth_data_generate(model, RandomKey(0), 1)
     stats = {}
-    for name, factory, kw, step in (
-        ("amagold", amagold_solver, {"leapfrog_steps": 5, "friction": 0.0}, 0.31),
-        ("sggmc", sggmc_solver, {"obabo_steps": 3, "friction": 0.0}, 0.5),
+    for name, kw, step in (
+        ("amagold", {"leapfrog_steps": 5, "friction": 0.0}, 0.31),
+        ("sggmc", {"obabo_steps": 3, "friction": 0.0}, 0.5),
     ):
-        solver = factory(model.density, dataset, 1, **kw)
+        solver = make_solver(name, model.density, dataset, 1, **kw)
         sched = init_scheduler(20000, step_size=step)
         result = run_mcmc(solver, sched, model.init, 20000, key=RandomKey(29))[0]
         x = result["samples"]["variables"]["theta"]
@@ -230,7 +230,7 @@ def test_criterion_7_demo_determinism(tmp_path):
         fb = (tmp_path / "b" / f"samples_chain{chain}.jsonl").read_bytes()
         assert fa == fb
     print("PASS criterion 7: regression demo rerun with the same seed is "
-          "byte-identical across 2 parallel chains (1000 samples each)")
+          "byte-identical across 2 chains (1000 samples each)")
 
 
 def test_criterion_8_data_layer_properties():

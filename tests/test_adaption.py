@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgmc.adaption import (FisherDiagState, OnlineCovState, RMSPropState,
-                           fisher_diag_step, rmsprop_step, welford_finalize,
-                           welford_step)
+from sgmc.adaption import (OnlineCovState, RMSPropState, rmsprop_step,
+                           welford_finalize, welford_step)
 from sgmc.core import RandomKey
 from sgmc.errors import NumericError
 
@@ -100,36 +99,3 @@ class TestWelford:
         assert var.shape == (2,)
         assert np.allclose(var, [2.0, 200.0])
 
-
-class TestFisherDiag:
-    def test_plus_minus_one(self):
-        state = fisher_diag_step(FisherDiagState.init(1), [[1.0], [-1.0]])
-        assert state.diag[0] == 1.0
-
-    def test_zero_scores(self):
-        state = fisher_diag_step(FisherDiagState.init(2), np.zeros((5, 2)))
-        assert np.array_equal(state.diag, np.zeros(2))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            fisher_diag_step(FisherDiagState.init(1), np.empty((0, 1)))
-
-    def test_batched_equals_sequential(self):
-        rng = RandomKey(3).generator()
-        scores = rng.standard_normal((30, 2))
-        batched = fisher_diag_step(FisherDiagState.init(2), scores)
-        seq = FisherDiagState.init(2)
-        for row in scores:
-            seq = fisher_diag_step(seq, row[None, :])
-        assert np.allclose(batched.diag, seq.diag, atol=1e-12)
-        assert batched.count == seq.count == 30
-
-    def test_gaussian_location_fisher(self):
-        # scores of N(theta, sigma^2) at the truth: (y - theta)/sigma^2,
-        # so the Fisher information is 1/sigma^2
-        sigma = 2.0
-        rng = RandomKey(17).generator()
-        y = rng.standard_normal(10000) * sigma
-        scores = (y / sigma**2)[:, None]
-        state = fisher_diag_step(FisherDiagState.init(1), scores)
-        assert abs(state.diag[0] - 1.0 / sigma**2) / (1.0 / sigma**2) < 0.05

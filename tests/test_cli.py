@@ -91,6 +91,24 @@ class TestRun:
         assert run_cli("run", "--config", str(path)) == 2
 
 
+    @pytest.mark.parametrize("key", ["frcition", "seed"])
+    def test_bad_sampler_args_key_names_the_field(self, tmp_path, capsys, key):
+        # a typo, or a top-level field that would silently re-seed the chains
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"sampler": "sghmc", "iterations": 10,
+                                    "sampler_args": {"friction": 5.0, key: 99},
+                                    "output": str(tmp_path / "x")}))
+        assert run_cli("run", "--config", str(path)) == 2
+        assert f"(field: {key})" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_other_samplers_knob_is_accepted(self, tmp_path):
+        # the mixture preset carries reSGLD's sampler_args into the SGLD baseline
+        argv = ["run", "--demo", "mixture", "--sampler", "sgld", "--iterations", "300",
+                "--burn-in", "50", "--selections", "50", "--output", str(tmp_path / "b")]
+        assert run_cli(*argv) == 0
+
+
 class TestCompare:
     def run_gaussian(self, tmp_path):
         argv = small_run_args(tmp_path, **{"--iterations": "4000",
@@ -142,6 +160,16 @@ class TestCompare:
         assert run_cli(*argv) == 0
         assert run_cli("compare", "--run", str(tmp_path / "mix"),
                        "--reference", "analytic") == 2
+
+    def test_reads_run_written_with_cache_count(self, tmp_path):
+        # runs written before the no-op knob was removed still compare
+        run_dir = self.run_gaussian(tmp_path)
+        path = run_dir / "summary.json"
+        summary = json.loads(path.read_text())
+        summary["config"]["cache_count"] = 1
+        path.write_text(json.dumps(summary))
+        assert run_cli("compare", "--run", str(run_dir),
+                       "--reference", "analytic") == 0
 
     def test_missing_run_dir(self, tmp_path):
         assert run_cli("compare", "--run", str(tmp_path / "nope")) == 2

@@ -121,12 +121,6 @@ class TestNextBatch:
         b = [b.indices.tolist() for b in drain(ds, spec, 6)]
         assert a == b
 
-    def test_cache_count_has_no_semantic_effect(self):
-        ds = load_in_memory(arrays={"y": np.arange(7.0)})
-        a = drain(ds, BatchSpec(3, "shuffle_in_epochs", RandomKey(2), cache_count=1), 5)
-        b = drain(ds, BatchSpec(3, "shuffle_in_epochs", RandomKey(2), cache_count=64), 5)
-        assert all(np.array_equal(x.indices, y.indices) for x, y in zip(a, b))
-
 
 class TestFullDataMap:
     def test_masked_sum(self):

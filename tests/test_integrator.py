@@ -5,7 +5,7 @@ import pytest
 
 from sgmc.core import RandomKey
 from sgmc.errors import NumericError
-from sgmc.integrator import (FrictionParams, langevin_step, obabo_trajectory,
+from sgmc.integrator import (langevin_step, obabo_trajectory,
                              reversible_leapfrog_trajectory, sghmc_step)
 from sgmc.scheduler import polynomial_schedule
 
@@ -131,9 +131,6 @@ class TestReversibleLeapfrog:
         with pytest.raises(ValueError):
             reversible_leapfrog_trajectory(np.zeros(1), np.zeros(1), 1, 0.1, 1.0,
                                            lambda th: th)
-        with pytest.raises(ValueError):
-            FrictionParams(-0.1)
-        assert FrictionParams(0.1).beta(0.2) == pytest.approx(0.01)
 
 
 class TestOBABO:

@@ -5,40 +5,37 @@ import pytest
 
 from sgmc.core import ParameterVector, RandomKey, split
 from sgmc.data import MiniBatch
-from sgmc.models import (builtin_names, ensemble_predict, get_model,
-                         model_logdensity_and_grad, rwmh_oracle,
+from sgmc.models import (builtin_names, ensemble_predict, get_model, rwmh_oracle,
                          synth_data_generate)
 from sgmc.potential import fd_gradient, minibatch_potential_eval
 
 
 class TestLogDensities:
     def test_gaussian_mean_values(self):
-        model = get_model("gaussian_mean")
-        theta = ParameterVector(model.layout, np.zeros(1))
-        logp, score = model_logdensity_and_grad(model, theta, {"y": np.float64(1.0)})
-        assert logp == pytest.approx(-1.4189385, abs=1e-6)
-        assert score.values[0] == pytest.approx(1.0)
+        density = get_model("gaussian_mean").density
+        arrays = {"y": np.array([1.0])}
+        logp = density.batch_log_likelihood(np.zeros(1), arrays)
+        score = density.batch_score(np.zeros(1), arrays)
+        assert logp.shape == (1,) and score.shape == (1, 1)
+        assert logp[0] == pytest.approx(-1.4189385, abs=1e-6)
+        assert score[0, 0] == pytest.approx(1.0)
 
     def test_linreg_zero_residual_score(self):
-        model = get_model("linreg_sigma", n_weights=2)
+        density = get_model("linreg_sigma", n_weights=2).density
         theta = ParameterVector.from_named({"w": [1.0, -2.0], "log_sigma": 0.3})
-        x = np.array([0.5, 1.5])
-        obs = {"x": x, "y": np.float64(x @ [1.0, -2.0])}
-        _, score = model_logdensity_and_grad(model, theta, obs)
-        assert np.allclose(score["w"], 0.0, atol=1e-14)
+        x = np.array([[0.5, 1.5]])
+        score = density.batch_score(theta.values, {"x": x, "y": x @ [1.0, -2.0]})
+        assert np.allclose(score[0, :2], 0.0, atol=1e-14)
 
     def test_logreg_symmetry_at_zero_logit(self):
-        model = get_model("logreg_2d")
-        theta = ParameterVector(model.layout, np.zeros(2))
-        for label in (0.0, 1.0):
-            logp, _ = model_logdensity_and_grad(
-                model, theta, {"x": np.array([1.0, 2.0]), "y": np.float64(label)})
-            assert logp == pytest.approx(-math.log(2.0), rel=1e-12)
+        density = get_model("logreg_2d").density
+        arrays = {"x": np.array([[1.0, 2.0], [1.0, 2.0]]), "y": np.array([0.0, 1.0])}
+        logp = density.batch_log_likelihood(np.zeros(2), arrays)
+        assert logp == pytest.approx([-math.log(2.0)] * 2, rel=1e-12)
 
     def test_mixture_modes_equal_height(self):
         model = get_model("mixture_1d")
-        lp = model.density.log_prior
-        at = lambda v: lp(ParameterVector(model.layout, np.array([v])))
+        at = lambda v: model.density.log_prior(np.array([v]))
         assert at(3.0) == pytest.approx(at(-3.0), rel=1e-12)
         assert at(0.0) < at(3.0)
 

@@ -6,8 +6,8 @@ import pytest
 from sgmc.core import ParameterVector, RandomKey, make_layout, split
 from sgmc.data import BatchSpec, MiniBatch, init_batch_state, load_in_memory, next_batch
 from sgmc.models import get_model, synth_data_generate
-from sgmc.potential import (LogDensityModel, fd_gradient, full_potential_eval,
-                            minibatch_potential_eval, minibatch_value_grad)
+from sgmc.potential import (fd_gradient, full_potential_eval, minibatch_potential_eval,
+                            minibatch_value_grad, per_observation)
 
 LOG_NORM_1 = -1.4189385332046727  # log N(1; 0, 1)
 LOG_2PI = np.log(2.0 * np.pi)
@@ -24,7 +24,7 @@ def gaussian_two_points():
     def grad_log_likelihood(theta, obs):
         return ParameterVector(layout, np.array([float(obs["y"]) - theta.values[0]]))
 
-    density = LogDensityModel(
+    density = per_observation(
         layout, log_likelihood, grad_log_likelihood,
         log_prior=lambda theta: 0.0,
         grad_log_prior=lambda theta: ParameterVector(layout, np.zeros(1)),
@@ -156,30 +156,66 @@ class TestFiniteDifferences:
         assert rel <= 1e-5
 
 
-class TestEvaluatorObjects:
-    def test_bound_evaluators_agree_with_functions(self):
-        from sgmc.potential import stochastic_potential, true_potential
-        density, ds = gaussian_two_points()
-        theta = ParameterVector(density.layout, np.array([0.2]))
-        batch = batch_of(ds, [0, 1])
-        stoch = stochastic_potential(density)
-        exact = true_potential(density, ds, 2)
-        assert stoch.kind == "stochastic" and exact.kind == "exact"
-        assert stoch(theta, batch) == minibatch_potential_eval(density, theta, batch)
-        assert exact(theta) == full_potential_eval(density, theta, ds, 2)
-        with pytest.raises(ValueError):
-            stoch(theta)  # stochastic evaluation needs a batch
+def gaussian_mean_rows(layout):
+    def log_likelihood(theta, obs):
+        r = float(obs["y"]) - float(theta.values[0])
+        return -0.5 * r * r - 0.5 * LOG_2PI
+
+    def grad_log_likelihood(theta, obs):
+        return ParameterVector(layout, np.array([float(obs["y"]) - theta.values[0]]))
+
+    return log_likelihood, grad_log_likelihood
+
+
+def linreg_sigma_rows(layout):
+    d = layout[0][1][0]
+
+    def log_likelihood(theta, obs):
+        w, ls = theta.values[:d], theta.values[d]
+        r = float(obs["y"]) - float(obs["x"] @ w)
+        return -0.5 * (r / math.exp(ls)) ** 2 - ls - 0.5 * LOG_2PI
+
+    def grad_log_likelihood(theta, obs):
+        w, ls = theta.values[:d], theta.values[d]
+        sigma2 = math.exp(2.0 * ls)
+        r = float(obs["y"]) - float(obs["x"] @ w)
+        return ParameterVector(layout, np.append((r / sigma2) * obs["x"],
+                                                 r * r / sigma2 - 1.0))
+
+    return log_likelihood, grad_log_likelihood
+
+
+def logreg_2d_rows(layout):
+    def log_likelihood(theta, obs):
+        z = float(obs["x"] @ theta.values)
+        return float(obs["y"]) * z - np.logaddexp(0.0, z)
+
+    def grad_log_likelihood(theta, obs):
+        z = float(obs["x"] @ theta.values)
+        resid = float(obs["y"]) - 1.0 / (1.0 + math.exp(-z))
+        return ParameterVector(layout, resid * np.asarray(obs["x"], dtype=np.float64))
+
+    return log_likelihood, grad_log_likelihood
+
+
+ROW_REFERENCES = {"gaussian_mean": gaussian_mean_rows,
+                  "linreg_sigma": linreg_sigma_rows,
+                  "logreg_2d": logreg_2d_rows}
 
 
 class TestBatchFastPath:
-    @pytest.mark.parametrize("name", ["gaussian_mean", "linreg_sigma", "logreg_2d"])
+    """The built-in batch evaluators against per-observation references."""
+
+    @pytest.mark.parametrize("name", sorted(ROW_REFERENCES))
     def test_vectorized_paths_match_row_loop(self, name):
         model = get_model(name)
         ds = synth_data_generate(model, RandomKey(31), 16)
         density = model.density
-        stripped = density.__class__(
-            density.layout, density.log_likelihood, density.grad_log_likelihood,
-            density.log_prior, density.grad_log_prior)
+        layout = density.layout
+        stripped = per_observation(
+            layout, *ROW_REFERENCES[name](layout),
+            lambda theta: density.log_prior(theta.values),
+            lambda theta: ParameterVector(layout, density.grad_log_prior(theta.values)))
         keys = split(RandomKey(5), 10)
         for key in keys:
             flat = key.generator().standard_normal(density.dim) * 0.5

@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from sgmc.adaption import RMSPropState, rmsprop_step
-from sgmc.core import RandomKey, normal_flat
+from sgmc.core import ParameterVector, RandomKey, make_layout, normal_flat
 from sgmc.data import BatchSpec, init_batch_state, next_batch
 from sgmc.errors import ChainError, ConfigurationError
 from sgmc.integrator import langevin_step
-from sgmc.models import get_model, synth_data_generate
+from sgmc.models import get_model, surrogate_from_logdensity, synth_data_generate
 from sgmc.potential import minibatch_value_grad
 from sgmc.scheduler import init_scheduler, scheduler_next
-from sgmc.solver import (_STREAM_BATCH, _STREAM_ITER, SamplerBundle,
-                         amagold_solver, build_sampler, resgld_solver,
-                         run_mcmc, sgld_solver, sggmc_solver, swap_exponent)
+from sgmc.solver import (_STREAM_BATCH, _STREAM_ITER, SAMPLER_NAMES, SAMPLERS,
+                         SamplerBundle, build_sampler, make_solver, run_mcmc,
+                         swap_exponent)
 
 from conftest import quadratic_model
 
@@ -22,6 +22,24 @@ def std_normal_setup():
     model = get_model("std_normal")
     dataset = synth_data_generate(model, RandomKey(0), 1)
     return model, dataset
+
+
+def half_normal_run(name, kw, outside):
+    """Metropolis run on a target whose log-density is ``outside`` below 0."""
+    layout = make_layout({"theta": ()})
+    model = surrogate_from_logdensity(
+        "half_normal", layout,
+        lambda flat: -0.5 * flat[0] ** 2 if flat[0] >= 0 else outside,
+        lambda flat: -flat)
+    dataset = synth_data_generate(model, RandomKey(0), 1)
+    solver = make_solver(name, model.density, dataset, 1, **kw)
+    sched = init_scheduler(200, step_size=0.5)
+    init = ParameterVector(layout, np.array([1.0]))
+    return run_mcmc(solver, sched, init, 200, key=RandomKey(4))[0]
+
+
+TRUNCATED = [("amagold", {"leapfrog_steps": 3, "friction": 0.0}),
+             ("sggmc", {"obabo_steps": 3, "friction": 0.0})]
 
 
 def run_solver(solver, model, n_iters, seed=5, step=0.2, burn_in=0, temperature=1.0):
@@ -35,7 +53,7 @@ class TestAcceptAll:
         # white-box replay of one pSGLD step from the documented key streams
         model = get_model("gaussian_mean")
         dataset = synth_data_generate(model, RandomKey(2), 30)
-        solver = sgld_solver(model.density, dataset, 8, rms_prop=True)
+        solver = make_solver("psgld", model.density, dataset, 8)
         chain_key = RandomKey(77).child(0)
         state0 = solver.init(model.init, chain_key)
         sched = init_scheduler(5, step_size=0.01)
@@ -53,13 +71,13 @@ class TestAcceptAll:
     def test_sgld_zero_gradient_zero_temperature_fixed_point(self):
         model = quadratic_model([0.0, 0.0])  # constant potential
         dataset = synth_data_generate(model, RandomKey(0), 1)
-        solver = sgld_solver(model.density, dataset, 1)
+        solver = make_solver("sgld", model.density, dataset, 1)
         result = run_solver(solver, model, 20, temperature=0.0)
         assert np.allclose(result["samples"]["variables"]["theta"], 0.0)
 
     def test_accept_all_rate_is_one(self):
         model, dataset = std_normal_setup()
-        solver = sgld_solver(model.density, dataset, 1)
+        solver = make_solver("sgld", model.density, dataset, 1)
         result = run_solver(solver, model, 50, step=0.05)
         assert result["acceptance_rate"] == 1.0
 
@@ -67,7 +85,7 @@ class TestAcceptAll:
         model = get_model("gaussian_mean")
         dataset = synth_data_generate(model, RandomKey(12), 100, {"mu": 1.0})
         post = model.analytic_posterior(dataset)
-        solver = sgld_solver(model.density, dataset, 20)
+        solver = make_solver("sgld", model.density, dataset, 20)
         result = run_solver(solver, model, 30000, step=0.002, burn_in=2000)
         x = result["samples"]["variables"]["mu"]
         assert abs(x.mean() - post["mean"]["mu"]) < 0.2 * post["std"]["mu"]
@@ -78,9 +96,9 @@ class TestMetropolisRounds:
     def test_constant_potential_always_accepts(self):
         model = quadratic_model([0.0])
         dataset = synth_data_generate(model, RandomKey(0), 1)
-        for factory, kw in ((amagold_solver, {"leapfrog_steps": 4, "friction": 0.0}),
-                            (sggmc_solver, {"obabo_steps": 3, "friction": 0.0})):
-            solver = factory(model.density, dataset, 1, **kw)
+        for name, kw in (("amagold", {"leapfrog_steps": 4, "friction": 0.0}),
+                         ("sggmc", {"obabo_steps": 3, "friction": 0.0})):
+            solver = make_solver(name, model.density, dataset, 1, **kw)
             state = solver.init(model.init, RandomKey(1))
             sched = init_scheduler(10, step_size=0.3)
             for _ in range(10):
@@ -89,15 +107,15 @@ class TestMetropolisRounds:
                 assert state.stats.last_alpha == 1.0
             assert state.stats.accepts == state.stats.proposals == 10
 
-    @pytest.mark.parametrize("factory,kw", [
-        (amagold_solver, {"leapfrog_steps": 15, "friction": 0.0}),
-        (sggmc_solver, {"obabo_steps": 7, "friction": 0.0}),
+    @pytest.mark.parametrize("name,kw", [
+        ("amagold", {"leapfrog_steps": 15, "friction": 0.0}),
+        ("sggmc", {"obabo_steps": 7, "friction": 0.0}),
     ])
-    def test_exponent_equals_minus_delta_h(self, factory, kw):
+    def test_exponent_equals_minus_delta_h(self, name, kw):
         rng = RandomKey(3).generator()
         model = quadratic_model(rng.uniform(0.5, 2.0, 3), rng.uniform(-1, 1, 3))
         dataset = synth_data_generate(model, RandomKey(0), 1)
-        solver = factory(model.density, dataset, 1, debug=True, **kw)
+        solver = make_solver(name, model.density, dataset, 1, debug=True, **kw)
         state = solver.init(model.init, RandomKey(8))
         sched = init_scheduler(50, step_size=0.15)
         for _ in range(50):
@@ -108,8 +126,8 @@ class TestMetropolisRounds:
     def test_rejection_keeps_theta_flips_momentum(self):
         model = quadratic_model([30.0])  # steep: large steps reject often
         dataset = synth_data_generate(model, RandomKey(0), 1)
-        solver = amagold_solver(model.density, dataset, 1, leapfrog_steps=5,
-                                friction=0.0)
+        solver = make_solver("amagold", model.density, dataset, 1, leapfrog_steps=5,
+                             friction=0.0)
         chain_key = RandomKey(5)
         state = solver.init(model.init, chain_key)
         sched = init_scheduler(60, step_size=0.5)
@@ -131,31 +149,51 @@ class TestMetropolisRounds:
 
     def test_accept_refreshes_cached_potential(self):
         model, dataset = std_normal_setup()
-        solver = amagold_solver(model.density, dataset, 1, leapfrog_steps=3,
-                                friction=0.0, debug=True)  # debug asserts cache
+        solver = make_solver("amagold", model.density, dataset, 1, leapfrog_steps=3,
+                             friction=0.0, debug=True)  # debug asserts cache
         result = run_solver(solver, model, 200, step=0.3)
         assert 0.5 < result["acceptance_rate"] <= 1.0
 
     def test_metropolis_needs_positive_temperature(self):
         model, dataset = std_normal_setup()
-        solver = amagold_solver(model.density, dataset, 1, leapfrog_steps=2)
+        solver = make_solver("amagold", model.density, dataset, 1, leapfrog_steps=2)
         with pytest.raises(ValueError):
             run_solver(solver, model, 5, temperature=0.0)
 
+    def test_amagold_half_step_friction_below_one(self):
+        model, dataset = std_normal_setup()
+        solver = make_solver("amagold", model.density, dataset, 1, leapfrog_steps=2,
+                             friction=10.0)
+        with pytest.raises(ValueError, match="beta"):
+            run_solver(solver, model, 5, step=0.2)  # beta = 0.2 * 10 / 2 = 1
+
     def test_amagold_with_friction_and_noise_runs(self):
         model, dataset = std_normal_setup()
-        solver = amagold_solver(model.density, dataset, 1, leapfrog_steps=5,
-                                friction=0.5)
+        solver = make_solver("amagold", model.density, dataset, 1, leapfrog_steps=5,
+                             friction=0.5)
         result = run_solver(solver, model, 300, step=0.2)
         x = result["samples"]["variables"]["theta"]
         assert np.all(np.isfinite(x))
         assert 0.0 < result["acceptance_rate"] <= 1.0
 
+    @pytest.mark.parametrize("name,kw", TRUNCATED)
+    def test_infinite_potential_is_a_rejection(self, name, kw):
+        result = half_normal_run(name, kw, -math.inf)
+        x = result["samples"]["variables"]["theta"]
+        assert x.shape[0] == 200 and np.all(x >= 0.0)
+        assert 0.0 < result["acceptance_rate"] < 1.0
+
+    @pytest.mark.parametrize("name,kw", TRUNCATED)
+    @pytest.mark.parametrize("outside", [math.nan, math.inf])
+    def test_nan_or_plus_inf_exponent_fails_the_chain(self, name, kw, outside):
+        with pytest.raises(ChainError, match="non-finite acceptance exponent"):
+            half_normal_run(name, kw, outside)
+
     def test_detailed_balance_three_state(self):
         # empirical reversibility of the amortized-MH chain on a 1D Gaussian
         model, dataset = std_normal_setup()
-        solver = sggmc_solver(model.density, dataset, 1, obabo_steps=2,
-                              friction=0.0)
+        solver = make_solver("sggmc", model.density, dataset, 1, obabo_steps=2,
+                             friction=0.0)
         sched = init_scheduler(100000, step_size=0.9)
         result = run_mcmc(solver, sched, model.init, 100000, key=RandomKey(31))[0]
         x = result["samples"]["variables"]["theta"]
@@ -188,8 +226,8 @@ class TestReplicaExchange:
     def test_swaps_happen_and_are_counted(self):
         model = get_model("mixture_1d", width=0.7)
         dataset = synth_data_generate(model, RandomKey(0), 1)
-        solver = resgld_solver(model.density, dataset, 1, tau_high=10.0,
-                               swap_interval=10, hot_step_factor=50.0)
+        solver = make_solver("resgld", model.density, dataset, 1, tau_high=10.0,
+                             swap_interval=10, hot_step_factor=50.0)
         sched = init_scheduler(500, step_size=3e-4)
         result = run_mcmc(solver, sched, model.init, 500, key=RandomKey(2))[0]
         assert result["sample_count"] == 500
@@ -199,13 +237,13 @@ class TestReplicaExchange:
     def test_tau_high_must_exceed_one(self):
         model, dataset = std_normal_setup()
         with pytest.raises(ConfigurationError):
-            resgld_solver(model.density, dataset, 1, tau_high=1.0)
+            make_solver("resgld", model.density, dataset, 1, tau_high=1.0)
 
 
 class TestRunMCMC:
     def test_sample_count_from_plan(self):
         model, dataset = std_normal_setup()
-        solver = sgld_solver(model.density, dataset, 1)
+        solver = make_solver("sgld", model.density, dataset, 1)
         sched = init_scheduler(100, step_size=0.05, burn_in=20, selections=30,
                                key=RandomKey(3))
         result = run_mcmc(solver, sched, model.init, 100, key=RandomKey(4))[0]
@@ -213,30 +251,26 @@ class TestRunMCMC:
 
     def test_all_burn_in_collects_nothing(self):
         model, dataset = std_normal_setup()
-        solver = sgld_solver(model.density, dataset, 1)
+        solver = make_solver("sgld", model.density, dataset, 1)
         sched = init_scheduler(1, step_size=0.05, burn_in=1)
         result = run_mcmc(solver, sched, model.init, 1, key=RandomKey(4))[0]
         assert result["sample_count"] == 0
 
     def test_same_seed_bit_identical(self):
         model, dataset = std_normal_setup()
-        solver = sgld_solver(model.density, dataset, 1)
+        solver = make_solver("sgld", model.density, dataset, 1)
 
-        def go(parallel):
+        def go():
             sched = init_scheduler(200, step_size=0.05, burn_in=10)
-            return run_mcmc(solver, sched, model.init, 200, key=RandomKey(9),
-                            chains=2, parallel=parallel)
+            return run_mcmc(solver, sched, model.init, 200, key=RandomKey(9), chains=2)
 
-        a, b = go(False), go(True)
-        for ra, rb in zip(a, b):
-            assert np.array_equal(ra["store"].stacked(), rb["store"].stacked())
-        again = go(True)
+        a, again = go(), go()
         for ra, rb in zip(a, again):
             assert np.array_equal(ra["store"].stacked(), rb["store"].stacked())
 
     def test_chains_differ_from_each_other(self):
         model, dataset = std_normal_setup()
-        solver = sgld_solver(model.density, dataset, 1)
+        solver = make_solver("sgld", model.density, dataset, 1)
         sched = init_scheduler(50, step_size=0.05)
         res = run_mcmc(solver, sched, model.init, 50, key=RandomKey(9), chains=2)
         assert not np.array_equal(res[0]["store"].stacked(), res[1]["store"].stacked())
@@ -245,7 +279,7 @@ class TestRunMCMC:
     def test_numeric_failure_carries_iteration_and_partial(self):
         model = quadratic_model([1.0])
         dataset = synth_data_generate(model, RandomKey(0), 1)
-        solver = sgld_solver(model.density, dataset, 1)
+        solver = make_solver("sgld", model.density, dataset, 1)
         sched = init_scheduler(500, step_size=1e160)  # guaranteed blow-up
         with pytest.raises(ChainError) as err:
             run_mcmc(solver, sched, model.init, 500, key=RandomKey(5))
@@ -256,7 +290,7 @@ class TestRunMCMC:
     def test_custom_collector_factory(self):
         from sgmc.io import SampleStore
         model, dataset = std_normal_setup()
-        solver = sgld_solver(model.density, dataset, 1)
+        solver = make_solver("sgld", model.density, dataset, 1)
         sched = init_scheduler(30, step_size=0.05)
         made = []
 
@@ -272,7 +306,7 @@ class TestRunMCMC:
 
     def test_adaptive_rejected_for_accept_all(self):
         model, dataset = std_normal_setup()
-        solver = sgld_solver(model.density, dataset, 1)
+        solver = make_solver("sgld", model.density, dataset, 1)
         from sgmc.scheduler import DualAveragingState
         sched = init_scheduler(10, adaptive=DualAveragingState.init(0.1))
         with pytest.raises(ConfigurationError):
@@ -288,6 +322,30 @@ class TestRunMCMC:
         # acceptance across the whole run is dominated by the frozen phase
         stats_rate = result["acceptance_rate"]
         assert abs(stats_rate - 0.65) < 0.05
+
+
+class TestSamplerTable:
+    def test_one_entry_per_sampler(self):
+        assert SAMPLER_NAMES == tuple(SAMPLERS) == (
+            "sgld", "psgld", "sghmc", "amagold", "sggmc", "resgld")
+
+    def test_missing_required_knob_is_named(self):
+        model, dataset = std_normal_setup()
+        with pytest.raises(ConfigurationError) as err:
+            make_solver("amagold", model.density, dataset, 1)
+        assert err.value.field == "leapfrog_steps"
+
+    def test_unknown_knob_is_named(self):
+        model, dataset = std_normal_setup()
+        with pytest.raises(ConfigurationError) as err:
+            make_solver("sgld", model.density, dataset, 1, leapfrog_steps=3)
+        assert err.value.field == "leapfrog_steps"
+
+    def test_knob_values_take_the_default_type(self):
+        model, dataset = std_normal_setup()
+        solver = make_solver("amagold", model.density, dataset, 1, leapfrog_steps="4")
+        assert solver.context.leapfrog_steps == 4
+        assert solver.context.friction == 0.1
 
 
 class TestBuildSampler:
