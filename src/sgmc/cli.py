@@ -13,6 +13,7 @@ import hashlib
 import json
 import sys
 import time
+import typing
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -63,6 +64,8 @@ class RunConfig:
             json.dumps(asdict(self), sort_keys=True).encode()
         ).hexdigest()[:16]
 
+
+_FIELD_TYPES = typing.get_type_hints(RunConfig)
 
 DEMOS = {
     # conjugate normal-location target sampled with plain SGLD
@@ -133,9 +136,24 @@ def load_config(demo: str | None, config_path: str | None, overrides: dict) -> R
     if unknown:
         raise ConfigurationError(f"unknown configuration keys {sorted(unknown)}",
                                  field=sorted(unknown)[0])
+    check_types(merged)
     cfg = RunConfig(**merged)
     validate_config(cfg)
     return cfg
+
+
+def check_types(values: dict):
+    """Reject a value that does not have its RunConfig field's declared type.
+
+    None passes only for ``| None`` fields; an int passes for a float field.
+    """
+    for name, value in values.items():
+        kinds = typing.get_args(_FIELD_TYPES[name]) or (_FIELD_TYPES[name],)
+        if float in kinds:
+            kinds += (int,)
+        if (isinstance(value, bool) and bool not in kinds) or not isinstance(value, kinds):
+            declared = RunConfig.__dataclass_fields__[name].type
+            raise ConfigurationError(f"expected {declared}, got {value!r}", field=name)
 
 
 def validate_config(cfg: RunConfig):

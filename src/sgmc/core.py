@@ -50,8 +50,7 @@ def layout_slices(layout: Layout) -> dict[str, tuple[slice, tuple[int, ...]]]:
 class ParameterVector:
     """Named parameter slots backed by one flat real vector.
 
-    Arithmetic requires identical layouts and always returns a fresh vector;
-    instances are treated as immutable values.
+    Instances are treated as immutable values.
     """
 
     layout: Layout
@@ -91,29 +90,6 @@ class ParameterVector:
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.to_named()[name]
-
-    def _check(self, other: "ParameterVector"):
-        if self.layout != other.layout:
-            raise LayoutError("parameter layouts differ")
-
-    def __add__(self, other):
-        self._check(other)
-        return ParameterVector(self.layout, self.values + other.values)
-
-    def __sub__(self, other):
-        self._check(other)
-        return ParameterVector(self.layout, self.values - other.values)
-
-    def __mul__(self, other):
-        if isinstance(other, ParameterVector):
-            self._check(other)
-            return ParameterVector(self.layout, self.values * other.values)
-        return ParameterVector(self.layout, self.values * float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return ParameterVector(self.layout, -self.values)
 
     def __eq__(self, other):
         return (
@@ -172,18 +148,8 @@ def split(key: RandomKey, k: int) -> list[RandomKey]:
     return [key.child(i) for i in range(k)]
 
 
-def gaussian_like(key: RandomKey, layout: Layout, scale: float) -> ParameterVector:
-    """I.i.d. Normal(0, scale^2) entries shaped by ``layout``; scale 0 -> exact zeros."""
-    if scale < 0:
-        raise ValueError("scale must be nonnegative")
-    n = layout_size(layout)
-    if scale == 0.0:
-        return ParameterVector(layout, np.zeros(n))
-    return ParameterVector(layout, key.generator().standard_normal(n) * scale)
-
-
 def normal_flat(key: RandomKey, n: int, scale: float) -> np.ndarray:
-    """Flat-vector counterpart of :func:`gaussian_like` for internal hot loops."""
+    """``n`` i.i.d. Normal(0, scale^2) draws; scale 0 -> exact zeros."""
     if scale == 0.0:
         return np.zeros(n)
     return key.generator().standard_normal(n) * scale

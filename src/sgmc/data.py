@@ -5,6 +5,8 @@ Batches come in three flavours: i.i.d. draws with replacement, epoch-wise
 shuffling (tail batch padded and masked out), and continuous shuffling where
 an epoch's tail is merged into the next permutation so every batch is full.
 Consumers must honour the mask; pad rows are zeros and carry no information.
+Whole-dataset quantities (the exact potential) read ``Dataset.arrays``
+directly, with no batching.
 """
 
 from __future__ import annotations
@@ -194,40 +196,3 @@ def next_batch(dataset: Dataset, spec: BatchSpec, state: BatchState):
     take = np.asarray(pending[:n], dtype=np.int64)
     nxt = replace(state, counter=counter, pending=tuple(pending[n:]))
     return _take(dataset, take, np.ones(n, dtype=bool)), nxt
-
-
-def sequential_batches(dataset: Dataset, n: int):
-    """Deterministic masked sweep over the dataset in original row order."""
-    big_n = dataset.size
-    n = min(n, big_n)
-    for start in range(0, big_n, n):
-        idx = np.arange(start, min(start + n, big_n))
-        mask = np.ones(n, dtype=bool)
-        if idx.shape[0] < n:
-            mask[idx.shape[0] :] = False
-            idx = np.concatenate([idx, np.zeros(n - idx.shape[0], dtype=np.int64)])
-        yield _take(dataset, idx, mask)
-
-
-def full_data_map(fn, dataset: Dataset, theta, n: int, reduce: str = "concat"):
-    """Apply ``fn(theta, batch)`` across the whole dataset in batches of ``n``.
-
-    ``reduce="concat"``: fn returns per-row values (leading axis = batch size);
-    masked rows are dropped and results concatenated in original order.
-    ``reduce="sum"``: fn returns an already mask-reduced value per batch;
-    batch results are summed.
-    """
-    if reduce not in ("concat", "sum"):
-        raise ValueError("reduce must be 'concat' or 'sum'")
-    total = None
-    parts = []
-    for batch in sequential_batches(dataset, n):
-        out = fn(theta, batch)
-        if reduce == "sum":
-            total = out if total is None else total + out
-        else:
-            rows = np.asarray(out)[batch.mask]
-            parts.append(rows)
-    if reduce == "sum":
-        return total
-    return np.concatenate(parts, axis=0)

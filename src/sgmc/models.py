@@ -29,7 +29,6 @@ class BuiltinModel:
     density: LogDensityModel
     generate: Callable  # (key, N, params) -> Dataset
     default_params: dict
-    reference: str  # "analytic" | "oracle"
     predict: Callable  # (theta, x) -> float
     init: ParameterVector
     analytic_posterior: Optional[Callable] = None  # dataset -> {"mean","std"}
@@ -87,7 +86,6 @@ def make_gaussian_mean(prior_std: float = 10.0) -> BuiltinModel:
         density=density,
         generate=generate,
         default_params={"mu": 0.5},
-        reference="analytic",
         predict=lambda theta, x: float(theta.values[0]),
         init=ParameterVector(layout, np.zeros(1)),
         analytic_posterior=analytic_posterior,
@@ -147,7 +145,6 @@ def make_linreg_sigma(n_weights: int = 4) -> BuiltinModel:
         generate=generate,
         default_params={"w": [0.5, -1.0, 2.0, 0.25][:d] + [0.0] * max(0, d - 4),
                         "sigma": 0.5, "x_scale": 1.0},
-        reference="oracle",
         predict=lambda theta, x: float(np.asarray(x) @ theta.values[:d]),
         init=ParameterVector(layout, init),
     )
@@ -190,7 +187,6 @@ def make_logreg_2d(prior_std: float = 10.0) -> BuiltinModel:
         density=density,
         generate=generate,
         default_params={"w": [1.0, -1.5]},
-        reference="oracle",
         predict=lambda theta, x: float(1.0 / (1.0 + math.exp(-(np.asarray(x) @ theta.values)))),
         init=ParameterVector(layout, np.zeros(2)),
     )
@@ -227,7 +223,6 @@ def surrogate_from_logdensity(name: str, layout: Layout, log_density, grad_log_d
         density=density,
         generate=generate,
         default_params={},
-        reference="oracle",
         predict=predict or (lambda theta, x: float(theta.values[0])),
         init=ParameterVector(layout, np.zeros(dim)),
     )
@@ -316,14 +311,13 @@ def rwmh_oracle(model: BuiltinModel, dataset: Dataset, theta0: ParameterVector,
         raise ValueError("proposal scale must be >= 0")
     flat = theta0.values.copy()
     dim = flat.shape[0]
-    n_full = dataset.size
-    u = full_value(density, flat, dataset, n_full)
+    u = full_value(density, flat, dataset)
     rng = key.generator()
     kept = []
     accepts = 0
     for t in range(steps):
         prop = flat + scale * rng.standard_normal(dim)
-        u_prop = full_value(density, prop, dataset, n_full)
+        u_prop = full_value(density, prop, dataset)
         if math.log(rng.random()) < u - u_prop:
             flat, u = prop, u_prop
             accepts += 1

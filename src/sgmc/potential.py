@@ -2,11 +2,13 @@
 
 A model supplies the vectorized log-likelihood and score of a batch of
 observations plus the log-prior and its gradient, all on the flat parameter
-vector and in log space.  The stochastic potential scales the mini-batch
-likelihood sum by N/n_eff, where n_eff counts unmasked rows, so padded epoch
-tails stay unbiased; the true potential sums the whole dataset via masked
-sweeps.  :func:`per_observation` lifts per-observation functions of a
-:class:`ParameterVector` to this contract.
+vector and in log space.  There is one evaluator per quantity:
+:func:`minibatch_value_grad` gives the stochastic (U~, grad U~), scaling the
+mini-batch likelihood sum by N/n_eff, where n_eff counts unmasked rows, so
+padded epoch tails stay unbiased; :func:`full_value` gives the exact U from
+one vectorized call on the whole dataset.  :func:`per_observation` lifts
+per-observation functions of a :class:`ParameterVector` to this contract, and
+:func:`fd_gradient` is the finite-difference oracle of the tests.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .core import Layout, ParameterVector, layout_size, structure
-from .data import Dataset, MiniBatch, full_data_map, sequential_batches
+from .data import Dataset, MiniBatch
 
 
 @dataclass(frozen=True)
@@ -89,34 +91,10 @@ def minibatch_value_grad(model: LogDensityModel, flat: np.ndarray, batch: MiniBa
     return value, grad
 
 
-def minibatch_potential_eval(model: LogDensityModel, theta: ParameterVector, batch: MiniBatch):
-    """Stochastic potential U~ and its gradient for one mini-batch."""
-    value, grad = minibatch_value_grad(model, theta.values, batch)
-    return value, ParameterVector(model.layout, grad)
-
-
-def full_value(model: LogDensityModel, flat: np.ndarray, dataset: Dataset, n: int) -> float:
-    def fn(_, batch):
-        ll = np.asarray(model.batch_log_likelihood(flat, batch.arrays), dtype=np.float64)
-        return float(ll[batch.mask].sum())
-
-    total = full_data_map(fn, dataset, None, n, reduce="sum")
-    return -total - float(model.log_prior(flat))
-
-
-def full_potential_eval(model: LogDensityModel, theta: ParameterVector, dataset: Dataset, n: int):
-    """True potential U = -sum_i log p(y_i | x_i, theta) - log p(theta)."""
-    flat = theta.values
-    total_ll = 0.0
-    total_score = np.zeros(model.dim)
-    for batch in sequential_batches(dataset, n):
-        ll = np.asarray(model.batch_log_likelihood(flat, batch.arrays), dtype=np.float64)
-        scores = np.asarray(model.batch_score(flat, batch.arrays), dtype=np.float64)
-        total_ll += float(ll[batch.mask].sum())
-        total_score += scores[batch.mask].sum(axis=0)
-    value = -total_ll - float(model.log_prior(flat))
-    grad = -total_score - model.grad_log_prior(flat)
-    return value, ParameterVector(model.layout, grad)
+def full_value(model: LogDensityModel, flat: np.ndarray, dataset: Dataset) -> float:
+    """Exact potential U = -sum_i log p(y_i | x_i, theta) - log p(theta)."""
+    ll = np.asarray(model.batch_log_likelihood(flat, dataset.arrays), dtype=np.float64)
+    return -float(ll.sum()) - float(model.log_prior(flat))
 
 
 def fd_gradient(f, theta: ParameterVector, h: float = 1e-5) -> ParameterVector:

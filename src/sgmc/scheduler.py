@@ -61,6 +61,12 @@ def polynomial_schedule(first: float, last: float, gamma: float, n_iterations: i
     return PolynomialSchedule(first, last, gamma, n_iterations, a, b)
 
 
+# dual-averaging constants: shrinkage, iteration offset, averaging decay
+_DA_GAMMA = 0.05
+_DA_T0 = 10.0
+_DA_KAPPA = 0.75
+
+
 @dataclass(frozen=True)
 class DualAveragingState:
     """Step-size adaptation toward a target acceptance probability ``delta``."""
@@ -71,19 +77,15 @@ class DualAveragingState:
     log_eps_avg: float
     delta: float
     mu: float
-    gamma: float = 0.05
-    t0: float = 10.0
-    kappa: float = 0.75
 
     @classmethod
-    def init(cls, eps_init: float, delta: float = 0.65, gamma: float = 0.05,
-             t0: float = 10.0, kappa: float = 0.75) -> "DualAveragingState":
+    def init(cls, eps_init: float, delta: float = 0.65) -> "DualAveragingState":
         if eps_init <= 0:
             raise ValueError("initial step size must be > 0")
         if not 0 < delta < 1:
             raise ValueError("target acceptance must lie in (0, 1)")
         return cls(0, 0.0, math.log(eps_init), math.log(eps_init), delta,
-                   math.log(10.0 * eps_init), gamma, t0, kappa)
+                   math.log(10.0 * eps_init))
 
     @property
     def eps(self) -> float:
@@ -99,10 +101,10 @@ def dual_averaging_step(state: DualAveragingState, accept_prob: float) -> DualAv
     if not 0.0 <= accept_prob <= 1.0:
         raise ValueError("acceptance probability must lie in [0, 1]")
     m = state.iteration + 1
-    eta = 1.0 / (m + state.t0)
+    eta = 1.0 / (m + _DA_T0)
     h_bar = (1.0 - eta) * state.h_bar + eta * (state.delta - accept_prob)
-    log_eps = state.mu - math.sqrt(m) * h_bar / state.gamma
-    w = m ** (-state.kappa)
+    log_eps = state.mu - math.sqrt(m) * h_bar / _DA_GAMMA
+    w = m ** (-_DA_KAPPA)
     log_eps_avg = w * log_eps + (1.0 - w) * state.log_eps_avg
     return replace(state, iteration=m, h_bar=h_bar, log_eps=log_eps,
                    log_eps_avg=log_eps_avg)

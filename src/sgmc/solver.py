@@ -117,10 +117,8 @@ def _init_state(ctx: SamplerContext, theta0: ParameterVector, key: RandomKey,
         batch_state=init_batch_state(ctx.dataset, spec),
         p=np.zeros(dim) if momentum else None,
         rms=RMSPropState.init(dim, ctx.rms_alpha, ctx.rms_lam) if ctx.rms_prop else None,
-        cached_potential=(
-            full_value(ctx.density, flat, ctx.dataset, ctx.dataset.size)
-            if cache_potential else None
-        ),
+        cached_potential=(full_value(ctx.density, flat, ctx.dataset)
+                          if cache_potential else None),
     )
 
 
@@ -159,7 +157,7 @@ def sgmc_update(ctx: SamplerContext, state: SolverState, item: ScheduleItem) -> 
 def _check_cached(ctx: SamplerContext, state: SolverState):
     if not ctx.debug:
         return
-    fresh = full_value(ctx.density, state.theta, ctx.dataset, ctx.dataset.size)
+    fresh = full_value(ctx.density, state.theta, ctx.dataset)
     if abs(fresh - state.cached_potential) > 1e-8 * max(1.0, abs(fresh)):
         raise AssertionError(
             f"cached potential {state.cached_potential} stale (fresh {fresh})"
@@ -188,7 +186,7 @@ def _mh_round(ctx: SamplerContext, state: SolverState, item: ScheduleItem,
     theta_new, p_new, work = trajectory(state.theta, p0, grad_fn, it_key.child(1))
 
     u0 = state.cached_potential
-    u_new = full_value(ctx.density, theta_new, ctx.dataset, ctx.dataset.size)
+    u_new = full_value(ctx.density, theta_new, ctx.dataset)
     exponent = (u0 - u_new + work) / tau
     # -inf (an endpoint outside the support) is a certain rejection
     if math.isnan(exponent) or exponent == math.inf:
@@ -525,13 +523,14 @@ def build_sampler(name: str, config: dict) -> SamplerBundle:
     batch_size, seed, and a step-size block (step_size_first/step_size_last/
     step_size_decay, or target_accept/step_size_init for adaptive runs).
     The sampler's knobs are read from the same mapping; its entry in
-    :data:`SAMPLERS` says which are required.
+    :data:`SAMPLERS` says which are required.  A None value counts as unset
+    and takes the default.
     """
     spec = _spec(name)
-    cfg = dict(config)
+    cfg = {k: v for k, v in config.items() if v is not None}
 
     def need(field_name):
-        if field_name not in cfg or cfg[field_name] is None:
+        if field_name not in cfg:
             raise ConfigurationError(f"sampler {name!r} requires a value",
                                      field=field_name)
         return cfg[field_name]

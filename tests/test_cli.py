@@ -108,6 +108,28 @@ class TestRun:
                 "--burn-in", "50", "--selections", "50", "--output", str(tmp_path / "b")]
         assert run_cli(*argv) == 0
 
+    def test_target_accept_without_step_size_init_takes_default(self, tmp_path):
+        base = {"model": "std_normal", "sampler": "amagold",
+                "sampler_args": {"leapfrog_steps": 3}, "target_accept": 0.65,
+                "iterations": 200, "burn_in": 50}
+        for name, extra in (("unset", {}), ("given", {"step_size_init": 0.1})):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({**base, **extra, "output": str(tmp_path / name)}))
+            assert run_cli("run", "--config", str(path)) == 0
+        assert ((tmp_path / "unset" / "samples_chain0.jsonl").read_bytes()
+                == (tmp_path / "given" / "samples_chain0.jsonl").read_bytes())
+
+    @pytest.mark.parametrize("key, value", [
+        ("iterations", "100"), ("burn_in", None), ("temperature", None),
+        ("chains", 2.5), ("step_size_decay", None)])
+    def test_wrongly_typed_value_names_the_field(self, tmp_path, capsys, key, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"iterations": 10, key: value,
+                                    "output": str(tmp_path / "x")}))
+        assert run_cli("run", "--config", str(path)) == 2
+        assert f"(field: {key})" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
 
 class TestCompare:
     def run_gaussian(self, tmp_path):

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgmc.core import RandomKey
-from sgmc.data import (BatchSpec, full_data_map, init_batch_state,
-                       load_in_memory, next_batch)
+from sgmc.data import BatchSpec, init_batch_state, load_in_memory, next_batch
 from sgmc.errors import IngestionError
 
 from conftest import CHI2_99
@@ -120,52 +119,3 @@ class TestNextBatch:
         a = [b.indices.tolist() for b in drain(ds, spec, 6)]
         b = [b.indices.tolist() for b in drain(ds, spec, 6)]
         assert a == b
-
-
-class TestFullDataMap:
-    def test_masked_sum(self):
-        ds = load_in_memory(arrays={"y": np.array([1.0, 2.0, 3.0])})
-        total = full_data_map(
-            lambda _, b: b.arrays["y"][b.mask].sum(), ds, None, 2, reduce="sum"
-        )
-        assert total == 6.0
-
-    def test_identity_preserves_order(self):
-        ds = load_in_memory(arrays={"y": np.arange(10.0)})
-        out = full_data_map(lambda _, b: b.arrays["y"], ds, None, 3)
-        assert np.array_equal(out, np.arange(10.0))
-
-    def test_mask_soundness(self):
-        # poisoning pad rows must not change the result
-        y = np.arange(7.0)
-        ds = load_in_memory(arrays={"y": y})
-
-        def fn(_, batch):
-            vals = batch.arrays["y"].copy()
-            vals[~batch.mask] = 1e12  # arbitrary garbage in masked rows
-            return (vals * batch.mask).sum()
-
-        assert full_data_map(fn, ds, None, 4, reduce="sum") == y.sum()
-
-    @given(st.integers(1, 25), st.integers(1, 25), st.integers(0, 10000))
-    @settings(max_examples=40, deadline=None)
-    def test_concat_matches_direct_rows(self, n_obs, batch, seed):
-        rows = RandomKey(seed).generator().standard_normal(n_obs)
-        ds = load_in_memory(arrays={"y": rows})
-        out = full_data_map(lambda _, b: b.arrays["y"] * 2.0, ds, None,
-                            min(batch, n_obs))
-        assert np.array_equal(out, rows * 2.0)
-
-    def test_matches_unbatched_loglik(self):
-        from sgmc.models import get_model
-        model = get_model("gaussian_mean")
-        ds = model.generate(RandomKey(5), 101, {"mu": 0.3})
-        flat = np.array([0.2])
-
-        def fn(_, batch):
-            ll = model.density.batch_log_likelihood(flat, batch.arrays)
-            return ll[batch.mask].sum()
-
-        whole = model.density.batch_log_likelihood(flat, {"y": ds["y"]}).sum()
-        for n in (7, 32, 101):
-            assert abs(full_data_map(fn, ds, None, n, reduce="sum") - whole) < 1e-12
