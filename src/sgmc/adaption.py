@@ -1,8 +1,8 @@
 """Quantities adapted online while a chain runs.
 
 RMSProp supplies the diagonal preconditioner for preconditioned Langevin
-steps; the Welford accumulator tracks streaming mean/covariance (used e.g.
-for the tempered-swap noise correction).
+steps; the Welford accumulator tracks streaming mean/variance (used for the
+tempered-swap noise correction).
 """
 
 from __future__ import annotations
@@ -51,13 +51,11 @@ class OnlineCovState:
 
     count: int
     mean: np.ndarray
-    m2: np.ndarray  # (d, d) matrix, or (d,) when diagonal_only
-    diagonal_only: bool = False
+    m2: np.ndarray  # (d,): one sum per coordinate
 
     @classmethod
-    def init(cls, dim: int, diagonal_only: bool = False) -> "OnlineCovState":
-        m2 = np.zeros(dim) if diagonal_only else np.zeros((dim, dim))
-        return cls(0, np.zeros(dim), m2, diagonal_only)
+    def init(cls, dim: int) -> "OnlineCovState":
+        return cls(0, np.zeros(dim), np.zeros(dim))
 
 
 def welford_step(state: OnlineCovState, x) -> OnlineCovState:
@@ -67,16 +65,12 @@ def welford_step(state: OnlineCovState, x) -> OnlineCovState:
     count = state.count + 1
     delta = x - state.mean
     mean = state.mean + delta / count
-    delta2 = x - mean
-    if state.diagonal_only:
-        m2 = state.m2 + delta * delta2
-    else:
-        m2 = state.m2 + np.outer(delta, delta2)
-    return OnlineCovState(count, mean, m2, state.diagonal_only)
+    m2 = state.m2 + delta * (x - mean)
+    return OnlineCovState(count, mean, m2)
 
 
 def welford_finalize(state: OnlineCovState):
-    """Return (mean, unbiased covariance); needs at least two observations."""
+    """Return (mean, unbiased variance); needs at least two observations."""
     if state.count < 2:
-        raise ValueError(f"covariance needs count >= 2, have {state.count}")
+        raise ValueError(f"variance needs count >= 2, have {state.count}")
     return state.mean.copy(), state.m2 / (state.count - 1)

@@ -209,6 +209,7 @@ def _chain_summary(result) -> dict:
             variables[name] = {"mean": finite, "std": None, "ess": None}
     return {
         "chain_id": result["chain_id"],
+        "status": result["status"],
         "sample_count": result["sample_count"],
         "acceptance_rate": result["acceptance_rate"],
         "runtime_s": result["runtime"],
@@ -260,8 +261,7 @@ def run_command(args) -> int:
                              metadata={"sampler": cfg.sampler, "seed": cfg.seed,
                                        "config_digest": cfg.digest()})
     except ChainError as exc:
-        partial = [exc.partial] if exc.partial is not None else []
-        write_outputs(cfg, partial, out_dir, time.perf_counter() - started,
+        write_outputs(cfg, exc.results, out_dir, time.perf_counter() - started,
                       error={"message": str(exc), "iteration": exc.iteration})
         print(f"chain failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -2,8 +2,9 @@
 
 A Dataset is a dict of arrays sharing a leading observation axis of length N.
 Batches come in three flavours: i.i.d. draws with replacement, epoch-wise
-shuffling (tail batch padded and masked out), and continuous shuffling where
-an epoch's tail is merged into the next permutation so every batch is full.
+shuffling (tail batch padded and masked out), and continuous shuffling (the
+stream runs on into the next epoch, so every batch is full).  Both shufflings
+read one stream: the permutations of ``spec.key.child(0)``, ``child(1)``, ...
 Consumers must honour the mask; pad rows are zeros and carry no information.
 Whole-dataset quantities (the exact potential) read ``Dataset.arrays``
 directly, with no batching.
@@ -12,7 +13,7 @@ directly, with no batching.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,11 +70,12 @@ class BatchSpec:
 
 @dataclass(frozen=True)
 class BatchState:
-    """Cursor of one batch stream; value-semantic, one per chain."""
+    """Cursor of one batch stream, one per chain: ``perm`` is the read-only
+    permutation of ``spec.key.child(counter)`` and ``position`` the offset in it."""
 
-    counter: int = 0  # permutations / draws consumed, drives key derivation
+    counter: int = 0  # draws or epochs consumed, drives key derivation
     position: int = 0
-    pending: tuple[int, ...] = ()  # leftover indices ("shuffle" only)
+    perm: np.ndarray | None = None  # derived at the epoch's first batch
 
 
 def load_in_memory(arrays=None, csv_path=None, columns=None) -> Dataset:
@@ -157,6 +159,12 @@ def _take(dataset: Dataset, idx: np.ndarray, mask: np.ndarray) -> MiniBatch:
     return MiniBatch(arrays, mask, dataset.size, idx)
 
 
+def _epoch_permutation(spec: BatchSpec, epoch: int, big_n: int) -> np.ndarray:
+    perm = spec.key.child(epoch).generator().permutation(big_n)
+    perm.flags.writeable = False  # shared by every state of the epoch
+    return perm
+
+
 def next_batch(dataset: Dataset, spec: BatchSpec, state: BatchState):
     """Draw the next mini-batch; returns ``(batch, next_state)``.
 
@@ -166,33 +174,23 @@ def next_batch(dataset: Dataset, spec: BatchSpec, state: BatchState):
     if n > big_n:
         raise ValueError(f"batch size {n} exceeds dataset size {big_n}")
 
+    mask = np.ones(n, dtype=bool)
     if spec.strategy == "draw_replacement":
-        rng = spec.key.child(state.counter).generator()
-        idx = rng.integers(0, big_n, size=n)
-        batch = _take(dataset, idx, np.ones(n, dtype=bool))
-        return batch, replace(state, counter=state.counter + 1)
+        idx = spec.key.child(state.counter).generator().integers(0, big_n, size=n)
+        return _take(dataset, idx, mask), BatchState(state.counter + 1)
 
-    if spec.strategy == "shuffle_in_epochs":
-        perm = spec.key.child(state.counter).generator().permutation(big_n)
-        take = perm[state.position : state.position + n]
-        mask = np.ones(n, dtype=bool)
-        if take.shape[0] < n:  # epoch tail: pad with masked row-0 entries
+    counter, perm = state.counter, state.perm
+    if perm is None:
+        perm = _epoch_permutation(spec, counter, big_n)
+    take = perm[state.position : state.position + n]
+    position = state.position + n
+    if position >= big_n:  # this batch ends the epoch
+        counter, position, perm = counter + 1, position - big_n, None
+        if spec.strategy == "shuffle_in_epochs":  # pad the tail with masked row 0
             mask[take.shape[0] :] = False
             take = np.concatenate([take, np.zeros(n - take.shape[0], dtype=take.dtype)])
-        new_pos = state.position + n
-        if new_pos >= big_n:
-            nxt = replace(state, counter=state.counter + 1, position=0)
-        else:
-            nxt = replace(state, position=new_pos)
-        return _take(dataset, take, mask), nxt
-
-    # "shuffle": full batches always; epoch tails merge into the next permutation
-    pending = list(state.pending)
-    counter = state.counter
-    while len(pending) < n:
-        perm = spec.key.child(counter).generator().permutation(big_n)
-        counter += 1
-        pending.extend(int(i) for i in perm)
-    take = np.asarray(pending[:n], dtype=np.int64)
-    nxt = replace(state, counter=counter, pending=tuple(pending[n:]))
-    return _take(dataset, take, np.ones(n, dtype=bool)), nxt
+            position = 0
+        elif position:  # "shuffle" runs on into the next epoch (n <= N: at most one)
+            perm = _epoch_permutation(spec, counter, big_n)
+            take = np.concatenate([take, perm[:position]])
+    return _take(dataset, take, mask), BatchState(counter, position, perm)

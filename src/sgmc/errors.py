@@ -31,7 +31,10 @@ class NumericError(ArithmeticError):
 
 
 class ChainError(RuntimeError):
-    """A Markov chain failed mid-run; carries the iteration and partial results."""
+    """A Markov chain failed mid-run; carries the iteration and partial results.
+
+    ``results``, set by ``run_mcmc``, holds every chain's result in order.
+    """
 
     def __init__(self, message, iteration=None, partial=None):
         if iteration is not None:
@@ -39,6 +42,7 @@ class ChainError(RuntimeError):
         super().__init__(message)
         self.iteration = iteration
         self.partial = partial
+        self.results = None
 
 
 class StoreError(ValueError):

@@ -9,6 +9,7 @@ closed-form posterior, which the sampler tests treat as exact ground truth.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -44,8 +45,11 @@ def synth_data_generate(model: BuiltinModel, key: RandomKey, n_obs: int,
     if n_obs < 1:
         raise ValueError("need at least one observation")
     params = dict(model.default_params)
-    if true_params:
-        params.update(true_params)
+    for name in true_params or {}:
+        if name not in params:
+            raise ConfigurationError(f"model {model.name!r} has no such parameter",
+                                     field=name)
+    params.update(true_params or {})
     return model.generate(key, n_obs, params)
 
 
@@ -288,6 +292,10 @@ def get_model(name: str, **kwargs) -> BuiltinModel:
         factory = _REGISTRY[name]
     except KeyError:
         raise ConfigurationError(f"unknown model {name!r}", field="model") from None
+    accepted = inspect.signature(factory).parameters
+    for key in kwargs:
+        if key not in accepted:
+            raise ConfigurationError(f"model {name!r} takes no such argument", field=key)
     return factory(**kwargs)
 
 

@@ -395,7 +395,7 @@ class Solver:
         if self.spec.tempered:
             return TemperingPair(_init_state(ctx, theta0, key.child(0)),
                                  _init_state(ctx, theta0, key.child(1)),
-                                 OnlineCovState.init(1, diagonal_only=True))
+                                 OnlineCovState.init(1))
         return _init_state(ctx, theta0, key, self.spec.momentum, self.spec.metropolis)
 
     def step(self, state, item: ScheduleItem):
@@ -432,9 +432,11 @@ def make_solver(name: str, density: LogDensityModel, dataset: Dataset, batch_siz
 # ---------------------------------------------------------------------------
 # Chain driver
 
-def _chain_result(store, stats, runtime, chain_id, gradient_evals, iterations):
+def _chain_result(store, stats, runtime, chain_id, gradient_evals, iterations,
+                  status="ok"):
     mem = sample_io.finalize_results(store, "memory")
     mem.update({
+        "status": status,
         "acceptance_rate": stats.rate,
         "runtime": runtime,
         "iterations": iterations,
@@ -461,7 +463,7 @@ def _run_chain(solver: Solver, scheduler: SchedulerState, init_theta: ParameterV
             state = solver.step(state, item)
         except (NumericError, FloatingPointError) as exc:
             partial = _chain_result(store, state.stats, time.perf_counter() - started,
-                                    chain_id, state.gradient_evals, t)
+                                    chain_id, state.gradient_evals, t, "failed")
             raise ChainError(str(exc), iteration=t, partial=partial) from exc
         if item.keep:
             sample_io.collect_sample(store, ParameterVector(layout, state.theta.copy()), t)
@@ -476,9 +478,10 @@ def run_mcmc(solver: Solver, scheduler: SchedulerState, init_theta: ParameterVec
 
     Chain c draws every stream from ``key.child(c)``, so each chain is a pure
     function of its key.  ``collector_factory`` (chain_id, layout) ->
-    SampleStore swaps in a custom collector.  On a numeric failure a
-    ChainError propagates with ``.partial`` holding the failing chain's
-    collected samples.
+    SampleStore swaps in a custom collector.  Each result's ``status`` is
+    "ok" or "failed".  A failing chain does not stop the others: after the
+    last chain, the first ChainError propagates with ``.partial`` holding the
+    failing chain's collected samples and ``.results`` every chain's result.
     """
     if iterations < 1:
         raise ConfigurationError("need at least one iteration", field="iterations")
@@ -489,9 +492,18 @@ def run_mcmc(solver: Solver, scheduler: SchedulerState, init_theta: ParameterVec
         raise ConfigurationError(
             "adaptive step sizes need a Metropolis solver (no acceptance statistics "
             f"exist for {solver.name})", field="step_size")
-    return [_run_chain(solver, scheduler, init_theta, iterations, key.child(c), c,
-                       metadata, collector_factory)
-            for c in range(chains)]
+    results, failure = [], None
+    for c in range(chains):
+        try:
+            results.append(_run_chain(solver, scheduler, init_theta, iterations,
+                                      key.child(c), c, metadata, collector_factory))
+        except ChainError as exc:
+            results.append(exc.partial)
+            failure = failure or exc
+    if failure is not None:
+        failure.results = results
+        raise failure
+    return results
 
 
 # ---------------------------------------------------------------------------

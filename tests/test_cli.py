@@ -130,6 +130,33 @@ class TestRun:
         assert f"(field: {key})" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("key, entry", [("bogus", {"model_args": {"bogus": 1}}),
+                                            ("nu", {"true_params": {"nu": 1}})])
+    def test_unknown_model_key_names_the_field(self, tmp_path, capsys, key, entry):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"model": "gaussian_mean", "iterations": 10, **entry,
+                                    "output": str(tmp_path / "x")}))
+        assert run_cli("run", "--config", str(path)) == 2
+        assert f"(field: {key})" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_failing_chain_keeps_the_finished_chain(self, tmp_path):
+        # with this seed chain 0 runs to the end and chain 1 diverges at iteration 26
+        cfg = {"model": "linreg_sigma", "model_args": {"n_weights": 1},
+               "true_params": {"w": [1.0], "sigma": 0.25}, "n_obs": 50,
+               "sampler": "sgld", "step_size_first": 0.02, "step_size_last": 0.01,
+               "iterations": 300, "batch_size": 5, "seed": 0, "chains": 2,
+               "output": str(tmp_path / "run")}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("run", "--config", str(path)) == 3
+        out = tmp_path / "run"
+        assert len((out / "samples_chain0.jsonl").read_text().splitlines()) == 300
+        summary = json.loads((out / "summary.json").read_text())
+        chains = [(c["chain_id"], c["status"], c["sample_count"]) for c in summary["chains"]]
+        assert chains == [(0, "ok", 300), (1, "failed", 26)]
+        assert summary["error"]["iteration"] == 26
+
 
 class TestCompare:
     def run_gaussian(self, tmp_path):

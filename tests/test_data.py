@@ -119,3 +119,44 @@ class TestNextBatch:
         a = [b.indices.tolist() for b in drain(ds, spec, 6)]
         b = [b.indices.tolist() for b in drain(ds, spec, 6)]
         assert a == b
+
+    @given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_shuffles_cut_the_epoch_permutation_stream(self, n_obs, batch, seed):
+        batch = min(batch, n_obs)
+        key = RandomKey(seed)
+        ds = load_in_memory(arrays={"y": np.arange(float(n_obs))})
+        perms = [key.child(e).generator().permutation(n_obs) for e in range(4)]
+
+        count = 3 * n_obs // batch  # full batches within the first three epochs
+        got = drain(ds, BatchSpec(batch, "shuffle", key), count)
+        stream = np.concatenate(perms)[: count * batch]
+        assert np.array_equal(np.concatenate([b.indices for b in got]), stream)
+        assert all(b.mask.all() for b in got)
+
+        expected = []
+        for perm in perms[:3]:
+            for start in range(0, n_obs, batch):
+                block = perm[start : start + batch]
+                pad = np.zeros(batch - block.shape[0], dtype=block.dtype)
+                expected.append((np.concatenate([block, pad]),
+                                 np.arange(batch) < block.shape[0]))
+        got = drain(ds, BatchSpec(batch, "shuffle_in_epochs", key), len(expected))
+        for b, (indices, mask) in zip(got, expected):
+            assert np.array_equal(b.indices, indices)
+            assert np.array_equal(b.mask, mask)
+
+    @pytest.mark.parametrize("strategy", ["shuffle", "shuffle_in_epochs"])
+    def test_one_permutation_per_epoch(self, monkeypatch, strategy):
+        calls = []
+        generator = RandomKey.generator
+
+        def counting(key):
+            calls.append(key)
+            return generator(key)
+
+        monkeypatch.setattr(RandomKey, "generator", counting)
+        ds = load_in_memory(arrays={"y": np.arange(10.0)})
+        # 3 epochs of N = 10: ten full batches of 3, or four batches of 3 per epoch
+        drain(ds, BatchSpec(3, strategy, RandomKey(5)), 10 if strategy == "shuffle" else 12)
+        assert len(calls) == 3

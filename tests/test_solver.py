@@ -286,6 +286,7 @@ class TestRunMCMC:
         assert err.value.iteration is not None
         assert err.value.partial is not None
         assert err.value.partial["sample_count"] >= 0
+        assert err.value.results == [err.value.partial]
 
     def test_custom_collector_factory(self):
         from sgmc.io import SampleStore
