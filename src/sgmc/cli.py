@@ -24,7 +24,7 @@ from .core import RandomKey
 from .diagnostics import diagnostics_summary, weighted_moments
 from .errors import ChainError, ConfigurationError, IngestionError
 from .models import get_model, rwmh_oracle, synth_data_generate
-from .solver import SAMPLER_NAMES, SAMPLERS, build_sampler
+from .solver import KNOBS, SAMPLER_NAMES, build_sampler
 
 SCHEMA_VERSION = 1
 
@@ -175,7 +175,7 @@ def validate_config(cfg: RunConfig):
         raise ConfigurationError("selections exceed non-burn-in iterations",
                                  field="selections")
     # another sampler's knob is fine: presets switch samplers but keep their args
-    knobs = {knob for spec in SAMPLERS.values() for knob in spec.knobs}
+    knobs = {knob for table in KNOBS.values() for knob in table}
     for key in cfg.sampler_args:
         if key in RunConfig.__dataclass_fields__:
             raise ConfigurationError("set this top-level field outside sampler_args",

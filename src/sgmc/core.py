@@ -65,20 +65,6 @@ class ParameterVector:
             )
         object.__setattr__(self, "values", vals)
 
-    @classmethod
-    def from_named(cls, mapping) -> "ParameterVector":
-        """Build from ``{name: array_like}``; insertion order fixes the layout."""
-        layout = make_layout(
-            {k: np.asarray(v, dtype=np.float64).shape for k, v in mapping.items()}
-        )
-        if mapping:
-            flat = np.concatenate(
-                [np.asarray(v, dtype=np.float64).reshape(-1) for v in mapping.values()]
-            )
-        else:
-            flat = np.empty(0)
-        return cls(layout, flat)
-
     def to_named(self) -> dict[str, np.ndarray]:
         """Structured read-only view ``{name: array}`` of the flat vector."""
         out = {}
@@ -103,13 +89,8 @@ class ParameterVector:
         return self.values.shape[0]
 
 
-def flatten(pv: ParameterVector) -> np.ndarray:
-    """Canonical flat vector (a copy; the layout owns the ordering)."""
-    return pv.values.copy()
-
-
 def structure(layout: Layout, vec) -> ParameterVector:
-    """Inverse of :func:`flatten`; rejects vectors of the wrong length."""
+    """A copy of ``vec`` under ``layout``; rejects vectors of the wrong length."""
     return ParameterVector(layout, np.array(vec, dtype=np.float64).reshape(-1))
 
 
@@ -117,8 +98,8 @@ def structure(layout: Layout, vec) -> ParameterVector:
 class RandomKey:
     """Deterministic splittable random key: a seed plus a path of split indices.
 
-    Consuming a key never mutates it; call :meth:`child` / :func:`split` for
-    fresh independent streams.  Same ``(seed, path)`` -> same draws, always.
+    Consuming a key never mutates it; call :meth:`child` for fresh
+    independent streams.  Same ``(seed, path)`` -> same draws, always.
     """
 
     seed: int
@@ -139,13 +120,6 @@ class RandomKey:
         # hash-based stream derivation: SeedSequence mixes (entropy, spawn_key)
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.path)
         return np.random.Generator(np.random.PCG64(ss))
-
-
-def split(key: RandomKey, k: int) -> list[RandomKey]:
-    """k pairwise-distinct child keys; deterministic in (key, k)."""
-    if k < 1:
-        raise ValueError("split count must be >= 1")
-    return [key.child(i) for i in range(k)]
 
 
 def normal_flat(key: RandomKey, n: int, scale: float) -> np.ndarray:

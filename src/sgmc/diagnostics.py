@@ -68,10 +68,10 @@ def effective_sample_size(samples) -> float:
     return float(min(max(n / tau, 1.0), n))
 
 
-def diagnostics_summary(samples, weights=None) -> dict:
-    """{mean, std, ess} of a scalar chain, optionally step-size weighted."""
+def diagnostics_summary(samples) -> dict:
+    """{mean, std, ess} of a scalar chain."""
     x = np.asarray(samples, dtype=np.float64)
     if x.shape[0] < 2:
         raise ValueError("summary needs at least two samples")
-    mean, var = weighted_moments(x, weights)
+    mean, var = weighted_moments(x)
     return {"mean": mean, "std": float(np.sqrt(var)), "ess": effective_sample_size(x)}

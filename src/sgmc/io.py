@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Layout, ParameterVector, layout_slices
+from .core import Layout, layout_size, layout_slices
 from .errors import StoreError
 
 
@@ -48,7 +48,7 @@ class SampleStore:
 
     def stacked(self) -> np.ndarray:
         if not self._rows:
-            return np.empty((0, sum(int(np.prod(s)) for _, s in self.layout)))
+            return np.empty((0, layout_size(self.layout)))
         return np.stack(self._rows)
 
     def variables(self) -> dict[str, np.ndarray]:
@@ -60,13 +60,12 @@ class SampleStore:
         return out
 
 
-def collect_sample(store: SampleStore, theta: ParameterVector, iteration: int) -> SampleStore:
-    """Append one sample; the layout must match the store's."""
-    if theta.layout != store.layout:
-        raise StoreError(
-            f"sample layout {theta.layout} does not match store layout {store.layout}"
-        )
-    store._rows.append(theta.values.copy())
+def collect_sample(store: SampleStore, flat, iteration: int) -> SampleStore:
+    """Append a copy of the flat sample; its length must match the store's layout."""
+    row = np.array(flat, dtype=np.float64)
+    if row.shape != (layout_size(store.layout),):
+        raise StoreError(f"sample of shape {row.shape} does not match layout {store.layout}")
+    store._rows.append(row)
     store._iterations.append(int(iteration))
     return store
 

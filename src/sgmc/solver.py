@@ -1,21 +1,23 @@
-"""Markov-chain transitions and the chain driver.
+"""Markov-chain transitions composed from explicit blocks, and the chain driver.
 
-Accept-all solvers (SGLD, pSGLD, SGHMC) take one integrator step per
-iteration.  The amortized Metropolis solvers (AMAGOLD, SGGMC) run a stochastic
-multi-step trajectory per round, resample momenta at the start of every round,
-and accept with exp((U(start) - U(end) + W) / tau) where the exact potential
-is evaluated only at the endpoints (the start value is cached from the last
-accept) and W is the trajectory's accumulated stochastic work.  On rejection
-the position is kept and the round's initial momentum is flipped.
+A sampler is one frozen block whose fields are its knobs:
 
-Replica exchange couples a tau=1 chain with a tempered one and proposes state
-swaps at a fixed interval, with a variance correction for the mini-batch noise
-of the potential estimate.
+- an accept-all move, advanced by :func:`sgmc_update` with one mini-batch
+  gradient and one integrator step per iteration: :class:`Langevin` (SGLD,
+  or pSGLD with ``rms_prop``) or :class:`SGHMC`;
+- a Metropolis trajectory, :class:`AMAGOLD` (noisy leapfrog) or
+  :class:`SGGMC` (OBABO), inside the shared round :func:`metropolis_round`.
+  It resamples the momentum, runs the trajectory and accepts with
+  exp((U(start) - U(end) + W) / tau): the exact potential U is evaluated only
+  at the endpoints (the start value is cached from the last accept) and W is
+  the trajectory's stochastic work.  A rejection keeps the position and flips
+  the round's initial momentum;
+- :class:`Tempering`, replica exchange around any accept-all move, with a
+  variance correction for the mini-batch noise in the swap test.
 
-Each sampler is one entry of :data:`SAMPLERS`: its knobs with their defaults,
-its transition and how its chains start.  :func:`make_solver` binds an entry
-to a model and a dataset; :func:`build_sampler` adds the schedule from a flat
-configuration mapping.
+:class:`Solver` binds a block to a :class:`Binding` (density, dataset, batch
+size and strategy).  :data:`SAMPLERS` maps each name to a block constructor
+whose parameters are the sampler's knobs (:data:`KNOBS`).
 
 Per-chain randomness is split from the chain key into fixed streams:
 child(0) batches, child(1).child(t) iteration t, child(2) extras.
@@ -23,10 +25,12 @@ child(0) batches, child(1).child(t) iteration t, child(2) extras.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -79,114 +83,162 @@ class SolverState:
 
 
 @dataclass(frozen=True)
-class SamplerContext:
-    """Static bindings shared by every step of one sampler.
-
-    The knob fields are set from the sampler's table entry; knobs the
-    sampler does not have keep the defaults below.
-    """
+class Binding:
+    """What the blocks of one sampler act on: a density, its data and the batching."""
 
     density: LogDensityModel
     dataset: Dataset
     batch_size: int
     batch_strategy: str = "draw_replacement"
-    friction: Optional[float] = None        # C for sghmc/amagold, gamma for sggmc
-    noise_estimate: Optional[float] = None  # sghmc B-hat
-    leapfrog_steps: Optional[int] = None
-    obabo_steps: Optional[int] = None
-    debug: Optional[bool] = None
-    rms_prop: Optional[bool] = None
-    rms_alpha: float = 0.99  # also the values of reSGLD, which has no knobs for them
-    rms_lam: float = 1e-5
-    temperature: Optional[float] = None     # tau of the cold replica
-    tau_high: Optional[float] = None        # tau of the tempered replica
-    swap_interval: Optional[int] = None
-    correction: Optional[float] = None      # F in the noise-corrected swap exponent
-    hot_step_factor: Optional[float] = None  # step-size multiplier, tempered replica
 
 
-def _init_state(ctx: SamplerContext, theta0: ParameterVector, key: RandomKey,
-                momentum: bool = False, cache_potential: bool = False) -> SolverState:
-    spec = BatchSpec(ctx.batch_size, ctx.batch_strategy, key.child(_STREAM_BATCH))
-    flat = theta0.values.copy()
-    dim = flat.shape[0]
-    return SolverState(
-        theta=flat,
-        key=key,
-        batch_spec=spec,
-        batch_state=init_batch_state(ctx.dataset, spec),
-        p=np.zeros(dim) if momentum else None,
-        rms=RMSPropState.init(dim, ctx.rms_alpha, ctx.rms_lam) if ctx.rms_prop else None,
-        cached_potential=(full_value(ctx.density, flat, ctx.dataset)
-                          if cache_potential else None),
-    )
+def _init_state(bound: Binding, theta0: ParameterVector, key: RandomKey, **fields):
+    spec = BatchSpec(bound.batch_size, bound.batch_strategy, key.child(_STREAM_BATCH))
+    return SolverState(theta0.values.copy(), key, spec,
+                       init_batch_state(bound.dataset, spec), **fields)
+
+
+def _require(ok: bool, knob: str, message: str):
+    if not ok:
+        raise ConfigurationError(message, field=knob)
 
 
 # ---------------------------------------------------------------------------
-# Accept-all solvers
+# Accept-all moves
 
-def sgmc_update(ctx: SamplerContext, state: SolverState, item: ScheduleItem) -> SolverState:
-    """One accept-all transition: SGHMC if the state carries momentum, else
-    SGLD, preconditioned (pSGLD) if it carries an RMSProp estimate."""
+class AcceptAll:
+    """Base of the accept-all moves: ``init(binding, theta0, key)`` gives the
+    state and ``integrate(state, grad, item, key) -> (theta, p, rms)`` is the
+    step that :func:`sgmc_update` takes with the mini-batch gradient."""
+
+    def step(self, bound: Binding, state: SolverState, item: ScheduleItem) -> SolverState:
+        return sgmc_update(self, bound, state, item)
+
+
+@dataclass(frozen=True)
+class Langevin(AcceptAll):
+    """SGLD; with ``rms_prop``, pSGLD preconditioned by RMSProp(``rms_alpha``, ``rms_lam``)."""
+
+    rms_prop: bool = False
+    rms_alpha: float = 0.99
+    rms_lam: float = 1e-5
+
+    def init(self, bound, theta0, key):
+        rms = (RMSPropState.init(theta0.size, self.rms_alpha, self.rms_lam)
+               if self.rms_prop else None)
+        return _init_state(bound, theta0, key, rms=rms)
+
+    def integrate(self, state, grad, item, key):
+        rms, precond = rmsprop_step(state.rms, grad) if self.rms_prop else (None, None)
+        return langevin_step(state.theta, grad, item.step_size, item.temperature, precond,
+                             key=key), None, rms
+
+
+@dataclass(frozen=True)
+class SGHMC(AcceptAll):
+    """SGHMC with friction C and gradient-noise estimate B-hat (``noise_estimate``)."""
+
+    friction: float
+    noise_estimate: float = 0.0
+
+    def init(self, bound, theta0, key):
+        return _init_state(bound, theta0, key, p=np.zeros(theta0.size))
+
+    def integrate(self, state, grad, item, key):
+        theta, p = sghmc_step(state.theta, state.p, grad, item.step_size, self.friction,
+                              self.noise_estimate, item.temperature, key=key)
+        return theta, p, None
+
+
+def sgmc_update(move: AcceptAll, bound: Binding, state: SolverState,
+                item: ScheduleItem) -> SolverState:
+    """One accept-all transition: a mini-batch gradient, then one step of ``move``."""
     t = state.step_index
-    it_key = state.key.child(_STREAM_ITER).child(t)
-    batch, bstate = next_batch(ctx.dataset, state.batch_spec, state.batch_state)
-    _, grad = minibatch_value_grad(ctx.density, state.theta, batch)
-    rms = state.rms
-    p = state.p
-    if p is not None:
-        theta, p = sghmc_step(state.theta, state.p, grad, item.step_size,
-                              ctx.friction, ctx.noise_estimate, item.temperature,
-                              key=it_key.child(0))
-    else:
-        precond = None
-        if rms is not None:
-            rms, precond = rmsprop_step(rms, grad)
-        theta = langevin_step(state.theta, grad, item.step_size, item.temperature,
-                              precond, key=it_key.child(0))
-    stats = replace(state.stats, proposals=state.stats.proposals + 1,
-                    accepts=state.stats.accepts + 1)
+    batch, bstate = next_batch(bound.dataset, state.batch_spec, state.batch_state)
+    _, grad = minibatch_value_grad(bound.density, state.theta, batch)
+    theta, p, rms = move.integrate(state, grad, item,
+                                   state.key.child(_STREAM_ITER).child(t).child(0))
+    stats = AcceptanceStats(state.stats.proposals + 1, state.stats.accepts + 1)
     return replace(state, theta=theta, p=p, rms=rms, batch_state=bstate,
                    step_index=t + 1, stats=stats,
                    gradient_evals=state.gradient_evals + 1)
 
 
 # ---------------------------------------------------------------------------
-# Amortized Metropolis solvers
+# Metropolis trajectories and the amortized MH round
 
-def _check_cached(ctx: SamplerContext, state: SolverState):
-    if not ctx.debug:
-        return
-    fresh = full_value(ctx.density, state.theta, ctx.dataset)
-    if abs(fresh - state.cached_potential) > 1e-8 * max(1.0, abs(fresh)):
-        raise AssertionError(
-            f"cached potential {state.cached_potential} stale (fresh {fresh})"
-        )
+class Metropolis:
+    """Base of the trajectories whose ``step`` is :func:`metropolis_round`: a
+    ``debug`` knob (record -dH in the acceptance statistics) and
+    ``trajectory(theta, p0, grad_fn, item, key) -> (theta, p, W)``."""
+
+    def init(self, bound: Binding, theta0: ParameterVector, key: RandomKey) -> SolverState:
+        return _init_state(bound, theta0, key, p=np.zeros(theta0.size),
+                           cached_potential=full_value(bound.density, theta0.values,
+                                                       bound.dataset))
 
 
-def _mh_round(ctx: SamplerContext, state: SolverState, item: ScheduleItem,
-              trajectory) -> SolverState:
+@dataclass(frozen=True)
+class AMAGOLD(Metropolis):
+    """Time-reversible noisy leapfrog of ``leapfrog_steps`` steps with friction C."""
+
+    leapfrog_steps: int
+    friction: float = 0.1
+    debug: bool = False
+
+    def __post_init__(self):
+        _require(self.leapfrog_steps >= 1, "leapfrog_steps", "need at least one leapfrog step")
+
+    def step(self, bound, state, item):
+        return amagold_round(self, bound, state, item)
+
+    def trajectory(self, theta, p0, grad_fn, item, key):
+        beta = 0.5 * item.step_size * self.friction  # half-step friction, in [0, 1)
+        return reversible_leapfrog_trajectory(theta, p0, self.leapfrog_steps, item.step_size,
+                                              beta, grad_fn, tau=item.temperature, key=key)
+
+
+@dataclass(frozen=True)
+class SGGMC(Metropolis):
+    """OBABO trajectory of ``obabo_steps`` steps; OU half-steps with friction gamma."""
+
+    obabo_steps: int
+    friction: float = 0.0
+    debug: bool = False
+
+    def __post_init__(self):
+        _require(self.obabo_steps >= 1, "obabo_steps", "need at least one OBABO step")
+
+    def step(self, bound, state, item):
+        return sggmc_round(self, bound, state, item)
+
+    def trajectory(self, theta, p0, grad_fn, item, key):
+        return obabo_trajectory(theta, p0, self.obabo_steps, item.step_size, self.friction,
+                                grad_fn, tau=item.temperature, key=key)
+
+
+def metropolis_round(traj: Metropolis, bound: Binding, state: SolverState,
+                     item: ScheduleItem) -> SolverState:
+    """One amortized MH round around the trajectory of ``traj``."""
     tau = item.temperature
     if tau <= 0:
         raise ValueError("Metropolis solvers need temperature > 0")
-    _check_cached(ctx, state)
     t = state.step_index
     it_key = state.key.child(_STREAM_ITER).child(t)
-    dim = state.theta.shape[0]
-    p0 = normal_flat(it_key.child(0), dim, math.sqrt(tau))
+    p0 = normal_flat(it_key.child(0), state.theta.shape[0], math.sqrt(tau))
 
     box = [state.batch_state]  # the batch cursor, advanced by every gradient
     evals = [0]
 
     def grad_fn(flat):
         evals[0] += 1
-        batch, box[0] = next_batch(ctx.dataset, state.batch_spec, box[0])
-        return minibatch_value_grad(ctx.density, flat, batch)[1]
+        batch, box[0] = next_batch(bound.dataset, state.batch_spec, box[0])
+        return minibatch_value_grad(bound.density, flat, batch)[1]
 
-    theta_new, p_new, work = trajectory(state.theta, p0, grad_fn, it_key.child(1))
+    theta_new, p_new, work = traj.trajectory(state.theta, p0, grad_fn, item, it_key.child(1))
 
     u0 = state.cached_potential
-    u_new = full_value(ctx.density, theta_new, ctx.dataset)
+    u_new = full_value(bound.density, theta_new, bound.dataset)
     exponent = (u0 - u_new + work) / tau
     # -inf (an endpoint outside the support) is a certain rejection
     if math.isnan(exponent) or exponent == math.inf:
@@ -195,43 +247,22 @@ def _mh_round(ctx: SamplerContext, state: SolverState, item: ScheduleItem,
     accept = math.log(it_key.child(2).generator().random()) < exponent
 
     delta_h = None
-    if ctx.debug:
+    if traj.debug:
         k0 = 0.5 * float(p0 @ p0)
         k_new = 0.5 * float(p_new @ p_new)
         delta_h = (u_new + k_new - u0 - k0) / tau
     stats = AcceptanceStats(state.stats.proposals + 1,
                             state.stats.accepts + (1 if accept else 0),
                             alpha, exponent, delta_h)
-    if accept:
-        return replace(state, theta=theta_new, p=p_new, cached_potential=u_new,
-                       batch_state=box[0], step_index=t + 1, stats=stats,
-                       gradient_evals=state.gradient_evals + evals[0])
-    return replace(state, p=-p0, batch_state=box[0], step_index=t + 1, stats=stats,
+    if not accept:
+        theta_new, p_new, u_new = state.theta, -p0, u0
+    return replace(state, theta=theta_new, p=p_new, cached_potential=u_new,
+                   batch_state=box[0], step_index=t + 1, stats=stats,
                    gradient_evals=state.gradient_evals + evals[0])
 
 
-def amagold_round(ctx: SamplerContext, state: SolverState, item: ScheduleItem) -> SolverState:
-    """Time-reversible noisy leapfrog round with amortized MH correction."""
-    beta = 0.5 * item.step_size * ctx.friction
-    if not 0.0 <= beta < 1.0:
-        raise ValueError(f"half-step friction beta={beta} outside [0, 1)")
-
-    def trajectory(theta, p0, grad_fn, key):
-        return reversible_leapfrog_trajectory(
-            theta, p0, ctx.leapfrog_steps, item.step_size, beta, grad_fn,
-            tau=item.temperature, key=key)
-
-    return _mh_round(ctx, state, item, trajectory)
-
-
-def sggmc_round(ctx: SamplerContext, state: SolverState, item: ScheduleItem) -> SolverState:
-    """OBABO round: OU half-steps bracket the Metropolized BAB cores."""
-
-    def trajectory(theta, p0, grad_fn, key):
-        return obabo_trajectory(theta, p0, ctx.obabo_steps, item.step_size,
-                                ctx.friction, grad_fn, tau=item.temperature, key=key)
-
-    return _mh_round(ctx, state, item, trajectory)
+# the round under each built-in trajectory's name, so that traces tell them apart
+amagold_round = sggmc_round = metropolis_round
 
 
 # ---------------------------------------------------------------------------
@@ -239,14 +270,12 @@ def sggmc_round(ctx: SamplerContext, state: SolverState, item: ScheduleItem) -> 
 
 @dataclass(frozen=True)
 class TemperingPair:
-    """A tau=1 chain coupled to a tempered one, swapping states periodically."""
+    """A chain at the schedule's temperature coupled to a tempered one."""
 
     low: SolverState
     high: SolverState
     noise_var: OnlineCovState
-    steps_since_swap: int = 0
-    swap_attempts: int = 0
-    stats: AcceptanceStats = AcceptanceStats()
+    stats: AcceptanceStats = AcceptanceStats()  # of the swaps
 
     # chain-loop protocol: expose the cold chain
     @property
@@ -258,6 +287,41 @@ class TemperingPair:
         return self.low.gradient_evals + self.high.gradient_evals
 
 
+@dataclass(frozen=True)
+class Tempering:
+    """Replica exchange around the accept-all ``move``: the tempered chain runs
+    at temperature ``tau_high`` with ``hot_step_factor`` times the step size,
+    a swap is proposed every ``swap_interval`` steps, and ``correction`` is F
+    in the noise-corrected swap exponent."""
+
+    move: AcceptAll
+    tau_high: float
+    swap_interval: int = 50
+    correction: float = 1.0
+    hot_step_factor: float = 1.0
+
+    def __post_init__(self):
+        _require(self.tau_high > 1.0, "tau_high", "tempered chain needs tau_high > 1")
+        _require(self.swap_interval >= 1, "swap_interval", "swap interval must be >= 1")
+        _require(self.correction > 0, "correction", "correction factor must be > 0")
+        _require(self.hot_step_factor > 0, "hot_step_factor", "hot step factor must be > 0")
+
+    def init(self, bound: Binding, theta0: ParameterVector, key: RandomKey) -> TemperingPair:
+        return TemperingPair(self.move.init(bound, theta0, key.child(0)),
+                             self.move.init(bound, theta0, key.child(1)),
+                             OnlineCovState.init(1))
+
+    def step(self, bound: Binding, pair: TemperingPair, item: ScheduleItem) -> TemperingPair:
+        return resgld_step(self, bound, pair, item)
+
+
+def resgld(tau_high: float, swap_interval: int = 50, correction: float = 1.0,
+           hot_step_factor: float = 1.0, rms_prop: bool = False) -> Tempering:
+    """reSGLD: :class:`Tempering` around :class:`Langevin` (pSGLD with ``rms_prop``)."""
+    return Tempering(Langevin(rms_prop), tau_high, swap_interval, correction,
+                     hot_step_factor)
+
+
 def swap_exponent(tau_low: float, tau_high: float, u_low: float, u_high: float,
                   noise_var: float = 0.0, correction: float = 1.0) -> float:
     """Log swap probability with the mini-batch noise correction."""
@@ -265,156 +329,106 @@ def swap_exponent(tau_low: float, tau_high: float, u_low: float, u_high: float,
     return dbeta * (u_low - u_high - dbeta * noise_var / correction)
 
 
-def _stochastic_u_pair(ctx: SamplerContext, state: SolverState):
+def _stochastic_u_pair(bound: Binding, state: SolverState):
     """Two independent fresh-batch potential estimates at the current position."""
-    box = [state.batch_state, state.batch_spec]
-    batch_a, box[0] = next_batch(ctx.dataset, box[1], box[0])
-    u_a, _ = minibatch_value_grad(ctx.density, state.theta, batch_a)
-    batch_b, box[0] = next_batch(ctx.dataset, box[1], box[0])
-    u_b, _ = minibatch_value_grad(ctx.density, state.theta, batch_b)
-    return u_a, u_b, box[0]
+    batch_a, bstate = next_batch(bound.dataset, state.batch_spec, state.batch_state)
+    u_a, _ = minibatch_value_grad(bound.density, state.theta, batch_a)
+    batch_b, bstate = next_batch(bound.dataset, state.batch_spec, bstate)
+    u_b, _ = minibatch_value_grad(bound.density, state.theta, batch_b)
+    return u_a, u_b, bstate
 
 
-def resgld_swap(ctx: SamplerContext, pair: TemperingPair) -> TemperingPair:
-    """Attempt one state swap between the two chains of the pair.
+def resgld_swap(block: Tempering, bound: Binding, pair: TemperingPair,
+                tau: float) -> TemperingPair:
+    """Attempt one state swap between the chain at ``tau`` and the tempered one.
 
     The noise variance of the stochastic potential is estimated online from
     paired fresh-batch evaluations, Var(U~) ~= Var((U~_a - U~_b)/sqrt(2)),
     which isolates mini-batch noise from the drift of the chains.
     """
-    u_low, u_low_b, bstate_low = _stochastic_u_pair(ctx, pair.low)
-    u_high, u_high_b, bstate_high = _stochastic_u_pair(ctx, pair.high)
+    u_low, u_low_b, bstate_low = _stochastic_u_pair(bound, pair.low)
+    u_high, u_high_b, bstate_high = _stochastic_u_pair(bound, pair.high)
     nv = welford_step(pair.noise_var, (u_low - u_low_b) / math.sqrt(2.0))
     nv = welford_step(nv, (u_high - u_high_b) / math.sqrt(2.0))
     sigma2 = float(welford_finalize(nv)[1][0]) if nv.count >= 2 else 0.0
-    exponent = swap_exponent(ctx.temperature, ctx.tau_high, u_low, u_high,
-                             sigma2, ctx.correction)
-    key = pair.low.key.child(_STREAM_EXTRA).child(pair.swap_attempts)
+    exponent = swap_exponent(tau, block.tau_high, u_low, u_high, sigma2, block.correction)
+    key = pair.low.key.child(_STREAM_EXTRA).child(pair.stats.proposals)
     accept = math.log(key.generator().random()) < exponent
     low = replace(pair.low, batch_state=bstate_low)
     high = replace(pair.high, batch_state=bstate_high)
     if accept:
         # exchange position and position-bound solver state; streams stay put
-        low, high = (
-            replace(low, theta=high.theta.copy(), rms=high.rms,
-                    cached_potential=high.cached_potential),
-            replace(high, theta=low.theta.copy(), rms=low.rms,
-                    cached_potential=low.cached_potential),
-        )
+        low, high = (replace(low, theta=high.theta.copy(), rms=high.rms),
+                     replace(high, theta=low.theta.copy(), rms=low.rms))
     stats = AcceptanceStats(pair.stats.proposals + 1,
                             pair.stats.accepts + (1 if accept else 0),
                             math.exp(min(exponent, 0.0)), exponent)
-    return replace(pair, low=low, high=high, noise_var=nv, steps_since_swap=0,
-                   swap_attempts=pair.swap_attempts + 1, stats=stats)
+    return TemperingPair(low, high, nv, stats)
 
 
-def resgld_step(ctx: SamplerContext, pair: TemperingPair, item: ScheduleItem) -> TemperingPair:
-    """Advance both chains one SGLD step; swap every ``swap_interval`` steps."""
-    if abs(item.temperature - ctx.temperature) > 1e-12:
-        raise ValueError("replica exchange requires a constant temperature schedule")
-    hot_item = replace(item,
-                       temperature=item.temperature * ctx.tau_high / ctx.temperature,
-                       step_size=item.step_size * ctx.hot_step_factor)
-    pair = replace(pair,
-                   low=sgmc_update(ctx, pair.low, item),
-                   high=sgmc_update(ctx, pair.high, hot_item),
-                   steps_since_swap=pair.steps_since_swap + 1)
-    if pair.steps_since_swap >= ctx.swap_interval:
-        pair = resgld_swap(ctx, pair)
+def resgld_step(block: Tempering, bound: Binding, pair: TemperingPair,
+                item: ScheduleItem) -> TemperingPair:
+    """Advance both chains one step of ``block.move``; swap every ``swap_interval`` steps."""
+    hot_item = replace(item, temperature=block.tau_high,
+                       step_size=item.step_size * block.hot_step_factor)
+    pair = replace(pair, low=block.move.step(bound, pair.low, item),
+                   high=block.move.step(bound, pair.high, hot_item))
+    if pair.low.step_index % block.swap_interval == 0:
+        pair = resgld_swap(block, bound, pair, item.temperature)
     return pair
 
 
 # ---------------------------------------------------------------------------
 # The sampler table
 
-@dataclass(frozen=True)
-class SamplerSpec:
-    """One sampler: its knobs, its transition and how its chains start.
-
-    ``knobs`` maps each knob to its default; a bare type in place of the
-    default marks a required knob.  Given values are converted to the type.
-    """
-
-    knobs: dict
-    step: Callable            # (ctx, state, item) -> state
-    metropolis: bool = False  # amortized MH rounds; caches the exact potential
-    momentum: bool = False
-    tempered: bool = False    # a replica pair instead of a single state
-
-
-_RMS = {"rms_alpha": SamplerContext.rms_alpha, "rms_lam": SamplerContext.rms_lam}
-
-# The steps look the transition functions up when called, so that wrappers
-# set on these module attributes (tracing, profiling) see every call.
 SAMPLERS = {
-    "sgld": SamplerSpec({"rms_prop": False, **_RMS},
-                        lambda ctx, s, item: sgmc_update(ctx, s, item)),
-    "psgld": SamplerSpec({"rms_prop": True, **_RMS},
-                         lambda ctx, s, item: sgmc_update(ctx, s, item)),
-    "sghmc": SamplerSpec({"friction": float, "noise_estimate": 0.0},
-                         lambda ctx, s, item: sgmc_update(ctx, s, item), momentum=True),
-    "amagold": SamplerSpec({"leapfrog_steps": int, "friction": 0.1, "debug": False},
-                           lambda ctx, s, item: amagold_round(ctx, s, item),
-                           metropolis=True, momentum=True),
-    "sggmc": SamplerSpec({"obabo_steps": int, "friction": 0.0, "debug": False},
-                         lambda ctx, s, item: sggmc_round(ctx, s, item),
-                         metropolis=True, momentum=True),
-    "resgld": SamplerSpec({"tau_high": float, "swap_interval": 50, "correction": 1.0,
-                           "hot_step_factor": 1.0, "temperature": 1.0, "rms_prop": False},
-                          lambda ctx, s, item: resgld_step(ctx, s, item), tempered=True),
+    "sgld": Langevin,
+    "psgld": functools.partial(Langevin, rms_prop=True),
+    "sghmc": SGHMC,
+    "amagold": AMAGOLD,
+    "sggmc": SGGMC,
+    "resgld": resgld,
 }
 SAMPLER_NAMES = tuple(SAMPLERS)
 
-# knob -> (validity test, message), applied wherever the knob appears
-_KNOB_CHECKS = {
-    "leapfrog_steps": (lambda v: v >= 1, "need at least one leapfrog step"),
-    "obabo_steps": (lambda v: v >= 1, "need at least one OBABO step"),
-    "tau_high": (lambda v: v > 1.0, "tempered chain needs tau_high > 1"),
-    "swap_interval": (lambda v: v >= 1, "swap interval must be >= 1"),
-    "correction": (lambda v: v > 0, "correction factor must be > 0"),
-    "hot_step_factor": (lambda v: v > 0, "hot-chain step factor must be > 0"),
-}
-
-
-def _spec(name: str) -> SamplerSpec:
-    if name not in SAMPLERS:
-        raise ConfigurationError(f"unknown sampler {name!r}", field="sampler")
-    return SAMPLERS[name]
+# name -> {knob: default}, read once from the constructor's parameters; a bare
+# type in place of the default marks a required knob
+KNOBS = {name: {p.name: p.annotation if p.default is p.empty else p.default
+                for p in inspect.signature(make, eval_str=True).parameters.values()}
+         for name, make in SAMPLERS.items()}
 
 
 @dataclass(frozen=True)
 class Solver:
-    """A table entry bound to a model and a dataset."""
+    """A sampler block bound to a density and its data."""
 
     name: str
-    context: SamplerContext
-    spec: SamplerSpec
+    binding: Binding
+    block: AcceptAll | Metropolis | Tempering
 
     def init(self, theta0: ParameterVector, key: RandomKey):
-        ctx = self.context
-        if self.spec.tempered:
-            return TemperingPair(_init_state(ctx, theta0, key.child(0)),
-                                 _init_state(ctx, theta0, key.child(1)),
-                                 OnlineCovState.init(1))
-        return _init_state(ctx, theta0, key, self.spec.momentum, self.spec.metropolis)
+        return self.block.init(self.binding, theta0, key)
 
     def step(self, state, item: ScheduleItem):
-        return self.spec.step(self.context, state, item)
+        return self.block.step(self.binding, state, item)
 
 
 def make_solver(name: str, density: LogDensityModel, dataset: Dataset, batch_size: int,
                 batch_strategy: str = "draw_replacement", **knobs) -> Solver:
     """Bind sampler ``name`` to a model and a dataset.
 
-    ``knobs`` are knobs of the sampler's table entry; an omitted (or None)
+    ``knobs`` are knobs of the sampler (:data:`KNOBS`); an omitted (or None)
     knob takes its default, and a required one raises ConfigurationError.
+    Given values are converted to the type of the default.
     """
-    spec = _spec(name)
+    if name not in SAMPLERS:
+        raise ConfigurationError(f"unknown sampler {name!r}", field="sampler")
+    table = KNOBS[name]
     for knob in knobs:
-        if knob not in spec.knobs:
+        if knob not in table:
             raise ConfigurationError(f"sampler {name!r} has no such knob", field=knob)
     values = {}
-    for knob, default in spec.knobs.items():
+    for knob, default in table.items():
         kind = default if isinstance(default, type) else type(default)
         value = knobs.get(knob)
         if value is None:
@@ -422,11 +436,8 @@ def make_solver(name: str, density: LogDensityModel, dataset: Dataset, batch_siz
                 raise ConfigurationError(f"sampler {name!r} requires a value", field=knob)
             value = default
         values[knob] = kind(value)
-        valid, message = _KNOB_CHECKS.get(knob, (None, None))
-        if valid is not None and not valid(values[knob]):
-            raise ConfigurationError(message, field=knob)
-    ctx = SamplerContext(density, dataset, batch_size, batch_strategy, **values)
-    return Solver(name, ctx, spec)
+    return Solver(name, Binding(density, dataset, batch_size, batch_strategy),
+                  SAMPLERS[name](**values))
 
 
 # ---------------------------------------------------------------------------
@@ -447,48 +458,41 @@ def _chain_result(store, stats, runtime, chain_id, gradient_evals, iterations,
 
 
 def _run_chain(solver: Solver, scheduler: SchedulerState, init_theta: ParameterVector,
-               iterations: int, chain_key: RandomKey, chain_id: int, metadata: dict,
-               collector_factory=None):
-    layout = solver.context.density.layout
+               iterations: int, chain_key: RandomKey, chain_id: int, metadata: dict):
     state = solver.init(init_theta, chain_key)
-    sched = scheduler
-    if collector_factory is None:
-        store = sample_io.SampleStore(layout, chain_id, dict(metadata))
-    else:
-        store = collector_factory(chain_id, layout)
+    store = sample_io.SampleStore(solver.binding.density.layout, chain_id, dict(metadata))
     started = time.perf_counter()
     for t in range(iterations):
-        item, sched = scheduler_next(sched, feedback=state.stats)
+        item, scheduler = scheduler_next(scheduler, feedback=state.stats)
         try:
             state = solver.step(state, item)
-        except (NumericError, FloatingPointError) as exc:
+        except ArithmeticError as exc:  # NumericError, or overflow in model code
             partial = _chain_result(store, state.stats, time.perf_counter() - started,
                                     chain_id, state.gradient_evals, t, "failed")
             raise ChainError(str(exc), iteration=t, partial=partial) from exc
         if item.keep:
-            sample_io.collect_sample(store, ParameterVector(layout, state.theta.copy()), t)
+            sample_io.collect_sample(store, state.theta, t)
     return _chain_result(store, state.stats, time.perf_counter() - started,
                          chain_id, state.gradient_evals, iterations)
 
 
 def run_mcmc(solver: Solver, scheduler: SchedulerState, init_theta: ParameterVector,
              iterations: int, *, key: RandomKey, chains: int = 1,
-             metadata: dict | None = None, collector_factory=None) -> list[dict]:
+             metadata: dict | None = None) -> list[dict]:
     """Run ``chains`` independent chains in turn; returns one result per chain.
 
     Chain c draws every stream from ``key.child(c)``, so each chain is a pure
-    function of its key.  ``collector_factory`` (chain_id, layout) ->
-    SampleStore swaps in a custom collector.  Each result's ``status`` is
-    "ok" or "failed".  A failing chain does not stop the others: after the
-    last chain, the first ChainError propagates with ``.partial`` holding the
-    failing chain's collected samples and ``.results`` every chain's result.
+    function of its key.  Each result's ``status`` is "ok" or "failed".  A
+    failing chain does not stop the others: after the last chain, the first
+    ChainError propagates with ``.partial`` holding the failing chain's
+    collected samples and ``.results`` every chain's result.
     """
     if iterations < 1:
         raise ConfigurationError("need at least one iteration", field="iterations")
     if chains < 1:
         raise ConfigurationError("need at least one chain", field="chains")
     metadata = metadata or {}
-    if scheduler.is_adaptive and not solver.spec.metropolis:
+    if scheduler.is_adaptive and not isinstance(solver.block, Metropolis):
         raise ConfigurationError(
             "adaptive step sizes need a Metropolis solver (no acceptance statistics "
             f"exist for {solver.name})", field="step_size")
@@ -496,7 +500,7 @@ def run_mcmc(solver: Solver, scheduler: SchedulerState, init_theta: ParameterVec
     for c in range(chains):
         try:
             results.append(_run_chain(solver, scheduler, init_theta, iterations,
-                                      key.child(c), c, metadata, collector_factory))
+                                      key.child(c), c, metadata))
         except ChainError as exc:
             results.append(exc.partial)
             failure = failure or exc
@@ -513,19 +517,15 @@ def run_mcmc(solver: Solver, scheduler: SchedulerState, init_theta: ParameterVec
 class SamplerBundle:
     """Everything run_mcmc needs, assembled from one configuration."""
 
-    name: str
     solver: Solver
     scheduler: SchedulerState
     init_theta: ParameterVector
     run_key: RandomKey
     iterations: int
-    config: dict
 
-    def run(self, iterations: int | None = None, chains: int = 1,
-            metadata: dict | None = None) -> list[dict]:
-        return run_mcmc(self.solver, self.scheduler, self.init_theta,
-                        iterations or self.iterations, key=self.run_key,
-                        chains=chains, metadata=metadata)
+    def run(self, chains: int = 1, metadata: dict | None = None) -> list[dict]:
+        return run_mcmc(self.solver, self.scheduler, self.init_theta, self.iterations,
+                        key=self.run_key, chains=chains, metadata=metadata)
 
 
 def build_sampler(name: str, config: dict) -> SamplerBundle:
@@ -534,11 +534,9 @@ def build_sampler(name: str, config: dict) -> SamplerBundle:
     Required for every sampler: model (BuiltinModel), dataset, iterations,
     batch_size, seed, and a step-size block (step_size_first/step_size_last/
     step_size_decay, or target_accept/step_size_init for adaptive runs).
-    The sampler's knobs are read from the same mapping; its entry in
-    :data:`SAMPLERS` says which are required.  A None value counts as unset
-    and takes the default.
+    The sampler's knobs are read from the same mapping; :data:`KNOBS` says
+    which are required.  A None value counts as unset and takes the default.
     """
-    spec = _spec(name)
     cfg = {k: v for k, v in config.items() if v is not None}
 
     def need(field_name):
@@ -554,7 +552,7 @@ def build_sampler(name: str, config: dict) -> SamplerBundle:
     seed = int(need("seed"))
     solver = make_solver(name, model.density, dataset, batch_size,
                          cfg.get("batch_strategy", "draw_replacement"),
-                         **{knob: cfg.get(knob) for knob in spec.knobs})
+                         **{knob: cfg.get(knob) for knob in KNOBS.get(name, ())})
     if iterations < 1:
         raise ConfigurationError("iterations must be >= 1", field="iterations")
 
@@ -574,11 +572,12 @@ def build_sampler(name: str, config: dict) -> SamplerBundle:
         decay = float(cfg.get("step_size_decay", 0.33))
         step_sizes = polynomial_schedule(float(first), float(last), decay, iterations)
 
-    if adaptive is not None and not spec.metropolis:
+    metropolis = isinstance(solver.block, Metropolis)
+    if adaptive is not None and not metropolis:
         raise ConfigurationError(
             f"adaptive step size is not available for accept-all sampler {name!r}",
             field="target_accept")
-    if spec.metropolis and temperature <= 0:
+    if metropolis and temperature <= 0:
         raise ConfigurationError("Metropolis solvers need temperature > 0",
                                  field="temperature")
 
@@ -592,5 +591,4 @@ def build_sampler(name: str, config: dict) -> SamplerBundle:
         key=root.child(1),
     )
     init_theta = cfg.get("init_theta") or model.init
-    return SamplerBundle(name, solver, scheduler, init_theta, root.child(2),
-                         iterations, cfg)
+    return SamplerBundle(solver, scheduler, init_theta, root.child(2), iterations)

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from sgmc.core import ParameterVector, RandomKey, split
+from sgmc.core import ParameterVector, RandomKey
 from sgmc.data import BatchSpec, MiniBatch, init_batch_state, next_batch
 from sgmc.diagnostics import effective_sample_size, weighted_moments
 from sgmc.models import (builtin_names, get_model, rwmh_oracle,
@@ -191,7 +191,7 @@ def test_criterion_6_gradient_suite():
         model = get_model(name)
         dataset = synth_data_generate(model, RandomKey(101), 12)
         n_rows = min(6, dataset.size)
-        for key in split(RandomKey(57), 100):
+        for key in [RandomKey(57).child(i) for i in range(100)]:
             rng = key.generator()
             rows = rng.integers(0, dataset.size, size=n_rows)
             batch = MiniBatch({k: v[rows] for k, v in dataset.arrays.items()},

@@ -157,6 +157,24 @@ class TestRun:
         assert chains == [(0, "ok", 300), (1, "failed", 26)]
         assert summary["error"]["iteration"] == 26
 
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:divide by zero")
+    def test_overflow_in_the_model_is_a_chain_failure(self, tmp_path):
+        # log-sigma diverges until exp(log-sigma) overflows inside linreg_sigma
+        cfg = {"model": "linreg_sigma", "model_args": {"n_weights": 1}, "n_obs": 50,
+               "sampler": "sgld", "step_size_first": 0.05, "step_size_last": 0.02,
+               "iterations": 400, "batch_size": 5, "seed": 1, "chains": 2,
+               "output": str(tmp_path / "run")}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("run", "--config", str(path)) == 3
+        out = tmp_path / "run"
+        assert (out / "samples_chain0.jsonl").exists()
+        assert (out / "samples_chain1.jsonl").exists()
+        summary = json.loads((out / "summary.json").read_text())
+        assert [(c["chain_id"], c["status"]) for c in summary["chains"]] == [
+            (0, "failed"), (1, "failed")]
+        assert "math range error" in summary["error"]["message"]
+
 
 class TestCompare:
     def run_gaussian(self, tmp_path):

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgmc.core import (ParameterVector, RandomKey, layout_size, make_layout,
-                       structure)
+from sgmc.core import RandomKey, layout_size, make_layout, structure
 from sgmc.errors import StoreError
 from sgmc.io import (SampleStore, collect_sample, finalize_results,
                      flat_column_names, read_csv_samples, read_jsonl)
@@ -22,7 +21,7 @@ def store_with(n, seed=5):
     store = SampleStore(LAYOUT, chain_id=0, metadata={"sampler": "test"})
     rng = RandomKey(seed).generator()
     for i in range(n):
-        collect_sample(store, ParameterVector(LAYOUT, rng.standard_normal(3)), 10 * i)
+        collect_sample(store, rng.standard_normal(3), 10 * i)
     return store
 
 
@@ -30,14 +29,21 @@ class TestCollect:
     def test_counts(self):
         store = SampleStore(LAYOUT)
         assert store.sample_count == 0
-        collect_sample(store, ParameterVector(LAYOUT, np.arange(3.0)), 7)
+        collect_sample(store, np.arange(3.0), 7)
         assert store.sample_count == 1
+
+    def test_stores_a_copy(self):
+        store, flat = SampleStore(LAYOUT), np.arange(3.0)
+        collect_sample(store, flat, 0)
+        flat[:] = -1.0
+        assert np.array_equal(store.stacked()[0], [0.0, 1.0, 2.0])
 
     def test_layout_drift_rejected(self):
         store = store_with(1)
-        other = ParameterVector.from_named({"w": [1.0, 2.0, 3.0]})
-        with pytest.raises(StoreError):
-            collect_sample(store, other, 8)
+        for other in (np.zeros(4), np.zeros((1, 3))):
+            with pytest.raises(StoreError):
+                collect_sample(store, other, 8)
+        assert store.sample_count == 1
 
     def test_thousand_collects_consistent_lengths(self):
         store = store_with(1000)
@@ -103,7 +109,7 @@ def test_jsonl_roundtrip_property(seed, n_samples, layout):
     store = SampleStore(layout)
     dim = layout_size(layout)
     for i in range(n_samples):
-        collect_sample(store, ParameterVector(layout, rng.standard_normal(dim)), i)
+        collect_sample(store, rng.standard_normal(dim), i)
     with tempfile.TemporaryDirectory() as tmp:
         path = finalize_results(store, "jsonl", Path(tmp) / "s.jsonl")
         iterations, variables = read_jsonl(path)

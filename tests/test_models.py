@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sgmc.core import ParameterVector, RandomKey, split
+from sgmc.core import ParameterVector, RandomKey, make_layout
 from sgmc.data import MiniBatch
 from sgmc.models import (builtin_names, ensemble_predict, get_model, rwmh_oracle,
                          synth_data_generate)
@@ -22,7 +22,7 @@ class TestLogDensities:
 
     def test_linreg_zero_residual_score(self):
         density = get_model("linreg_sigma", n_weights=2).density
-        theta = ParameterVector.from_named({"w": [1.0, -2.0], "log_sigma": 0.3})
+        theta = ParameterVector(make_layout({"w": (2,), "log_sigma": ()}), [1.0, -2.0, 0.3])
         x = np.array([[0.5, 1.5]])
         score = density.batch_score(theta.values, {"x": x, "y": x @ [1.0, -2.0]})
         assert np.allclose(score[0, :2], 0.0, atol=1e-14)
@@ -48,7 +48,7 @@ class TestGradientChecks:
         rows = np.arange(min(6, dataset.size))
         batch = MiniBatch({k: v[rows] for k, v in dataset.arrays.items()},
                           np.ones(rows.shape[0], dtype=bool), dataset.size, rows)
-        for key in split(RandomKey(55), 20):
+        for key in [RandomKey(55).child(i) for i in range(20)]:
             flat = key.generator().standard_normal(model.density.dim) * 0.8
             theta = ParameterVector(model.layout, flat)
             _, analytic = minibatch_value_grad(model.density, flat, batch)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sgmc.core import ParameterVector, RandomKey, make_layout, split
+from sgmc.core import ParameterVector, RandomKey, make_layout
 from sgmc.data import BatchSpec, MiniBatch, init_batch_state, load_in_memory, next_batch
 from sgmc.models import builtin_names, get_model, synth_data_generate
 from sgmc.potential import fd_gradient, full_value, minibatch_value_grad, per_observation
@@ -89,7 +89,7 @@ class TestMinibatchPotential:
             density, ds = model.density, synth_data_generate(model, RandomKey(12), 23)
         rows = np.arange(ds.size)
         whole = MiniBatch(dict(ds.arrays), np.ones(ds.size, dtype=bool), ds.size, rows)
-        for key in split(RandomKey(6), 5):
+        for key in [RandomKey(6).child(i) for i in range(5)]:
             flat = key.generator().standard_normal(density.dim) * 0.5
             value, _ = minibatch_value_grad(density, flat, whole)
             assert full_value(density, flat, ds) == value
@@ -207,7 +207,7 @@ class TestBatchFastPath:
             layout, *ROW_REFERENCES[name](layout),
             lambda theta: density.log_prior(theta.values),
             lambda theta: ParameterVector(layout, density.grad_log_prior(theta.values)))
-        keys = split(RandomKey(5), 10)
+        keys = [RandomKey(5).child(i) for i in range(10)]
         for key in keys:
             flat = key.generator().standard_normal(density.dim) * 0.5
             rows = key.generator().integers(0, 16, size=6)

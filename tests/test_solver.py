@@ -6,14 +6,15 @@ import pytest
 from sgmc.adaption import RMSPropState, rmsprop_step
 from sgmc.core import ParameterVector, RandomKey, make_layout, normal_flat
 from sgmc.data import BatchSpec, init_batch_state, next_batch
+from sgmc.diagnostics import effective_sample_size
 from sgmc.errors import ChainError, ConfigurationError
 from sgmc.integrator import langevin_step
 from sgmc.models import get_model, surrogate_from_logdensity, synth_data_generate
-from sgmc.potential import minibatch_value_grad
+from sgmc.potential import full_value, minibatch_value_grad
 from sgmc.scheduler import init_scheduler, scheduler_next
-from sgmc.solver import (_STREAM_BATCH, _STREAM_ITER, SAMPLER_NAMES, SAMPLERS,
-                         SamplerBundle, build_sampler, make_solver, run_mcmc,
-                         swap_exponent)
+from sgmc.solver import (_STREAM_BATCH, _STREAM_ITER, KNOBS, SAMPLER_NAMES, SAMPLERS,
+                         SGHMC, Binding, SamplerBundle, Solver, Tempering, build_sampler,
+                         make_solver, run_mcmc, swap_exponent)
 
 from conftest import quadratic_model
 
@@ -150,9 +151,14 @@ class TestMetropolisRounds:
     def test_accept_refreshes_cached_potential(self):
         model, dataset = std_normal_setup()
         solver = make_solver("amagold", model.density, dataset, 1, leapfrog_steps=3,
-                             friction=0.0, debug=True)  # debug asserts cache
-        result = run_solver(solver, model, 200, step=0.3)
-        assert 0.5 < result["acceptance_rate"] <= 1.0
+                             friction=0.0)
+        state = solver.init(model.init, RandomKey(5))
+        sched = init_scheduler(200, step_size=0.3)
+        for _ in range(200):
+            item, sched = scheduler_next(sched)
+            state = solver.step(state, item)
+            assert state.cached_potential == full_value(model.density, state.theta, dataset)
+        assert 0.5 < state.stats.rate <= 1.0
 
     def test_metropolis_needs_positive_temperature(self):
         model, dataset = std_normal_setup()
@@ -239,6 +245,21 @@ class TestReplicaExchange:
         with pytest.raises(ConfigurationError):
             make_solver("resgld", model.density, dataset, 1, tau_high=1.0)
 
+    def test_replica_exchange_sghmc_from_public_blocks(self):
+        # reSGHMC is not in SAMPLERS: tempering around an SGHMC move
+        model, dataset = std_normal_setup()
+        block = Tempering(SGHMC(friction=1.0), tau_high=3.0)
+        solver = Solver("resghmc", Binding(model.density, dataset, 1), block)
+        sched = init_scheduler(20000, step_size=0.1)
+        result = run_mcmc(solver, sched, model.init, 20000, key=RandomKey(0))[0]
+        x = result["samples"]["variables"]["theta"].reshape(-1)
+        ess = effective_sample_size(x)
+        assert ess > 500
+        # four standard errors: Var(mean) = 1/ESS, Var(sample variance) = 2/ESS
+        assert abs(x.mean()) < 4.0 / math.sqrt(ess)
+        assert abs(x.var() - 1.0) < 4.0 * math.sqrt(2.0 / ess)
+        assert 0.0 < result["acceptance_rate"] < 1.0  # swaps both taken and refused
+
 
 class TestRunMCMC:
     def test_sample_count_from_plan(self):
@@ -288,23 +309,6 @@ class TestRunMCMC:
         assert err.value.partial["sample_count"] >= 0
         assert err.value.results == [err.value.partial]
 
-    def test_custom_collector_factory(self):
-        from sgmc.io import SampleStore
-        model, dataset = std_normal_setup()
-        solver = make_solver("sgld", model.density, dataset, 1)
-        sched = init_scheduler(30, step_size=0.05)
-        made = []
-
-        def factory(chain_id, layout):
-            store = SampleStore(layout, chain_id, {"custom": True})
-            made.append(store)
-            return store
-
-        result = run_mcmc(solver, sched, model.init, 30, key=RandomKey(2),
-                          collector_factory=factory)[0]
-        assert made and result["store"] is made[0]
-        assert result["metadata"]["custom"] is True
-
     def test_adaptive_rejected_for_accept_all(self):
         model, dataset = std_normal_setup()
         solver = make_solver("sgld", model.density, dataset, 1)
@@ -325,6 +329,18 @@ class TestRunMCMC:
         assert abs(stats_rate - 0.65) < 0.05
 
 
+RMS = {"rms_alpha": 0.99, "rms_lam": 1e-5}
+KNOB_TABLE = {  # a bare type marks a required knob
+    "sgld": {"rms_prop": False, **RMS},
+    "psgld": {"rms_prop": True, **RMS},
+    "sghmc": {"friction": float, "noise_estimate": 0.0},
+    "amagold": {"leapfrog_steps": int, "friction": 0.1, "debug": False},
+    "sggmc": {"obabo_steps": int, "friction": 0.0, "debug": False},
+    "resgld": {"tau_high": float, "swap_interval": 50, "correction": 1.0,
+               "hot_step_factor": 1.0, "rms_prop": False},
+}
+
+
 class TestSamplerTable:
     def test_one_entry_per_sampler(self):
         assert SAMPLER_NAMES == tuple(SAMPLERS) == (
@@ -342,11 +358,24 @@ class TestSamplerTable:
             make_solver("sgld", model.density, dataset, 1, leapfrog_steps=3)
         assert err.value.field == "leapfrog_steps"
 
-    def test_knob_values_take_the_default_type(self):
+    @pytest.mark.parametrize("name", sorted(KNOB_TABLE))
+    def test_knob_table(self, name):
+        assert KNOBS[name] == KNOB_TABLE[name]
+        # required knobs given as strings take their type; the others their default
         model, dataset = std_normal_setup()
-        solver = make_solver("amagold", model.density, dataset, 1, leapfrog_steps="4")
-        assert solver.context.leapfrog_steps == 4
-        assert solver.context.friction == 0.1
+        required = [k for k, v in KNOB_TABLE[name].items() if isinstance(v, type)]
+        solver = make_solver(name, model.density, dataset, 1, **{k: "4" for k in required})
+        expected = {k: 4 if k in required else v for k, v in KNOB_TABLE[name].items()}
+        assert solver.block == SAMPLERS[name](**expected)
+
+    def test_knob_count(self):
+        assert sum(len(table) for table in KNOBS.values()) == 19
+
+    def test_resgld_has_no_temperature_knob(self):
+        model, dataset = std_normal_setup()
+        with pytest.raises(ConfigurationError) as err:
+            make_solver("resgld", model.density, dataset, 1, tau_high=3.0, temperature=1.0)
+        assert err.value.field == "temperature"
 
 
 class TestBuildSampler:
