@@ -2,8 +2,8 @@
 
 Parameters live in a canonical flat ``float64`` vector; the named structure
 (layout) only matters at API boundaries and in output files.  Randomness is
-counter-based: a :class:`RandomKey` is ``(seed, path)`` and every draw derives
-a fresh generator by hashing that pair, so identical keys always reproduce
+keyed: a :class:`RandomKey` is ``(seed, path)``, hashed into a generator that a
+stream builds once and draws from in order, so identical keys reproduce
 identical draws and sibling keys are statistically independent.
 """
 
@@ -122,8 +122,8 @@ class RandomKey:
         return np.random.Generator(np.random.PCG64(ss))
 
 
-def normal_flat(key: RandomKey, n: int, scale: float) -> np.ndarray:
-    """``n`` i.i.d. Normal(0, scale^2) draws; scale 0 -> exact zeros."""
+def normal_flat(rng: np.random.Generator, n: int, scale: float) -> np.ndarray:
+    """``n`` i.i.d. Normal(0, scale^2) draws from ``rng``; scale 0 -> zeros, no draw."""
     if scale == 0.0:
         return np.zeros(n)
-    return key.generator().standard_normal(n) * scale
+    return rng.standard_normal(n) * scale

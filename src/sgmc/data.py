@@ -3,8 +3,8 @@
 A Dataset is a dict of arrays sharing a leading observation axis of length N.
 Batches come in three flavours: i.i.d. draws with replacement, epoch-wise
 shuffling (tail batch padded and masked out), and continuous shuffling (the
-stream runs on into the next epoch, so every batch is full).  Both shufflings
-read one stream: the permutations of ``spec.key.child(0)``, ``child(1)``, ...
+stream runs on into the next epoch, so every batch is full).  A stream draws in
+order from one generator built from ``spec.key`` (shufflings: a permutation per epoch).
 Consumers must honour the mask; pad rows are zeros and carry no information.
 Whole-dataset quantities (the exact potential) read ``Dataset.arrays``
 directly, with no batching.
@@ -70,12 +70,13 @@ class BatchSpec:
 
 @dataclass(frozen=True)
 class BatchState:
-    """Cursor of one batch stream, one per chain: ``perm`` is the read-only
-    permutation of ``spec.key.child(counter)`` and ``position`` the offset in it."""
+    """Cursor of one batch stream, one per chain: ``rng`` is the stream's generator,
+    shared by all its states, ``perm`` the read-only permutation of the current
+    epoch and ``position`` the offset in it."""
 
-    counter: int = 0  # draws or epochs consumed, drives key derivation
+    rng: np.random.Generator
     position: int = 0
-    perm: np.ndarray | None = None  # derived at the epoch's first batch
+    perm: np.ndarray | None = None  # drawn at the epoch's first batch
 
 
 def load_in_memory(arrays=None, csv_path=None, columns=None) -> Dataset:
@@ -145,7 +146,7 @@ def load_in_memory(arrays=None, csv_path=None, columns=None) -> Dataset:
 def init_batch_state(dataset: Dataset, spec: BatchSpec) -> BatchState:
     if spec.size > dataset.size:
         raise ValueError(f"batch size {spec.size} exceeds dataset size {dataset.size}")
-    return BatchState()
+    return BatchState(spec.key.generator())
 
 
 def _take(dataset: Dataset, idx: np.ndarray, mask: np.ndarray) -> MiniBatch:
@@ -159,8 +160,8 @@ def _take(dataset: Dataset, idx: np.ndarray, mask: np.ndarray) -> MiniBatch:
     return MiniBatch(arrays, mask, dataset.size, idx)
 
 
-def _epoch_permutation(spec: BatchSpec, epoch: int, big_n: int) -> np.ndarray:
-    perm = spec.key.child(epoch).generator().permutation(big_n)
+def _epoch_permutation(rng: np.random.Generator, big_n: int) -> np.ndarray:
+    perm = rng.permutation(big_n)
     perm.flags.writeable = False  # shared by every state of the epoch
     return perm
 
@@ -168,7 +169,7 @@ def _epoch_permutation(spec: BatchSpec, epoch: int, big_n: int) -> np.ndarray:
 def next_batch(dataset: Dataset, spec: BatchSpec, state: BatchState):
     """Draw the next mini-batch; returns ``(batch, next_state)``.
 
-    The sequence is a pure function of ``(dataset, spec, initial state)``.
+    The sequence is a pure function of ``(dataset, spec)`` from :func:`init_batch_state`.
     """
     n, big_n = spec.size, dataset.size
     if n > big_n:
@@ -176,21 +177,21 @@ def next_batch(dataset: Dataset, spec: BatchSpec, state: BatchState):
 
     mask = np.ones(n, dtype=bool)
     if spec.strategy == "draw_replacement":
-        idx = spec.key.child(state.counter).generator().integers(0, big_n, size=n)
-        return _take(dataset, idx, mask), BatchState(state.counter + 1)
+        idx = state.rng.integers(0, big_n, size=n)
+        return _take(dataset, idx, mask), state
 
-    counter, perm = state.counter, state.perm
+    perm = state.perm
     if perm is None:
-        perm = _epoch_permutation(spec, counter, big_n)
+        perm = _epoch_permutation(state.rng, big_n)
     take = perm[state.position : state.position + n]
     position = state.position + n
     if position >= big_n:  # this batch ends the epoch
-        counter, position, perm = counter + 1, position - big_n, None
+        position, perm = position - big_n, None
         if spec.strategy == "shuffle_in_epochs":  # pad the tail with masked row 0
             mask[take.shape[0] :] = False
             take = np.concatenate([take, np.zeros(n - take.shape[0], dtype=take.dtype)])
             position = 0
         elif position:  # "shuffle" runs on into the next epoch (n <= N: at most one)
-            perm = _epoch_permutation(spec, counter, big_n)
+            perm = _epoch_permutation(state.rng, big_n)
             take = np.concatenate([take, perm[:position]])
-    return _take(dataset, take, mask), BatchState(counter, position, perm)
+    return _take(dataset, take, mask), BatchState(state.rng, position, perm)

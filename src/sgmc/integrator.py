@@ -1,7 +1,7 @@
 """One-step / one-trajectory simulators of the sampling dynamics.
 
 All integrators operate on flat float64 vectors with unit mass, a temperature
-``tau >= 0`` (tau = 0 switches noise off) and an explicit RandomKey per call.
+``tau >= 0`` (tau = 0 switches noise off) and a generator ``rng`` to draw noise from.
 Work accumulators (``W``) follow the amortized Metropolis convention: with
 exact gradients and no friction the acceptance exponent U0 - UL + W of the
 wrapping solver reduces to -dH, which the test suite enforces.
@@ -13,11 +13,12 @@ import math
 
 import numpy as np
 
-from .core import RandomKey, normal_flat
+from .core import normal_flat
 from .errors import NumericError
 
 
-def langevin_step(theta, grad, step_size, tau=1.0, precond=None, key: RandomKey = None):
+def langevin_step(theta, grad, step_size, tau=1.0, precond=None,
+                  rng: np.random.Generator = None):
     """Overdamped Langevin update with optional diagonal preconditioner P:
 
     theta' = theta - (eps/2) P g + sqrt(eps tau) sqrt(P) xi,   xi ~ N(0, I)
@@ -28,7 +29,7 @@ def langevin_step(theta, grad, step_size, tau=1.0, precond=None, key: RandomKey 
     drift = grad if precond is None else precond * grad
     out = theta - 0.5 * step_size * drift
     if tau > 0.0:
-        noise = normal_flat(key, theta.shape[0], math.sqrt(step_size * tau))
+        noise = normal_flat(rng, theta.shape[0], math.sqrt(step_size * tau))
         out = out + (noise if precond is None else np.sqrt(precond) * noise)
     if not np.all(np.isfinite(out)):
         raise NumericError("langevin_step produced a non-finite position")
@@ -36,7 +37,7 @@ def langevin_step(theta, grad, step_size, tau=1.0, precond=None, key: RandomKey 
 
 
 def sghmc_step(theta, p, grad, step_size, friction, noise_estimate=0.0, tau=1.0,
-               key: RandomKey = None):
+               rng: np.random.Generator = None):
     """Leapfrog-with-friction update (momentum first, then position):
 
     p' = p - eps g - eps C p + xi,  xi ~ N(0, 2 (C - B) eps tau I)
@@ -51,7 +52,7 @@ def sghmc_step(theta, p, grad, step_size, friction, noise_estimate=0.0, tau=1.0,
     var = 2.0 * (friction - noise_estimate) * step_size * tau
     p_new = p - step_size * grad - step_size * friction * p
     if var > 0.0:
-        p_new = p_new + normal_flat(key, p.shape[0], math.sqrt(var))
+        p_new = p_new + normal_flat(rng, p.shape[0], math.sqrt(var))
     theta_new = theta + step_size * p_new
     if not (np.all(np.isfinite(theta_new)) and np.all(np.isfinite(p_new))):
         raise NumericError("sghmc_step produced a non-finite state")
@@ -59,7 +60,7 @@ def sghmc_step(theta, p, grad, step_size, friction, noise_estimate=0.0, tau=1.0,
 
 
 def reversible_leapfrog_trajectory(theta0, p0, n_steps, step_size, beta, grad_fn,
-                                   tau=1.0, key: RandomKey = None):
+                                   tau=1.0, rng: np.random.Generator = None):
     """Time-reversible noisy leapfrog over ``n_steps``; returns (theta, p, W).
 
     Positions live at half steps; each momentum update damps by
@@ -81,7 +82,7 @@ def reversible_leapfrog_trajectory(theta0, p0, n_steps, step_size, beta, grad_fn
         g = np.asarray(grad_fn(theta), dtype=np.float64)
         kick = (1.0 - beta) * p - eps * g
         if noise_scale > 0.0:
-            kick = kick + normal_flat(key.child(t), p.shape[0], noise_scale)
+            kick = kick + normal_flat(rng, p.shape[0], noise_scale)
         p_new = kick / (1.0 + beta)
         work += 0.5 * eps * float((p + p_new) @ g)
         p = p_new
@@ -92,7 +93,7 @@ def reversible_leapfrog_trajectory(theta0, p0, n_steps, step_size, beta, grad_fn
 
 
 def obabo_trajectory(theta0, p0, n_steps, step_size, friction_gamma, grad_fn,
-                     tau=1.0, key: RandomKey = None):
+                     tau=1.0, rng: np.random.Generator = None):
     """Symmetric OU / kick / drift / kick / OU splitting; returns (theta, p, W).
 
     Per step, with a = exp(-gamma eps / 2):
@@ -118,21 +119,20 @@ def obabo_trajectory(theta0, p0, n_steps, step_size, friction_gamma, grad_fn,
     dim = p.shape[0]
     work = 0.0
 
-    def ou_half(p_in, subkey):
+    def ou_half(p_in):
         out = a * p_in if a < 1.0 else p_in
         if ou_scale > 0.0:
-            out = out + normal_flat(subkey, dim, ou_scale)
+            out = out + normal_flat(rng, dim, ou_scale)
         return out
 
-    for t in range(n_steps):
-        kstep = key.child(t) if key is not None else None
-        p = ou_half(p, kstep.child(0) if kstep else None)
+    for _ in range(n_steps):
+        p = ou_half(p)
         k_in = 0.5 * float(p @ p)
         p = p - 0.5 * eps * np.asarray(grad_fn(theta), dtype=np.float64)
         theta = theta + eps * p
         p = p - 0.5 * eps * np.asarray(grad_fn(theta), dtype=np.float64)
         work += k_in - 0.5 * float(p @ p)
-        p = ou_half(p, kstep.child(1) if kstep else None)
+        p = ou_half(p)
     if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(p))):
         raise NumericError("OBABO trajectory diverged")
     return theta, p, work

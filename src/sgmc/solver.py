@@ -19,8 +19,8 @@ A sampler is one frozen block whose fields are its knobs:
 size and strategy).  :data:`SAMPLERS` maps each name to a block constructor
 whose parameters are the sampler's knobs (:data:`KNOBS`).
 
-Per-chain randomness is split from the chain key into fixed streams:
-child(0) batches, child(1).child(t) iteration t, child(2) extras.
+Per-chain randomness comes from fixed streams of the chain key, each built once
+as a generator and read in order: child(0) batches, child(1) iterations, child(2) swaps.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .scheduler import (DualAveragingState, ScheduleItem, SchedulerState,
 # fixed per-chain stream indices (see module docstring)
 _STREAM_BATCH = 0
 _STREAM_ITER = 1
-_STREAM_EXTRA = 2
+_STREAM_SWAP = 2
 
 
 @dataclass(frozen=True)
@@ -68,13 +68,13 @@ class AcceptanceStats:
 
 @dataclass(frozen=True)
 class SolverState:
-    """Per-chain sampler state; value-semantic, replaced on every step."""
+    """Per-chain sampler state, replaced on every step; it shares ``rng`` and
+    ``batch_state.rng`` with its successors, so stepping moves its streams forward."""
 
     theta: np.ndarray
-    key: RandomKey
+    rng: np.random.Generator
     batch_spec: BatchSpec
     batch_state: BatchState
-    step_index: int = 0
     p: Optional[np.ndarray] = None
     rms: Optional[RMSPropState] = None
     cached_potential: Optional[float] = None
@@ -94,7 +94,7 @@ class Binding:
 
 def _init_state(bound: Binding, theta0: ParameterVector, key: RandomKey, **fields):
     spec = BatchSpec(bound.batch_size, bound.batch_strategy, key.child(_STREAM_BATCH))
-    return SolverState(theta0.values.copy(), key, spec,
+    return SolverState(theta0.values.copy(), key.child(_STREAM_ITER).generator(), spec,
                        init_batch_state(bound.dataset, spec), **fields)
 
 
@@ -108,8 +108,8 @@ def _require(ok: bool, knob: str, message: str):
 
 class AcceptAll:
     """Base of the accept-all moves: ``init(binding, theta0, key)`` gives the
-    state and ``integrate(state, grad, item, key) -> (theta, p, rms)`` is the
-    step that :func:`sgmc_update` takes with the mini-batch gradient."""
+    state and ``integrate(state, grad, item) -> (theta, p, rms)`` is the step
+    that :func:`sgmc_update` takes with the mini-batch gradient."""
 
     def step(self, bound: Binding, state: SolverState, item: ScheduleItem) -> SolverState:
         return sgmc_update(self, bound, state, item)
@@ -128,10 +128,10 @@ class Langevin(AcceptAll):
                if self.rms_prop else None)
         return _init_state(bound, theta0, key, rms=rms)
 
-    def integrate(self, state, grad, item, key):
+    def integrate(self, state, grad, item):
         rms, precond = rmsprop_step(state.rms, grad) if self.rms_prop else (None, None)
         return langevin_step(state.theta, grad, item.step_size, item.temperature, precond,
-                             key=key), None, rms
+                             rng=state.rng), None, rms
 
 
 @dataclass(frozen=True)
@@ -141,26 +141,27 @@ class SGHMC(AcceptAll):
     friction: float
     noise_estimate: float = 0.0
 
+    def __post_init__(self):
+        _require(0.0 <= self.noise_estimate <= self.friction, "noise_estimate",
+                 "need 0 <= noise_estimate <= friction (noise variance 2 (C - B) >= 0)")
+
     def init(self, bound, theta0, key):
         return _init_state(bound, theta0, key, p=np.zeros(theta0.size))
 
-    def integrate(self, state, grad, item, key):
+    def integrate(self, state, grad, item):
         theta, p = sghmc_step(state.theta, state.p, grad, item.step_size, self.friction,
-                              self.noise_estimate, item.temperature, key=key)
+                              self.noise_estimate, item.temperature, rng=state.rng)
         return theta, p, None
 
 
 def sgmc_update(move: AcceptAll, bound: Binding, state: SolverState,
                 item: ScheduleItem) -> SolverState:
     """One accept-all transition: a mini-batch gradient, then one step of ``move``."""
-    t = state.step_index
     batch, bstate = next_batch(bound.dataset, state.batch_spec, state.batch_state)
     _, grad = minibatch_value_grad(bound.density, state.theta, batch)
-    theta, p, rms = move.integrate(state, grad, item,
-                                   state.key.child(_STREAM_ITER).child(t).child(0))
+    theta, p, rms = move.integrate(state, grad, item)
     stats = AcceptanceStats(state.stats.proposals + 1, state.stats.accepts + 1)
-    return replace(state, theta=theta, p=p, rms=rms, batch_state=bstate,
-                   step_index=t + 1, stats=stats,
+    return replace(state, theta=theta, p=p, rms=rms, batch_state=bstate, stats=stats,
                    gradient_evals=state.gradient_evals + 1)
 
 
@@ -170,7 +171,7 @@ def sgmc_update(move: AcceptAll, bound: Binding, state: SolverState,
 class Metropolis:
     """Base of the trajectories whose ``step`` is :func:`metropolis_round`: a
     ``debug`` knob (record -dH in the acceptance statistics) and
-    ``trajectory(theta, p0, grad_fn, item, key) -> (theta, p, W)``."""
+    ``trajectory(theta, p0, grad_fn, item, rng) -> (theta, p, W)``."""
 
     def init(self, bound: Binding, theta0: ParameterVector, key: RandomKey) -> SolverState:
         return _init_state(bound, theta0, key, p=np.zeros(theta0.size),
@@ -192,10 +193,10 @@ class AMAGOLD(Metropolis):
     def step(self, bound, state, item):
         return amagold_round(self, bound, state, item)
 
-    def trajectory(self, theta, p0, grad_fn, item, key):
+    def trajectory(self, theta, p0, grad_fn, item, rng):
         beta = 0.5 * item.step_size * self.friction  # half-step friction, in [0, 1)
         return reversible_leapfrog_trajectory(theta, p0, self.leapfrog_steps, item.step_size,
-                                              beta, grad_fn, tau=item.temperature, key=key)
+                                              beta, grad_fn, tau=item.temperature, rng=rng)
 
 
 @dataclass(frozen=True)
@@ -212,9 +213,9 @@ class SGGMC(Metropolis):
     def step(self, bound, state, item):
         return sggmc_round(self, bound, state, item)
 
-    def trajectory(self, theta, p0, grad_fn, item, key):
+    def trajectory(self, theta, p0, grad_fn, item, rng):
         return obabo_trajectory(theta, p0, self.obabo_steps, item.step_size, self.friction,
-                                grad_fn, tau=item.temperature, key=key)
+                                grad_fn, tau=item.temperature, rng=rng)
 
 
 def metropolis_round(traj: Metropolis, bound: Binding, state: SolverState,
@@ -223,9 +224,7 @@ def metropolis_round(traj: Metropolis, bound: Binding, state: SolverState,
     tau = item.temperature
     if tau <= 0:
         raise ValueError("Metropolis solvers need temperature > 0")
-    t = state.step_index
-    it_key = state.key.child(_STREAM_ITER).child(t)
-    p0 = normal_flat(it_key.child(0), state.theta.shape[0], math.sqrt(tau))
+    p0 = normal_flat(state.rng, state.theta.shape[0], math.sqrt(tau))
 
     box = [state.batch_state]  # the batch cursor, advanced by every gradient
     evals = [0]
@@ -235,7 +234,7 @@ def metropolis_round(traj: Metropolis, bound: Binding, state: SolverState,
         batch, box[0] = next_batch(bound.dataset, state.batch_spec, box[0])
         return minibatch_value_grad(bound.density, flat, batch)[1]
 
-    theta_new, p_new, work = traj.trajectory(state.theta, p0, grad_fn, item, it_key.child(1))
+    theta_new, p_new, work = traj.trajectory(state.theta, p0, grad_fn, item, state.rng)
 
     u0 = state.cached_potential
     u_new = full_value(bound.density, theta_new, bound.dataset)
@@ -244,7 +243,7 @@ def metropolis_round(traj: Metropolis, bound: Binding, state: SolverState,
     if math.isnan(exponent) or exponent == math.inf:
         raise NumericError(f"non-finite acceptance exponent {exponent}")
     alpha = math.exp(min(exponent, 0.0))
-    accept = math.log(it_key.child(2).generator().random()) < exponent
+    accept = math.log(state.rng.random()) < exponent
 
     delta_h = None
     if traj.debug:
@@ -257,7 +256,7 @@ def metropolis_round(traj: Metropolis, bound: Binding, state: SolverState,
     if not accept:
         theta_new, p_new, u_new = state.theta, -p0, u0
     return replace(state, theta=theta_new, p=p_new, cached_potential=u_new,
-                   batch_state=box[0], step_index=t + 1, stats=stats,
+                   batch_state=box[0], stats=stats,
                    gradient_evals=state.gradient_evals + evals[0])
 
 
@@ -275,6 +274,7 @@ class TemperingPair:
     low: SolverState
     high: SolverState
     noise_var: OnlineCovState
+    rng: np.random.Generator  # the swap stream
     stats: AcceptanceStats = AcceptanceStats()  # of the swaps
 
     # chain-loop protocol: expose the cold chain
@@ -309,7 +309,8 @@ class Tempering:
     def init(self, bound: Binding, theta0: ParameterVector, key: RandomKey) -> TemperingPair:
         return TemperingPair(self.move.init(bound, theta0, key.child(0)),
                              self.move.init(bound, theta0, key.child(1)),
-                             OnlineCovState.init(1))
+                             OnlineCovState.init(1),
+                             key.child(0).child(_STREAM_SWAP).generator())
 
     def step(self, bound: Binding, pair: TemperingPair, item: ScheduleItem) -> TemperingPair:
         return resgld_step(self, bound, pair, item)
@@ -352,8 +353,7 @@ def resgld_swap(block: Tempering, bound: Binding, pair: TemperingPair,
     nv = welford_step(nv, (u_high - u_high_b) / math.sqrt(2.0))
     sigma2 = float(welford_finalize(nv)[1][0]) if nv.count >= 2 else 0.0
     exponent = swap_exponent(tau, block.tau_high, u_low, u_high, sigma2, block.correction)
-    key = pair.low.key.child(_STREAM_EXTRA).child(pair.stats.proposals)
-    accept = math.log(key.generator().random()) < exponent
+    accept = math.log(pair.rng.random()) < exponent
     low = replace(pair.low, batch_state=bstate_low)
     high = replace(pair.high, batch_state=bstate_high)
     if accept:
@@ -363,7 +363,7 @@ def resgld_swap(block: Tempering, bound: Binding, pair: TemperingPair,
     stats = AcceptanceStats(pair.stats.proposals + 1,
                             pair.stats.accepts + (1 if accept else 0),
                             math.exp(min(exponent, 0.0)), exponent)
-    return TemperingPair(low, high, nv, stats)
+    return TemperingPair(low, high, nv, pair.rng, stats)
 
 
 def resgld_step(block: Tempering, bound: Binding, pair: TemperingPair,
@@ -373,7 +373,7 @@ def resgld_step(block: Tempering, bound: Binding, pair: TemperingPair,
                        step_size=item.step_size * block.hot_step_factor)
     pair = replace(pair, low=block.move.step(bound, pair.low, item),
                    high=block.move.step(bound, pair.high, hot_item))
-    if pair.low.step_index % block.swap_interval == 0:
+    if pair.low.stats.proposals % block.swap_interval == 0:
         pair = resgld_swap(block, bound, pair, item.temperature)
     return pair
 
@@ -580,6 +580,14 @@ def build_sampler(name: str, config: dict) -> SamplerBundle:
     if metropolis and temperature <= 0:
         raise ConfigurationError("Metropolis solvers need temperature > 0",
                                  field="temperature")
+    block = solver.block
+    if isinstance(block, AMAGOLD) and step_sizes is not None:
+        # the first step is the schedule's largest
+        _require(0.5 * step_sizes.first * block.friction < 1.0, "friction",
+                 "half-step friction step_size_first * friction / 2 must be < 1")
+    if isinstance(block, Tempering):
+        _require(block.tau_high > temperature, "tau_high",
+                 "tempered chain needs tau_high above the temperature")
 
     scheduler = init_scheduler(
         iterations,

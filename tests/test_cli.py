@@ -102,6 +102,21 @@ class TestRun:
         assert f"(field: {key})" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("field, cfg", [
+        ("noise_estimate", {"sampler": "sghmc",
+                            "sampler_args": {"friction": 1.0, "noise_estimate": 2.0}}),
+        ("friction", {"model": "std_normal", "sampler": "amagold",  # beta = 0.5 * 0.5 * 10
+                      "sampler_args": {"leapfrog_steps": 2, "friction": 10.0},
+                      "step_size_first": 0.5, "step_size_last": 0.2}),
+        ("tau_high", {"model": "mixture_1d", "sampler": "resgld",
+                      "sampler_args": {"tau_high": 3.0}, "temperature": 5.0})])
+    def test_invalid_sampler_setting_names_the_field(self, tmp_path, capsys, field, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**cfg, "iterations": 10, "output": str(tmp_path / "x")}))
+        assert run_cli("run", "--config", str(path)) == 2
+        assert f"(field: {field})" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_other_samplers_knob_is_accepted(self, tmp_path):
         # the mixture preset carries reSGLD's sampler_args into the SGLD baseline
         argv = ["run", "--demo", "mixture", "--sampler", "sgld", "--iterations", "300",
@@ -141,11 +156,11 @@ class TestRun:
         assert not (tmp_path / "x").exists()
 
     def test_failing_chain_keeps_the_finished_chain(self, tmp_path):
-        # with this seed chain 0 runs to the end and chain 1 diverges at iteration 26
+        # with this seed chain 0 runs to the end and chain 1 diverges at iteration 19
         cfg = {"model": "linreg_sigma", "model_args": {"n_weights": 1},
                "true_params": {"w": [1.0], "sigma": 0.25}, "n_obs": 50,
                "sampler": "sgld", "step_size_first": 0.02, "step_size_last": 0.01,
-               "iterations": 300, "batch_size": 5, "seed": 0, "chains": 2,
+               "iterations": 300, "batch_size": 5, "seed": 1, "chains": 2,
                "output": str(tmp_path / "run")}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
@@ -154,15 +169,15 @@ class TestRun:
         assert len((out / "samples_chain0.jsonl").read_text().splitlines()) == 300
         summary = json.loads((out / "summary.json").read_text())
         chains = [(c["chain_id"], c["status"], c["sample_count"]) for c in summary["chains"]]
-        assert chains == [(0, "ok", 300), (1, "failed", 26)]
-        assert summary["error"]["iteration"] == 26
+        assert chains == [(0, "ok", 300), (1, "failed", 19)]
+        assert summary["error"]["iteration"] == 19
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:divide by zero")
     def test_overflow_in_the_model_is_a_chain_failure(self, tmp_path):
         # log-sigma diverges until exp(log-sigma) overflows inside linreg_sigma
         cfg = {"model": "linreg_sigma", "model_args": {"n_weights": 1}, "n_obs": 50,
                "sampler": "sgld", "step_size_first": 0.05, "step_size_last": 0.02,
-               "iterations": 400, "batch_size": 5, "seed": 1, "chains": 2,
+               "iterations": 400, "batch_size": 5, "seed": 0, "chains": 2,
                "output": str(tmp_path / "run")}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))

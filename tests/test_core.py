@@ -50,16 +50,17 @@ class TestGaussianLike:
     """Gaussian draws of :func:`normal_flat`."""
 
     def test_zero_scale_exact_zeros(self):
-        out = normal_flat(RandomKey(7), 3, 0.0)
+        out = normal_flat(RandomKey(7).generator(), 3, 0.0)
         assert np.array_equal(out, np.zeros(3))
 
     def test_same_key_same_draw(self):
         key = RandomKey(123, (4, 5))
-        assert np.array_equal(normal_flat(key, 3, 2.0), normal_flat(key, 3, 2.0))
+        assert np.array_equal(normal_flat(key.generator(), 3, 2.0),
+                              normal_flat(key.generator(), 3, 2.0))
 
     def test_unit_variance_monte_carlo(self):
         # 10^6 draws: sample variance within 0.01 of 1
-        draws = normal_flat(RandomKey(2024), 1000000, 1.0)
+        draws = normal_flat(RandomKey(2024).generator(), 1000000, 1.0)
         assert abs(draws.var() - 1.0) < 0.01
 
 
@@ -78,7 +79,7 @@ class TestSplit:
     def test_consuming_does_not_mutate(self):
         key = RandomKey(5)
         before = (key.seed, key.path)
-        normal_flat(key, 3, 1.0)
+        normal_flat(key.generator(), 3, 1.0)
         children(key, 4)
         assert (key.seed, key.path) == before
 

@@ -43,17 +43,17 @@ CASES = {
 
 # (sha256 of the stacked samples, acceptance rate, gradient evaluations)
 GOLDEN = {
-    'amagold': ('3b136020255c697efcfee4484c254ea575407b5b0b0a1f471ce25103677ed272', 0.8033333333333333, 900),
-    'amagold_target_accept': ('c35b2838a7bb9b5a8e2d9255ce2edf7bfad4d3d6a6f239b766056d0ab366cbbe', 0.65, 900),
-    'psgld': ('677a79a0eafbbf1d3a0fb486d9c76ab9a1bdc2e7e07561e07d5c56518e3c94f0', 1.0, 300),
-    'resgld': ('8323b92d4cbc044ee4d0f6bb0b825cc1dc2f806ddfb060e828f009e1b5c1151a', 0.5, 600),
-    'resgld_rms_prop': ('220628b2c5f3764c0a0b8f5f8a600111f744353168bd1e6867581b534a731b5b', 0.7, 600),
-    'sggmc': ('9a8ac92b5d37a8f4eafac56fed633e76174c22a3cbef1f8113f2450261722fb8', 0.9033333333333333, 1200),
-    'sghmc': ('baa963debf50cd8e2e122cf3ef128e21b8d5467cd4a2bdf2a411636c1a35bb31', 1.0, 300),
-    'sgld_draw_replacement': ('af84f20417b75ca4dfa1ddd6b7d9782306e92a0e959f6cc262f7fd0337b26da6', 1.0, 300),
-    'sgld_rms_prop': ('81e260c89d5b9c6407950686a1d533f186a2c2548eb8c95d0ddcae5dcfc1d380', 1.0, 300),
-    'sgld_shuffle': ('598a47e3fc3b58693f97e7a57644a226d44f9dc2c585f46471ac71df102c0c7c', 1.0, 300),
-    'sgld_shuffle_in_epochs': ('888636fa10376c9ec00684c28a69d4aed7c58f08688636f6ec4cda927329f531', 1.0, 300),
+    'amagold': ('29cccf82c0e0e2715a8043abd856d4f93868ce575154dbc3296bb5a59a59ef14', 0.8433333333333334, 900),
+    'amagold_target_accept': ('ce8743b03e4a12b995abfca975a361f6036a74f23563ed056023d07c6a505141', 0.67, 900),
+    'psgld': ('23caba593fccf30b68e39a9e634c2488f6ba0dc8d8d9cd25432b36a0ce7aa966', 1.0, 300),
+    'resgld': ('4c4cd0254cbd055e7b03f5792f77ae30cc8b97025904e12b6dee1bf26d2329ef', 0.5, 600),
+    'resgld_rms_prop': ('1c9afda7032ba0bf0d42520eecd38df03da70409a5b458e1ba2b86ed6b69472e', 0.6333333333333333, 600),
+    'sggmc': ('159e3d8a62bbb628734dfabf8b750a18cadaeae0f6ffe708029495351d6f7049', 0.9066666666666666, 1200),
+    'sghmc': ('796369c6c786c05deb8b14df8e109a9a7974b0cb7fee5be1c6f6eaaa2fd1c02c', 1.0, 300),
+    'sgld_draw_replacement': ('5059b37eab07ce8851a0b824e54dcbdea71e51f99727a98289cfc7a3fce7ccdf', 1.0, 300),
+    'sgld_rms_prop': ('c4ee2b1e701bdd60cd1fcd9d4cfbac4cf42661462dd29d3842ca3e44bf0a8630', 1.0, 300),
+    'sgld_shuffle': ('f33c4d6d3c03a9742441f3719a1181dfc813c72584fe93fbf6f96690bcd7dfdf', 1.0, 300),
+    'sgld_shuffle_in_epochs': ('de035931e214e92f972606e60ced6abccb28a74bf11ed16d1d63e9934b5b3d74', 1.0, 300),
 }
 
 

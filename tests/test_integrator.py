@@ -35,9 +35,9 @@ class TestLangevin:
         no_noise = langevin_step(np.zeros(2), g, 0.1, tau=0.0, precond=precond)
         assert np.allclose(no_noise, [-0.2, -0.0125])
         # same key: noise of the preconditioned step is sqrt(P) times the plain one
-        plain = langevin_step(np.zeros(2), np.zeros(2), 0.1, tau=1.0, key=key)
+        plain = langevin_step(np.zeros(2), np.zeros(2), 0.1, tau=1.0, rng=key.generator())
         scaled = langevin_step(np.zeros(2), np.zeros(2), 0.1, tau=1.0,
-                               precond=precond, key=key)
+                               precond=precond, rng=key.generator())
         assert np.allclose(scaled, np.sqrt(precond) * plain)
 
     def test_annealed_stationary_variance(self):
@@ -45,10 +45,10 @@ class TestLangevin:
         n = 100000
         eps = polynomial_schedule(0.3, 0.1, 0.55, n).values(n)
         theta = np.zeros(1)
-        key = RandomKey(314)
+        rng = RandomKey(314).generator()
         total = mean_acc = wsum = 0.0
         for t in range(n):
-            theta = langevin_step(theta, theta, eps[t], tau=1.0, key=key.child(t))
+            theta = langevin_step(theta, theta, eps[t], tau=1.0, rng=rng)
             if t > n // 10:
                 total += eps[t] * theta[0] ** 2
                 mean_acc += eps[t] * theta[0]
@@ -77,12 +77,12 @@ class TestSGHMC:
 
     def test_stationary_variance(self):
         theta, p = np.zeros(1), np.zeros(1)
-        key = RandomKey(2718)
+        rng = RandomKey(2718).generator()
         acc = acc_mean = 0.0
         n = 100000
         for t in range(n):
             theta, p = sghmc_step(theta, p, theta, 0.05, friction=1.0, tau=1.0,
-                                  key=key.child(t))
+                                  rng=rng)
             acc += theta[0] ** 2
             acc_mean += theta[0]
         assert abs(acc / n - 1.0) < 0.1

@@ -51,7 +51,7 @@ def run_solver(solver, model, n_iters, seed=5, step=0.2, burn_in=0, temperature=
 
 class TestAcceptAll:
     def test_psgld_is_langevin_with_rmsprop_preconditioner(self):
-        # white-box replay of one pSGLD step from the documented key streams
+        # white-box replay of one pSGLD step from the documented streams
         model = get_model("gaussian_mean")
         dataset = synth_data_generate(model, RandomKey(2), 30)
         solver = make_solver("psgld", model.density, dataset, 8)
@@ -66,7 +66,7 @@ class TestAcceptAll:
         _, grad = minibatch_value_grad(model.density, state0.theta, batch)
         _, precond = rmsprop_step(RMSPropState.init(1), grad)
         expected = langevin_step(state0.theta, grad, 0.01, 1.0, precond,
-                                 key=chain_key.child(_STREAM_ITER).child(0).child(0))
+                                 rng=chain_key.child(_STREAM_ITER).generator())
         assert np.array_equal(state1.theta, expected)
 
     def test_sgld_zero_gradient_zero_temperature_fixed_point(self):
@@ -132,19 +132,22 @@ class TestMetropolisRounds:
         chain_key = RandomKey(5)
         state = solver.init(model.init, chain_key)
         sched = init_scheduler(60, step_size=0.5)
+        # replay the iteration stream: per round p0, then the trajectory's noise
+        # (none without friction), then the accept uniform
+        replay = chain_key.child(_STREAM_ITER).generator()
         saw_reject = False
-        for t in range(60):
+        for _ in range(60):
             item, sched = scheduler_next(sched)
             before = state
             state = solver.step(state, item)
+            p0 = normal_flat(replay, 1, 1.0)
+            replay.random()
             assert state.stats.accepts <= state.stats.proposals
             assert 0.0 <= state.stats.last_alpha <= 1.0
             if state.stats.accepts == before.stats.accepts:  # rejected round
                 saw_reject = True
                 assert np.array_equal(state.theta, before.theta)
                 assert state.cached_potential == before.cached_potential
-                p0 = normal_flat(
-                    chain_key.child(_STREAM_ITER).child(t).child(0), 1, 1.0)
                 assert np.array_equal(state.p, -p0)
         assert saw_reject
 
@@ -262,6 +265,31 @@ class TestReplicaExchange:
 
 
 class TestRunMCMC:
+    # generators per chain: batch and iteration streams per state, and for
+    # replica exchange two states plus the swap stream
+    @pytest.mark.parametrize("name,kw,built", [
+        ("sgld", {}, 2),
+        ("amagold", {"leapfrog_steps": 3, "friction": 0.5}, 2),
+        ("resgld", {"tau_high": 3.0, "swap_interval": 5}, 5)])
+    def test_streams_are_built_once_per_chain(self, monkeypatch, name, kw, built):
+        model, dataset = std_normal_setup()
+        solver = make_solver(name, model.density, dataset, 1, **kw)
+        calls = []
+        generator = RandomKey.generator
+
+        def counting(key):
+            calls.append(key)
+            return generator(key)
+
+        monkeypatch.setattr(RandomKey, "generator", counting)
+        counts = []
+        for n in (10, 1000):
+            calls.clear()
+            run_mcmc(solver, init_scheduler(n, step_size=0.1), model.init, n,
+                     key=RandomKey(3), chains=2)
+            counts.append(len(calls))
+        assert counts == [2 * built, 2 * built]
+
     def test_sample_count_from_plan(self):
         model, dataset = std_normal_setup()
         solver = make_solver("sgld", model.density, dataset, 1)
@@ -318,15 +346,21 @@ class TestRunMCMC:
             run_mcmc(solver, sched, model.init, 10, key=RandomKey(1))
 
     def test_adaptive_amagold_reaches_target_acceptance(self):
+        # dual averaging steers the rounds it adapts on, those before burn_in;
+        # the averaged step size frozen after it is not steered to the target
         model, dataset = std_normal_setup()
-        bundle = build_sampler("amagold", dict(
-            model=model, dataset=dataset, iterations=6000, burn_in=3000,
-            batch_size=1, seed=11, target_accept=0.65, step_size_init=0.05,
-            leapfrog_steps=5, friction=0.0))
-        result = bundle.run()[0]
-        # acceptance across the whole run is dominated by the frozen phase
-        stats_rate = result["acceptance_rate"]
-        assert abs(stats_rate - 0.65) < 0.05
+        for seed in (11, 12, 13):
+            bundle = build_sampler("amagold", dict(
+                model=model, dataset=dataset, iterations=6000, burn_in=3000,
+                batch_size=1, seed=seed, target_accept=0.65, step_size_init=0.05,
+                leapfrog_steps=5, friction=0.0))
+            state = bundle.solver.init(bundle.init_theta, bundle.run_key.child(0))
+            sched = bundle.scheduler
+            for _ in range(3000):
+                item, sched = scheduler_next(sched, feedback=state.stats)
+                assert item.burn_in
+                state = bundle.solver.step(state, item)
+            assert abs(state.stats.rate - 0.65) < 0.02, seed
 
 
 RMS = {"rms_alpha": 0.99, "rms_lam": 1e-5}
