@@ -7,7 +7,7 @@ tempered-swap noise correction).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +42,7 @@ def rmsprop_step(state: RMSPropState, grad: np.ndarray):
         raise NumericError("non-finite gradient fed to rmsprop_step")
     v = state.alpha * state.v + (1.0 - state.alpha) * grad * grad
     precond = 1.0 / (state.lam + np.sqrt(v))
-    return replace(state, v=v), precond
+    return RMSPropState(v, state.alpha, state.lam), precond
 
 
 @dataclass(frozen=True)

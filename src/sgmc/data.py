@@ -32,27 +32,29 @@ class Dataset:
         return self.arrays[name]
 
 
-@dataclass(frozen=True)
+@dataclass
 class MiniBatch:
     """A slice of the dataset: ``n`` rows, validity mask and the full size N.
 
     ``indices`` records the source rows (pad rows point at row 0 with
     ``mask == False``); it exists for bookkeeping and tests, consumers only
-    need ``arrays`` and ``mask``.
+    need ``arrays``, ``mask`` and ``n_effective``, the count of unmasked rows
+    (counted from the mask when not given).
     """
 
     arrays: dict[str, np.ndarray]
     mask: np.ndarray
     full_size: int
     indices: np.ndarray
+    n_effective: int | None = None
+
+    def __post_init__(self):
+        if self.n_effective is None:
+            self.n_effective = int(self.mask.sum())
 
     @property
     def size(self) -> int:
         return self.mask.shape[0]
-
-    @property
-    def n_effective(self) -> int:
-        return int(self.mask.sum())
 
 
 @dataclass(frozen=True)
@@ -68,7 +70,7 @@ class BatchSpec:
             raise ValueError("batch size must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass
 class BatchState:
     """Cursor of one batch stream, one per chain: ``rng`` is the stream's generator,
     shared by all its states, ``perm`` the read-only permutation of the current
@@ -149,15 +151,16 @@ def init_batch_state(dataset: Dataset, spec: BatchSpec) -> BatchState:
     return BatchState(spec.key.generator())
 
 
-def _take(dataset: Dataset, idx: np.ndarray, mask: np.ndarray) -> MiniBatch:
-    arrays = {}
-    for name, arr in dataset.arrays.items():
-        rows = arr[idx]
-        if not mask.all():
-            rows = rows.copy()
-            rows[~mask] = 0.0  # pad value; correctness rests on the mask
-        arrays[name] = rows
-    return MiniBatch(arrays, mask, dataset.size, idx)
+def _take(dataset: Dataset, idx: np.ndarray, valid: int) -> MiniBatch:
+    """Gather rows ``idx``; the rows from ``valid`` on are padding, zeroed and masked."""
+    # fancy indexing copies, so padding is zeroed without touching the dataset
+    arrays = {name: arr[idx] for name, arr in dataset.arrays.items()}
+    mask = np.ones(idx.shape[0], dtype=bool)
+    if valid < idx.shape[0]:
+        mask[valid:] = False
+        for rows in arrays.values():
+            rows[valid:] = 0.0  # pad value; correctness rests on the mask
+    return MiniBatch(arrays, mask, dataset.size, idx, valid)
 
 
 def _epoch_permutation(rng: np.random.Generator, big_n: int) -> np.ndarray:
@@ -175,23 +178,21 @@ def next_batch(dataset: Dataset, spec: BatchSpec, state: BatchState):
     if n > big_n:
         raise ValueError(f"batch size {n} exceeds dataset size {big_n}")
 
-    mask = np.ones(n, dtype=bool)
     if spec.strategy == "draw_replacement":
-        idx = state.rng.integers(0, big_n, size=n)
-        return _take(dataset, idx, mask), state
+        return _take(dataset, state.rng.integers(0, big_n, size=n), n), state
 
     perm = state.perm
     if perm is None:
         perm = _epoch_permutation(state.rng, big_n)
     take = perm[state.position : state.position + n]
-    position = state.position + n
+    position, valid = state.position + n, n
     if position >= big_n:  # this batch ends the epoch
         position, perm = position - big_n, None
         if spec.strategy == "shuffle_in_epochs":  # pad the tail with masked row 0
-            mask[take.shape[0] :] = False
-            take = np.concatenate([take, np.zeros(n - take.shape[0], dtype=take.dtype)])
+            valid = take.shape[0]
+            take = np.concatenate([take, np.zeros(n - valid, dtype=take.dtype)])
             position = 0
         elif position:  # "shuffle" runs on into the next epoch (n <= N: at most one)
             perm = _epoch_permutation(state.rng, big_n)
             take = np.concatenate([take, perm[:position]])
-    return _take(dataset, take, mask), BatchState(state.rng, position, perm)
+    return _take(dataset, take, valid), BatchState(state.rng, position, perm)

@@ -31,7 +31,7 @@ def langevin_step(theta, grad, step_size, tau=1.0, precond=None,
     if tau > 0.0:
         noise = normal_flat(rng, theta.shape[0], math.sqrt(step_size * tau))
         out = out + (noise if precond is None else np.sqrt(precond) * noise)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NumericError("langevin_step produced a non-finite position")
     return out
 
@@ -54,7 +54,7 @@ def sghmc_step(theta, p, grad, step_size, friction, noise_estimate=0.0, tau=1.0,
     if var > 0.0:
         p_new = p_new + normal_flat(rng, p.shape[0], math.sqrt(var))
     theta_new = theta + step_size * p_new
-    if not (np.all(np.isfinite(theta_new)) and np.all(np.isfinite(p_new))):
+    if not (np.isfinite(theta_new).all() and np.isfinite(p_new).all()):
         raise NumericError("sghmc_step produced a non-finite state")
     return theta_new, p_new
 
@@ -87,7 +87,7 @@ def reversible_leapfrog_trajectory(theta0, p0, n_steps, step_size, beta, grad_fn
         work += 0.5 * eps * float((p + p_new) @ g)
         p = p_new
         theta = theta + (eps if t < n_steps - 1 else 0.5 * eps) * p
-    if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(p))):
+    if not (np.isfinite(theta).all() and np.isfinite(p).all()):
         raise NumericError("leapfrog trajectory diverged")
     return theta, p, work
 
@@ -133,6 +133,6 @@ def obabo_trajectory(theta0, p0, n_steps, step_size, friction_gamma, grad_fn,
         p = p - 0.5 * eps * np.asarray(grad_fn(theta), dtype=np.float64)
         work += k_in - 0.5 * float(p @ p)
         p = ou_half(p)
-    if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(p))):
+    if not (np.isfinite(theta).all() and np.isfinite(p).all()):
         raise NumericError("OBABO trajectory diverged")
     return theta, p, work

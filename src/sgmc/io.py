@@ -38,6 +38,10 @@ class SampleStore:
     metadata: dict = field(default_factory=dict)
     _rows: list[np.ndarray] = field(default_factory=list)
     _iterations: list[int] = field(default_factory=list)
+    width: int = field(init=False, repr=False)  # length of one flat sample
+
+    def __post_init__(self):
+        self.width = layout_size(self.layout)
 
     @property
     def sample_count(self) -> int:
@@ -48,7 +52,7 @@ class SampleStore:
 
     def stacked(self) -> np.ndarray:
         if not self._rows:
-            return np.empty((0, layout_size(self.layout)))
+            return np.empty((0, self.width))
         return np.stack(self._rows)
 
     def variables(self) -> dict[str, np.ndarray]:
@@ -63,7 +67,7 @@ class SampleStore:
 def collect_sample(store: SampleStore, flat, iteration: int) -> SampleStore:
     """Append a copy of the flat sample; its length must match the store's layout."""
     row = np.array(flat, dtype=np.float64)
-    if row.shape != (layout_size(store.layout),):
+    if row.shape != (store.width,):
         raise StoreError(f"sample of shape {row.shape} does not match layout {store.layout}")
     store._rows.append(row)
     store._iterations.append(int(iteration))
@@ -101,10 +105,10 @@ def finalize_results(store: SampleStore, format: str = "memory", path=None):
         return path
     if format == "csv":
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iteration"] + flat_column_names(store.layout))
+            csv.writer(fh).writerow(["iteration"] + flat_column_names(store.layout))
+            # the bytes csv.writer gives: a float repr never needs quoting
             for it, row in zip(store._iterations, store._rows):
-                writer.writerow([it] + [repr(v) for v in row.tolist()])
+                fh.write(f"{it},{','.join(map(repr, row.tolist()))}\r\n")
         return path
     raise ValueError(f"unknown output format {format!r}")
 
@@ -129,7 +133,7 @@ def read_csv_samples(path) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader)
-        rows = [[float(v) for v in row] for row in reader]
+        rows = [np.array(row, dtype=np.float64) for row in reader]
     table = np.asarray(rows, dtype=np.float64) if rows else np.empty((0, len(header)))
     # group flattened columns "name[...]" back under "name", preserving order
     groups: dict[str, list[int]] = {}

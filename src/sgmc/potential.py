@@ -80,7 +80,7 @@ def minibatch_value_grad(model: LogDensityModel, flat: np.ndarray, batch: MiniBa
     scale = batch.full_size / n_eff
     ll = np.asarray(model.batch_log_likelihood(flat, batch.arrays), dtype=np.float64)
     scores = np.asarray(model.batch_score(flat, batch.arrays), dtype=np.float64)
-    if batch.mask.all():
+    if n_eff == batch.size:
         ll_sum, score_sum = float(ll.sum()), scores.sum(axis=0)
     else:
         # select, don't multiply: masked rows may hold arbitrary garbage

@@ -12,7 +12,7 @@ are unknown when the plan is drawn).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -21,7 +21,7 @@ from .core import RandomKey
 from .errors import ConfigurationError
 
 
-@dataclass(frozen=True)
+@dataclass
 class ScheduleItem:
     """Bundle consumed by the chain loop for one iteration."""
 
@@ -106,8 +106,7 @@ def dual_averaging_step(state: DualAveragingState, accept_prob: float) -> DualAv
     log_eps = state.mu - math.sqrt(m) * h_bar / _DA_GAMMA
     w = m ** (-_DA_KAPPA)
     log_eps_avg = w * log_eps + (1.0 - w) * state.log_eps_avg
-    return replace(state, iteration=m, h_bar=h_bar, log_eps=log_eps,
-                   log_eps_avg=log_eps_avg)
+    return DualAveragingState(m, h_bar, log_eps, log_eps_avg, state.delta, state.mu)
 
 
 def random_thinning_plan(step_sizes, burn_in: int, selections: int, n_iterations: int,
@@ -137,9 +136,10 @@ def random_thinning_plan(step_sizes, burn_in: int, selections: int, n_iterations
     return frozenset(int(t) for t in chosen)
 
 
-@dataclass(frozen=True)
+@dataclass
 class SchedulerState:
-    """Value-semantic scheduler; one instance per chain, advanced by ``scheduler_next``."""
+    """Scheduler position; ``scheduler_next`` never mutates it but returns the next one,
+    so one initial state serves every chain."""
 
     iteration: int
     n_iterations: int
@@ -220,5 +220,5 @@ def scheduler_next(state: SchedulerState, feedback=None):
         eps = float(state.step_sizes[t])
     burn = t < state.burn_in
     item = ScheduleItem(eps, state.temperature, burn, (not burn) and (t in state.plan))
-    new_state = replace(state, iteration=t + 1, adaptive=adaptive, seen_proposals=seen)
-    return item, new_state
+    return item, SchedulerState(t + 1, state.n_iterations, state.burn_in, state.temperature,
+                                state.step_sizes, state.plan, adaptive, seen)

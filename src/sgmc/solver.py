@@ -29,7 +29,7 @@ import functools
 import inspect
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -66,10 +66,10 @@ class AcceptanceStats:
         return self.accepts / self.proposals if self.proposals else 0.0
 
 
-@dataclass(frozen=True)
+@dataclass
 class SolverState:
-    """Per-chain sampler state, replaced on every step; it shares ``rng`` and
-    ``batch_state.rng`` with its successors, so stepping moves its streams forward."""
+    """Per-chain sampler state.  A step never mutates it but builds a new one,
+    which shares ``rng`` and ``batch_state.rng``: stepping moves the streams forward."""
 
     theta: np.ndarray
     rng: np.random.Generator
@@ -161,8 +161,8 @@ def sgmc_update(move: AcceptAll, bound: Binding, state: SolverState,
     _, grad = minibatch_value_grad(bound.density, state.theta, batch)
     theta, p, rms = move.integrate(state, grad, item)
     stats = AcceptanceStats(state.stats.proposals + 1, state.stats.accepts + 1)
-    return replace(state, theta=theta, p=p, rms=rms, batch_state=bstate, stats=stats,
-                   gradient_evals=state.gradient_evals + 1)
+    return SolverState(theta, state.rng, state.batch_spec, bstate, p, rms,
+                       state.cached_potential, stats, state.gradient_evals + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +194,9 @@ class AMAGOLD(Metropolis):
         return amagold_round(self, bound, state, item)
 
     def trajectory(self, theta, p0, grad_fn, item, rng):
-        beta = 0.5 * item.step_size * self.friction  # half-step friction, in [0, 1)
+        beta = 0.5 * item.step_size * self.friction  # half-step friction
+        if beta >= 1.0:  # an adapted step size can grow past 2 / friction
+            raise NumericError(f"half-step friction step_size * friction / 2 = {beta} >= 1")
         return reversible_leapfrog_trajectory(theta, p0, self.leapfrog_steps, item.step_size,
                                               beta, grad_fn, tau=item.temperature, rng=rng)
 
@@ -255,9 +257,8 @@ def metropolis_round(traj: Metropolis, bound: Binding, state: SolverState,
                             alpha, exponent, delta_h)
     if not accept:
         theta_new, p_new, u_new = state.theta, -p0, u0
-    return replace(state, theta=theta_new, p=p_new, cached_potential=u_new,
-                   batch_state=box[0], stats=stats,
-                   gradient_evals=state.gradient_evals + evals[0])
+    return SolverState(theta_new, state.rng, state.batch_spec, box[0], p_new, state.rms,
+                       u_new, stats, state.gradient_evals + evals[0])
 
 
 # the round under each built-in trajectory's name, so that traces tell them apart
@@ -267,7 +268,7 @@ amagold_round = sggmc_round = metropolis_round
 # ---------------------------------------------------------------------------
 # Replica exchange
 
-@dataclass(frozen=True)
+@dataclass
 class TemperingPair:
     """A chain at the schedule's temperature coupled to a tempered one."""
 
@@ -354,12 +355,15 @@ def resgld_swap(block: Tempering, bound: Binding, pair: TemperingPair,
     sigma2 = float(welford_finalize(nv)[1][0]) if nv.count >= 2 else 0.0
     exponent = swap_exponent(tau, block.tau_high, u_low, u_high, sigma2, block.correction)
     accept = math.log(pair.rng.random()) < exponent
-    low = replace(pair.low, batch_state=bstate_low)
-    high = replace(pair.high, batch_state=bstate_high)
-    if accept:
-        # exchange position and position-bound solver state; streams stay put
-        low, high = (replace(low, theta=high.theta.copy(), rms=high.rms),
-                     replace(high, theta=low.theta.copy(), rms=low.rms))
+    low, high = pair.low, pair.high
+    theta_low, rms_low, theta_high, rms_high = low.theta, low.rms, high.theta, high.rms
+    if accept:  # exchange position and position-bound solver state; streams stay put
+        theta_low, rms_low, theta_high, rms_high = (high.theta.copy(), high.rms,
+                                                    low.theta.copy(), low.rms)
+    low = SolverState(theta_low, low.rng, low.batch_spec, bstate_low, low.p, rms_low,
+                      low.cached_potential, low.stats, low.gradient_evals)
+    high = SolverState(theta_high, high.rng, high.batch_spec, bstate_high, high.p, rms_high,
+                       high.cached_potential, high.stats, high.gradient_evals)
     stats = AcceptanceStats(pair.stats.proposals + 1,
                             pair.stats.accepts + (1 if accept else 0),
                             math.exp(min(exponent, 0.0)), exponent)
@@ -369,10 +373,11 @@ def resgld_swap(block: Tempering, bound: Binding, pair: TemperingPair,
 def resgld_step(block: Tempering, bound: Binding, pair: TemperingPair,
                 item: ScheduleItem) -> TemperingPair:
     """Advance both chains one step of ``block.move``; swap every ``swap_interval`` steps."""
-    hot_item = replace(item, temperature=block.tau_high,
-                       step_size=item.step_size * block.hot_step_factor)
-    pair = replace(pair, low=block.move.step(bound, pair.low, item),
-                   high=block.move.step(bound, pair.high, hot_item))
+    hot_item = ScheduleItem(item.step_size * block.hot_step_factor, block.tau_high,
+                            item.burn_in, item.keep)
+    pair = TemperingPair(block.move.step(bound, pair.low, item),
+                         block.move.step(bound, pair.high, hot_item),
+                         pair.noise_var, pair.rng, pair.stats)
     if pair.low.stats.proposals % block.swap_interval == 0:
         pair = resgld_swap(block, bound, pair, item.temperature)
     return pair
@@ -443,6 +448,14 @@ def make_solver(name: str, density: LogDensityModel, dataset: Dataset, batch_siz
 # ---------------------------------------------------------------------------
 # Chain driver
 
+def _check_half_step_friction(block, scheduler: SchedulerState):
+    """AMAGOLD's beta at a static schedule's largest step or an adaptive one's first."""
+    if isinstance(block, AMAGOLD):
+        eps = scheduler.adaptive.eps if scheduler.is_adaptive else scheduler.step_sizes.max()
+        _require(0.5 * eps * block.friction < 1.0, "friction",
+                 "half-step friction beta = step size * friction / 2 must be < 1")
+
+
 def _chain_result(store, stats, runtime, chain_id, gradient_evals, iterations,
                   status="ok"):
     mem = sample_io.finalize_results(store, "memory")
@@ -461,11 +474,12 @@ def _run_chain(solver: Solver, scheduler: SchedulerState, init_theta: ParameterV
                iterations: int, chain_key: RandomKey, chain_id: int, metadata: dict):
     state = solver.init(init_theta, chain_key)
     store = sample_io.SampleStore(solver.binding.density.layout, chain_id, dict(metadata))
+    step, bound = solver.block.step, solver.binding
     started = time.perf_counter()
     for t in range(iterations):
         item, scheduler = scheduler_next(scheduler, feedback=state.stats)
         try:
-            state = solver.step(state, item)
+            state = step(bound, state, item)
         except ArithmeticError as exc:  # NumericError, or overflow in model code
             partial = _chain_result(store, state.stats, time.perf_counter() - started,
                                     chain_id, state.gradient_evals, t, "failed")
@@ -496,6 +510,7 @@ def run_mcmc(solver: Solver, scheduler: SchedulerState, init_theta: ParameterVec
         raise ConfigurationError(
             "adaptive step sizes need a Metropolis solver (no acceptance statistics "
             f"exist for {solver.name})", field="step_size")
+    _check_half_step_friction(solver.block, scheduler)
     results, failure = [], None
     for c in range(chains):
         try:
@@ -580,13 +595,8 @@ def build_sampler(name: str, config: dict) -> SamplerBundle:
     if metropolis and temperature <= 0:
         raise ConfigurationError("Metropolis solvers need temperature > 0",
                                  field="temperature")
-    block = solver.block
-    if isinstance(block, AMAGOLD) and step_sizes is not None:
-        # the first step is the schedule's largest
-        _require(0.5 * step_sizes.first * block.friction < 1.0, "friction",
-                 "half-step friction step_size_first * friction / 2 must be < 1")
-    if isinstance(block, Tempering):
-        _require(block.tau_high > temperature, "tau_high",
+    if isinstance(solver.block, Tempering):
+        _require(solver.block.tau_high > temperature, "tau_high",
                  "tempered chain needs tau_high above the temperature")
 
     scheduler = init_scheduler(
@@ -598,5 +608,6 @@ def build_sampler(name: str, config: dict) -> SamplerBundle:
         temperature=temperature,
         key=root.child(1),
     )
+    _check_half_step_friction(solver.block, scheduler)
     init_theta = cfg.get("init_theta") or model.init
     return SamplerBundle(solver, scheduler, init_theta, root.child(2), iterations)

@@ -117,6 +117,36 @@ class TestRun:
         assert f"(field: {field})" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    # adaptive AMAGOLD: beta = step size * friction / 2 must start below 1
+    ADAPTIVE_AMAGOLD = {"model": "std_normal", "sampler": "amagold", "target_accept": 0.65,
+                        "step_size_init": 0.5, "iterations": 200, "burn_in": 100,
+                        "chains": 2}
+
+    def test_adaptive_amagold_first_step_beyond_friction_names_the_field(self, tmp_path,
+                                                                         capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**self.ADAPTIVE_AMAGOLD,  # beta = 0.5 * 0.5 * 10
+                                    "sampler_args": {"leapfrog_steps": 2, "friction": 10.0},
+                                    "output": str(tmp_path / "x")}))
+        assert run_cli("run", "--config", str(path)) == 2
+        assert "(field: friction)" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_adapted_step_beyond_friction_is_a_chain_failure(self, tmp_path):
+        # beta starts at 0.25; the first adaptation step takes it past 1
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**self.ADAPTIVE_AMAGOLD,
+                                    "sampler_args": {"leapfrog_steps": 2, "friction": 1.0},
+                                    "output": str(tmp_path / "x")}))
+        assert run_cli("run", "--config", str(path)) == 3
+        out = tmp_path / "x"
+        assert (out / "samples_chain0.jsonl").exists()
+        assert (out / "samples_chain1.jsonl").exists()
+        summary = json.loads((out / "summary.json").read_text())
+        assert [(c["chain_id"], c["status"]) for c in summary["chains"]] == [
+            (0, "failed"), (1, "failed")]
+        assert "half-step friction" in summary["error"]["message"]
+
     def test_other_samplers_knob_is_accepted(self, tmp_path):
         # the mixture preset carries reSGLD's sampler_args into the SGLD baseline
         argv = ["run", "--demo", "mixture", "--sampler", "sgld", "--iterations", "300",

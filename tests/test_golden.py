@@ -4,6 +4,8 @@ Each case runs ``build_sampler`` briefly and compares the SHA-256 of the
 collected samples (``store.stacked().tobytes()``), the acceptance rate and the
 gradient-evaluation count with constants recorded from an earlier commit.  A
 refactor that claims byte-identical samples must pass this test unchanged.
+``FILE_GOLDEN`` pins the bytes of the sample files that one ``sgmc run``
+writes in each output format.
 
 A change that deliberately alters the key stream (the documented
 (seed, path) -> stream mapping) changes these digests on purpose: such a
@@ -12,9 +14,13 @@ records the update in CHANGES.md.
 """
 
 import hashlib
+import json
+import tempfile
+from pathlib import Path
 
 import pytest
 
+from sgmc.cli import main
 from sgmc.core import RandomKey
 from sgmc.models import get_model, synth_data_generate
 from sgmc.solver import build_sampler
@@ -57,6 +63,20 @@ GOLDEN = {
 }
 
 
+# a small 2-chain run of the 2-parameter logistic regression
+FILE_RUN = {"model": "logreg_2d", "n_obs": 60, "sampler": "sgld", "iterations": 200,
+            "burn_in": 50, "batch_size": 8, "seed": 11, "chains": 2,
+            "step_size_first": 0.01, "step_size_last": 0.002}
+
+# file name -> sha256 of its bytes
+FILE_GOLDEN = {
+    'samples_chain0.jsonl': '91cb2ca35bb7b3a9971da795793e1b137f06cc7c7621700ddbbdef78df3601d7',
+    'samples_chain1.jsonl': 'c3b4fd264e26729f4cc370a0539668e0f4ede8e94e31d77a46c49932a702e3d7',
+    'samples_chain0.csv': 'c230fbab7591ab19069f3ef12686ba0a6c4aac97e89354d1febedaeb38ea87ad',
+    'samples_chain1.csv': 'cf30c2e20f98044be6e33f6f692565f6e0717ea0f91d89d0cbecab942f51da4d',
+}
+
+
 def run_case(name):
     sampler, over = CASES[name]
     model = get_model("logreg_2d")
@@ -72,6 +92,25 @@ def test_golden_digest(name):
     assert run_case(name) == GOLDEN[name]
 
 
+def file_digests(tmp: Path) -> dict:
+    digests = {}
+    for fmt in ("jsonl", "csv"):
+        out = tmp / fmt
+        config = tmp / f"{fmt}.json"
+        config.write_text(json.dumps({**FILE_RUN, "format": fmt, "output": str(out)}))
+        assert main(["run", "--config", str(config)]) == 0
+        for path in sorted(out.glob("samples_chain*")):
+            digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
+
+
+def test_golden_output_files(tmp_path):
+    assert file_digests(tmp_path) == FILE_GOLDEN
+
+
 if __name__ == "__main__":
     for case in sorted(CASES):
         print(f"    {case!r}: {run_case(case)!r},")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, digest in file_digests(Path(tmp)).items():
+            print(f"    {name!r}: {digest!r},")

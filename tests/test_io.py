@@ -1,3 +1,4 @@
+import csv
 import json
 import tempfile
 from pathlib import Path
@@ -84,6 +85,25 @@ class TestFinalize:
         assert np.array_equal(iterations, store.iterations())
         flat = np.column_stack([variables["w"], variables["log_sigma"]])
         assert np.array_equal(flat, store.stacked())
+
+    def test_csv_bytes_are_what_csv_writer_writes(self, tmp_path):
+        layout = make_layout({"w": (2, 2), "s": ()})
+        store = SampleStore(layout)
+        values = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, 0.1, -2.5, 1.0 / 3.0, 7.0]
+        for i in range(2):
+            collect_sample(store, np.array(values[5 * i : 5 * i + 5]), i)
+        path = finalize_results(store, "csv", tmp_path / "s.csv")
+        with open(tmp_path / "ref.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["iteration"] + flat_column_names(layout))
+            for it, row in zip(store.iterations(), store.stacked()):
+                writer.writerow([int(it)] + [repr(v) for v in row.tolist()])
+        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert path.read_text().startswith('iteration,"w[0,0]","w[0,1]"')
+        _, variables = read_csv_samples(path)
+        flat = np.column_stack([variables["w"], variables["s"]])
+        assert np.array_equal(flat, store.stacked(), equal_nan=True)
+        assert np.signbit(flat[0, 3])
 
     def test_empty_csv_has_header_only(self, tmp_path):
         store = SampleStore(LAYOUT)

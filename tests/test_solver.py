@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from sgmc.errors import ChainError, ConfigurationError
 from sgmc.integrator import langevin_step
 from sgmc.models import get_model, surrogate_from_logdensity, synth_data_generate
 from sgmc.potential import full_value, minibatch_value_grad
-from sgmc.scheduler import init_scheduler, scheduler_next
+from sgmc.scheduler import DualAveragingState, init_scheduler, scheduler_next
 from sgmc.solver import (_STREAM_BATCH, _STREAM_ITER, KNOBS, SAMPLER_NAMES, SAMPLERS,
                          SGHMC, Binding, SamplerBundle, Solver, Tempering, build_sampler,
                          make_solver, run_mcmc, swap_exponent)
@@ -289,6 +291,32 @@ class TestRunMCMC:
                      key=RandomKey(3), chains=2)
             counts.append(len(calls))
         assert counts == [2 * built, 2 * built]
+
+    @pytest.mark.parametrize("name,kw,adaptive", [
+        ("sgld", {}, False),
+        ("sghmc", {"friction": 1.0}, False),
+        ("amagold", {"leapfrog_steps": 3, "friction": 0.1}, True),
+        ("resgld", {"tau_high": 3.0, "swap_interval": 5}, False)])
+    def test_loop_builds_no_record_with_replace(self, monkeypatch, name, kw, adaptive):
+        model, dataset = std_normal_setup()
+        solver = make_solver(name, model.density, dataset, 1, **kw)
+        calls = []
+        replace = dataclasses.replace
+
+        def counting(obj, **changes):
+            calls.append(type(obj).__name__)
+            return replace(obj, **changes)
+
+        # patch every name the package could call it by
+        monkeypatch.setattr(dataclasses, "replace", counting)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("sgmc") and getattr(module, "replace", None) is replace:
+                monkeypatch.setattr(module, "replace", counting)
+        sched = (init_scheduler(200, adaptive=DualAveragingState.init(0.1, 0.65), burn_in=100)
+                 if adaptive else init_scheduler(200, step_size=0.1))
+        results = run_mcmc(solver, sched, model.init, 200, key=RandomKey(3), chains=2)
+        assert [r["status"] for r in results] == ["ok", "ok"]
+        assert calls == []
 
     def test_sample_count_from_plan(self):
         model, dataset = std_normal_setup()
