@@ -24,10 +24,6 @@ class RMSPropState:
 
     @classmethod
     def init(cls, dim: int, alpha: float = 0.99, lam: float = 1e-5) -> "RMSPropState":
-        if not 0.0 < alpha < 1.0:
-            raise ValueError("alpha must be in (0, 1)")
-        if lam <= 0.0:
-            raise ValueError("lam must be > 0")
         return cls(np.zeros(dim), alpha, lam)
 
 

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import io as sample_io
 from .core import RandomKey
-from .diagnostics import diagnostics_summary, weighted_moments
-from .errors import ChainError, ConfigurationError, IngestionError
+from .diagnostics import diagnostics_summary
+from .errors import ChainError, ConfigurationError
 from .models import get_model, rwmh_oracle, synth_data_generate
 from .solver import KNOBS, SAMPLER_NAMES, build_sampler
 
@@ -157,23 +157,11 @@ def check_types(values: dict):
 
 
 def validate_config(cfg: RunConfig):
-    if cfg.sampler not in SAMPLER_NAMES:
-        raise ConfigurationError(f"unknown sampler {cfg.sampler!r}", field="sampler")
-    if cfg.iterations < 1:
-        raise ConfigurationError("iterations must be >= 1", field="iterations")
+    """Checks of run-level fields; the sampler, model and schedule check their own."""
     if cfg.chains < 1:
         raise ConfigurationError("chains must be >= 1", field="chains")
-    if cfg.n_obs < 1:
-        raise ConfigurationError("n_obs must be >= 1", field="n_obs")
-    if not 0 <= cfg.burn_in <= cfg.iterations:
-        raise ConfigurationError("burn_in outside [0, iterations]", field="burn_in")
-    if cfg.batch_size < 1 or cfg.batch_size > cfg.n_obs:
-        raise ConfigurationError("batch_size outside [1, n_obs]", field="batch_size")
     if cfg.format not in ("jsonl", "csv"):
         raise ConfigurationError(f"unknown format {cfg.format!r}", field="format")
-    if cfg.selections is not None and cfg.selections > cfg.iterations - cfg.burn_in:
-        raise ConfigurationError("selections exceed non-burn-in iterations",
-                                 field="selections")
     # another sampler's knob is fine: presets switch samplers but keep their args
     knobs = {knob for table in KNOBS.values() for knob in table}
     for key in cfg.sampler_args:
@@ -251,15 +239,13 @@ def run_command(args) -> int:
     try:
         cfg = load_config(args.demo, args.config, overrides)
         model, dataset, bundle = _assemble(cfg)
-    except (ConfigurationError, IngestionError, FileNotFoundError, ValueError) as exc:
+    except (ConfigurationError, FileNotFoundError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     out_dir = Path(cfg.output)
     started = time.perf_counter()
     try:
-        results = bundle.run(chains=cfg.chains,
-                             metadata={"sampler": cfg.sampler, "seed": cfg.seed,
-                                       "config_digest": cfg.digest()})
+        results = bundle.run(chains=cfg.chains)
     except ChainError as exc:
         write_outputs(cfg, exc.results, out_dir, time.perf_counter() - started,
                       error={"message": str(exc), "iteration": exc.iteration})
@@ -272,45 +258,50 @@ def run_command(args) -> int:
 
 
 def _load_run(run_dir: Path):
+    """The run's config, its variable names and the flat samples of every chain
+    whose status is "ok", pooled in chain order."""
     with open(run_dir / "summary.json", encoding="utf-8") as fh:
         summary = json.load(fh)
     config = dict(summary["config"])
     config.pop("cache_count", None)  # a removed no-op knob, kept by older runs
     cfg = RunConfig(**config)
     reader = sample_io.read_jsonl if cfg.format == "jsonl" else sample_io.read_csv_samples
-    columns: dict[str, list[np.ndarray]] = {}
+    names, blocks = [], []
     for chain in summary["chains"]:
-        path = run_dir / f"samples_chain{chain['chain_id']}.{cfg.format}"
-        _, variables = reader(path)
-        for name, mat in variables.items():
-            columns.setdefault(name, []).append(np.atleast_2d(mat.T).T
-                                                if mat.ndim == 1 else mat)
-    merged = {name: np.concatenate(mats, axis=0) for name, mats in columns.items()}
-    return summary, cfg, merged
+        if chain.get("status", "ok") != "ok":
+            continue
+        _, variables = reader(run_dir / f"samples_chain{chain['chain_id']}.{cfg.format}")
+        if variables:  # an empty JSON Lines file names no variables
+            names = list(variables)
+            blocks.append(np.column_stack(list(variables.values())))
+    flat = np.concatenate(blocks) if blocks else np.empty((0, 0))
+    return cfg, names, flat
 
 
-def _flat_stats(samples: dict[str, np.ndarray]) -> dict[str, tuple[float, float]]:
-    """mean/std per flattened coordinate, keyed like the CSV header."""
-    out = {}
-    for name, mat in samples.items():
-        mat = np.atleast_2d(mat.T).T if mat.ndim == 1 else mat
-        for j in range(mat.shape[1]):
-            key = name if mat.shape[1] == 1 else f"{name}[{j}]"
-            mean, var = weighted_moments(mat[:, j])
-            out[key] = (mean, float(np.sqrt(var)))
-    return out
+def _column_stats(columns: list[str], mat: np.ndarray) -> dict[str, tuple[float, float]]:
+    return {name: (float(mat[:, j].mean()), float(mat[:, j].std(ddof=1)))
+            for j, name in enumerate(columns)}
 
 
 def compare_command(args) -> int:
     run_dir = Path(args.run)
     try:
-        summary, cfg, samples = _load_run(run_dir)
+        cfg, names, flat = _load_run(run_dir)
     except (FileNotFoundError, json.JSONDecodeError, TypeError) as exc:
         print(f"cannot load run artifacts: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    sampler_stats = _flat_stats(samples)
-
+    if flat.shape[0] < 2:
+        print("need at least two samples from chains with status ok", file=sys.stderr)
+        return EXIT_CONFIG
     model = get_model(cfg.model, **cfg.model_args)
+    model_names = [name for name, _ in model.layout]
+    columns = sample_io.flat_column_names(model.layout)
+    if names != model_names or flat.shape[1] != len(columns):
+        print(f"variable mismatch: run has {names}, model has {model_names}",
+              file=sys.stderr)
+        return EXIT_CONFIG
+    sampler_stats = _column_stats(columns, flat)
+
     dataset = synth_data_generate(model, RandomKey(cfg.seed).child(0), cfg.n_obs,
                                   cfg.true_params or None)
     if args.reference == "analytic":
@@ -318,30 +309,15 @@ def compare_command(args) -> int:
             print(f"model {cfg.model!r} has no analytic posterior", file=sys.stderr)
             return EXIT_CONFIG
         ref = model.analytic_posterior(dataset)
-        ref_stats = {}
-        for name, mean in ref["mean"].items():
-            arr = np.atleast_1d(np.asarray(mean, dtype=np.float64))
-            std = np.atleast_1d(np.asarray(ref["std"][name], dtype=np.float64))
-            for j in range(arr.shape[0]):
-                key = name if arr.shape[0] == 1 else f"{name}[{j}]"
-                ref_stats[key] = (float(arr[j]), float(std[j]))
+        mean, std = (np.concatenate([np.ravel(ref[key][name]) for name in model_names])
+                     for key in ("mean", "std"))
+        ref_stats = dict(zip(columns, zip(mean.tolist(), std.tolist())))
     else:
         scale = np.array([max(std, 1e-6) for _, std in sampler_stats.values()])
         scale = scale * 2.4 / np.sqrt(scale.shape[0])
         oracle = rwmh_oracle(model, dataset, model.init, scale,
                              steps=args.oracle_steps, key=RandomKey(cfg.seed).child(9))
-        mat = oracle["samples"]
-        names = sample_io.flat_column_names(model.layout)
-        ref_stats = {
-            name: (float(mat[:, j].mean()), float(mat[:, j].std(ddof=1)))
-            for j, name in enumerate(names)
-        }
-
-    if set(ref_stats) != set(sampler_stats):
-        print(
-            f"variable mismatch: run has {sorted(sampler_stats)}, "
-            f"reference has {sorted(ref_stats)}", file=sys.stderr)
-        return EXIT_CONFIG
+        ref_stats = _column_stats(columns, oracle["samples"])
 
     report = {"schema_version": SCHEMA_VERSION, "reference": args.reference,
               "run": str(run_dir), "variables": {}}

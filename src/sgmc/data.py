@@ -12,13 +12,11 @@ directly, with no batching.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import RandomKey
-from .errors import IngestionError
 
 STRATEGIES = ("draw_replacement", "shuffle", "shuffle_in_epochs")
 
@@ -81,68 +79,19 @@ class BatchState:
     perm: np.ndarray | None = None  # drawn at the epoch's first batch
 
 
-def load_in_memory(arrays=None, csv_path=None, columns=None) -> Dataset:
-    """Build a Dataset from named arrays, or from a CSV file with a header.
-
-    ``columns`` maps array name -> list of CSV column names; columns of one
-    group are stacked into a (N, len(group)) array (a single column yields a
-    1-D array).  Cells must parse as floats.
-    """
-    if (arrays is None) == (csv_path is None):
-        raise ValueError("provide exactly one of arrays= or csv_path=")
-    if arrays is not None:
-        out = {k: np.asarray(v, dtype=np.float64) for k, v in arrays.items()}
-        if not out:
-            raise ValueError("dataset needs at least one array")
-        sizes = {k: v.shape[0] if v.ndim else 0 for k, v in out.items()}
-        n = next(iter(sizes.values()))
-        if n < 1:
-            raise ValueError("dataset needs at least one observation")
-        ragged = {k: s for k, s in sizes.items() if s != n}
-        if ragged:
-            raise ValueError(f"leading axes disagree: {sizes}")
-        return Dataset(out, n)
-
-    if columns is None:
-        raise ValueError("CSV loading requires a columns= mapping")
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestionError("CSV file is empty (header row required)") from None
-        col_index = {name: i for i, name in enumerate(header)}
-        for group in columns.values():
-            for col in group:
-                if col not in col_index:
-                    raise IngestionError(f"column {col!r} not in header", column=col)
-        rows = []
-        for row_no, row in enumerate(reader, start=2):  # 1-based incl. header
-            parsed = []
-            for name, group in columns.items():
-                for col in group:
-                    if col_index[col] >= len(row):
-                        raise IngestionError("row is shorter than the header",
-                                             row=row_no, column=col)
-                    cell = row[col_index[col]]
-                    try:
-                        parsed.append(float(cell))
-                    except ValueError:
-                        raise IngestionError(
-                            f"cannot parse cell {cell!r} as a number",
-                            row=row_no,
-                            column=col,
-                        ) from None
-            rows.append(parsed)
-    if not rows:
-        raise IngestionError("CSV has a header but no data rows")
-    table = np.asarray(rows, dtype=np.float64)
-    out, offset = {}, 0
-    for name, group in columns.items():
-        block = table[:, offset : offset + len(group)]
-        out[name] = block[:, 0].copy() if len(group) == 1 else block.copy()
-        offset += len(group)
-    return Dataset(out, table.shape[0])
+def load_in_memory(arrays) -> Dataset:
+    """Build a Dataset from named arrays sharing a leading observation axis."""
+    out = {k: np.asarray(v, dtype=np.float64) for k, v in arrays.items()}
+    if not out:
+        raise ValueError("dataset needs at least one array")
+    sizes = {k: v.shape[0] if v.ndim else 0 for k, v in out.items()}
+    n = next(iter(sizes.values()))
+    if n < 1:
+        raise ValueError("dataset needs at least one observation")
+    ragged = {k: s for k, s in sizes.items() if s != n}
+    if ragged:
+        raise ValueError(f"leading axes disagree: {sizes}")
+    return Dataset(out, n)
 
 
 def init_batch_state(dataset: Dataset, spec: BatchSpec) -> BatchState:

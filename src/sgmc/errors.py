@@ -5,17 +5,6 @@ class LayoutError(ValueError):
     """Parameter layout mismatch (wrong length, wrong names, drifting shapes)."""
 
 
-class IngestionError(ValueError):
-    """Raw data could not be ingested; carries row/column location when known."""
-
-    def __init__(self, message, row=None, column=None):
-        if row is not None or column is not None:
-            message = f"{message} (row={row}, column={column})"
-        super().__init__(message)
-        self.row = row
-        self.column = column
-
-
 class ConfigurationError(ValueError):
     """Invalid or incomplete sampler/run configuration; names the offending field."""
 

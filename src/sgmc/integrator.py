@@ -109,8 +109,6 @@ def obabo_trajectory(theta0, p0, n_steps, step_size, friction_gamma, grad_fn,
     """
     if n_steps < 1:
         raise ValueError("trajectory needs at least one step")
-    if friction_gamma < 0:
-        raise ValueError("friction must be >= 0")
     eps = float(step_size)
     a = math.exp(-0.5 * friction_gamma * eps)
     ou_scale = math.sqrt(max(0.0, (1.0 - a * a) * tau))

@@ -1,8 +1,8 @@
 """Sample collection and serialization.
 
-One store per chain; samples append in collection order and serialize to an
-in-memory mapping, JSON Lines, or CSV.  File formats round-trip at full
-float64 precision (shortest-round-trip float formatting).
+One store per chain; samples append in collection order and serialize to
+JSON Lines or CSV.  Both formats round-trip at full float64 precision
+(shortest-round-trip float formatting).
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ class SampleStore:
 
     layout: Layout
     chain_id: int = 0
-    metadata: dict = field(default_factory=dict)
     _rows: list[np.ndarray] = field(default_factory=list)
     _iterations: list[int] = field(default_factory=list)
     width: int = field(init=False, repr=False)  # length of one flat sample
@@ -74,25 +73,12 @@ def collect_sample(store: SampleStore, flat, iteration: int) -> SampleStore:
     return store
 
 
-def finalize_results(store: SampleStore, format: str = "memory", path=None):
-    """Materialize the store: ``memory`` mapping, or a ``jsonl``/``csv`` file.
+def finalize_results(store: SampleStore, format: str, path):
+    """Write the store to ``path`` as a ``jsonl`` or ``csv`` file.
 
-    memory: {"samples": {"variables": {...}}, "sample_count", ...}
     jsonl:  one object per sample {"iteration": t, "variables": {name: flat list}}
     csv:    header ``iteration`` + flattened variable columns.
     """
-    if format == "memory":
-        return {
-            "samples": {
-                "variables": store.variables(),
-                "iterations": store.iterations(),
-            },
-            "sample_count": store.sample_count,
-            "chain_id": store.chain_id,
-            "metadata": dict(store.metadata),
-        }
-    if path is None:
-        raise ValueError(f"format {format!r} requires a path")
     slices = layout_slices(store.layout)
     if format == "jsonl":
         with open(path, "w", encoding="utf-8") as fh:

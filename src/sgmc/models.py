@@ -1,10 +1,9 @@
-"""Built-in example models, synthetic data, the full-batch Metropolis oracle,
-and the posterior-predictive ensemble estimator.
+"""Built-in example models, synthetic data and the full-batch Metropolis oracle.
 
 Each model supplies analytic vectorized batch log-likelihood and score, a
-flat log-prior and its gradient, a seeded synthetic-data generator and a
-predictive function.  ``gaussian_mean`` additionally exposes its conjugate
-closed-form posterior, which the sampler tests treat as exact ground truth.
+flat log-prior and its gradient and a seeded synthetic-data generator.
+``gaussian_mean`` additionally exposes its conjugate closed-form posterior,
+which the sampler tests treat as exact ground truth.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Layout, ParameterVector, RandomKey, make_layout, structure
+from .core import Layout, ParameterVector, RandomKey, make_layout
 from .data import Dataset, load_in_memory
 from .errors import ConfigurationError
 from .potential import LogDensityModel, full_value
@@ -30,7 +29,6 @@ class BuiltinModel:
     density: LogDensityModel
     generate: Callable  # (key, N, params) -> Dataset
     default_params: dict
-    predict: Callable  # (theta, x) -> float
     init: ParameterVector
     analytic_posterior: Optional[Callable] = None  # dataset -> {"mean","std"}
 
@@ -43,7 +41,7 @@ def synth_data_generate(model: BuiltinModel, key: RandomKey, n_obs: int,
                         true_params: dict | None = None) -> Dataset:
     """Reproducible synthetic dataset from the model's generative process."""
     if n_obs < 1:
-        raise ValueError("need at least one observation")
+        raise ConfigurationError("need at least one observation", field="n_obs")
     params = dict(model.default_params)
     for name in true_params or {}:
         if name not in params:
@@ -90,7 +88,6 @@ def make_gaussian_mean(prior_std: float = 10.0) -> BuiltinModel:
         density=density,
         generate=generate,
         default_params={"mu": 0.5},
-        predict=lambda theta, x: float(theta.values[0]),
         init=ParameterVector(layout, np.zeros(1)),
         analytic_posterior=analytic_posterior,
     )
@@ -149,7 +146,6 @@ def make_linreg_sigma(n_weights: int = 4) -> BuiltinModel:
         generate=generate,
         default_params={"w": [0.5, -1.0, 2.0, 0.25][:d] + [0.0] * max(0, d - 4),
                         "sigma": 0.5, "x_scale": 1.0},
-        predict=lambda theta, x: float(np.asarray(x) @ theta.values[:d]),
         init=ParameterVector(layout, init),
     )
 
@@ -191,7 +187,6 @@ def make_logreg_2d(prior_std: float = 10.0) -> BuiltinModel:
         density=density,
         generate=generate,
         default_params={"w": [1.0, -1.5]},
-        predict=lambda theta, x: float(1.0 / (1.0 + math.exp(-(np.asarray(x) @ theta.values)))),
         init=ParameterVector(layout, np.zeros(2)),
     )
 
@@ -201,7 +196,7 @@ def make_logreg_2d(prior_std: float = 10.0) -> BuiltinModel:
 # served through a single dummy observation so the data plumbing stays uniform.
 
 def surrogate_from_logdensity(name: str, layout: Layout, log_density, grad_log_density,
-                              sample=None, predict=None) -> BuiltinModel:
+                              sample=None) -> BuiltinModel:
     """Wrap a closed-form target density as a data-free builtin model.
 
     ``log_density``/``grad_log_density`` act on the flat parameter vector; the
@@ -227,7 +222,6 @@ def surrogate_from_logdensity(name: str, layout: Layout, log_density, grad_log_d
         density=density,
         generate=generate,
         default_params={},
-        predict=predict or (lambda theta, x: float(theta.values[0])),
         init=ParameterVector(layout, np.zeros(dim)),
     )
 
@@ -300,7 +294,7 @@ def get_model(name: str, **kwargs) -> BuiltinModel:
 
 
 # ---------------------------------------------------------------------------
-# Full-batch random-walk Metropolis oracle and the ensemble predictor.
+# Full-batch random-walk Metropolis oracle.
 
 def rwmh_oracle(model: BuiltinModel, dataset: Dataset, theta0: ParameterVector,
                 proposal_scale, steps: int, key: RandomKey, burn_in: int | None = None):
@@ -332,31 +326,5 @@ def rwmh_oracle(model: BuiltinModel, dataset: Dataset, theta0: ParameterVector,
         if t >= burn_in:
             kept.append(flat.copy())
     samples = np.stack(kept) if kept else np.empty((0, dim))
-    return {
-        "samples": samples,
-        "layout": density.layout,
-        "acceptance_rate": accepts / steps,
-    }
+    return {"samples": samples, "acceptance_rate": accepts / steps}
 
-
-def ensemble_predict(samples, x, model: BuiltinModel):
-    """Monte Carlo posterior-predictive summary over a set of parameter samples.
-
-    ``samples`` is a sequence of ParameterVectors or an (S, dim) flat matrix in
-    the model's layout.  Returns per-sample outputs, their mean and spread.
-    """
-    if isinstance(samples, np.ndarray):
-        if samples.ndim != 2:
-            raise ValueError("flat sample matrix must be 2-D")
-        samples = [structure(model.layout, row) for row in samples]
-    else:
-        samples = list(samples)
-    if not samples:
-        raise ValueError("ensemble needs at least one sample")
-    outputs = np.array([model.predict(theta, x) for theta in samples])
-    return {
-        "outputs": outputs,
-        "mean": float(outputs.mean()),
-        "std": float(outputs.std()),
-        "n_models": len(samples),
-    }

@@ -31,34 +31,18 @@ class ScheduleItem:
     keep: bool
 
 
-@dataclass(frozen=True)
-class PolynomialSchedule:
-    """eps_t = a (b + t)^(-gamma), hitting ``first`` at t=0 and ``last`` at t=n."""
-
-    first: float
-    last: float
-    gamma: float
-    n: int
-    a: float
-    b: float
-
-    def __call__(self, t) -> float | np.ndarray:
-        return self.a * (self.b + np.asarray(t, dtype=np.float64)) ** (-self.gamma)
-
-    def values(self, n: int) -> np.ndarray:
-        return self(np.arange(n))
-
-
-def polynomial_schedule(first: float, last: float, gamma: float, n_iterations: int) -> PolynomialSchedule:
-    if not first > last > 0:
-        raise ValueError("need first > last > 0")
+def polynomial_schedule(first: float, last: float, gamma: float, n_iterations: int):
+    """eps(t) = a (b + t)^(-gamma), hitting ``first`` at t=0 and ``last`` at t=n_iterations."""
+    if not last > 0:
+        raise ConfigurationError("need step_size_last > 0", field="step_size_last")
+    if not first > last:
+        raise ConfigurationError("need step_size_first > step_size_last",
+                                 field="step_size_first")
     if not 0 < gamma <= 1:
-        raise ValueError("decay exponent must lie in (0, 1]")
-    if n_iterations < 1:
-        raise ValueError("need at least one iteration")
+        raise ConfigurationError("decay exponent must lie in (0, 1]", field="step_size_decay")
     b = n_iterations / ((first / last) ** (1.0 / gamma) - 1.0)
     a = first * b**gamma
-    return PolynomialSchedule(first, last, gamma, n_iterations, a, b)
+    return lambda t: a * (b + np.asarray(t, dtype=np.float64)) ** (-gamma)
 
 
 # dual-averaging constants: shrinkage, iteration offset, averaging decay
@@ -81,9 +65,10 @@ class DualAveragingState:
     @classmethod
     def init(cls, eps_init: float, delta: float = 0.65) -> "DualAveragingState":
         if eps_init <= 0:
-            raise ValueError("initial step size must be > 0")
+            raise ConfigurationError("initial step size must be > 0", field="step_size_init")
         if not 0 < delta < 1:
-            raise ValueError("target acceptance must lie in (0, 1)")
+            raise ConfigurationError("target acceptance must lie in (0, 1)",
+                                     field="target_accept")
         return cls(0, 0.0, math.log(eps_init), math.log(eps_init), delta,
                    math.log(10.0 * eps_init))
 
@@ -117,12 +102,10 @@ def random_thinning_plan(step_sizes, burn_in: int, selections: int, n_iterations
     frequency is uniform over the eligible range.
     """
     eligible = np.arange(burn_in, n_iterations)
-    if selections > eligible.shape[0]:
-        raise ValueError(
-            f"cannot keep {selections} of {eligible.shape[0]} eligible iterations"
-        )
-    if selections < 0:
-        raise ValueError("selections must be >= 0")
+    if not 0 <= selections <= eligible.shape[0]:
+        raise ConfigurationError(
+            f"cannot keep {selections} of {eligible.shape[0]} eligible iterations",
+            field="selections")
     if callable(step_sizes):
         weights = np.asarray(step_sizes(eligible), dtype=np.float64)
     else:
@@ -160,7 +143,8 @@ def init_scheduler(n_iterations: int, *, step_size=None, adaptive: DualAveraging
                    key: RandomKey = None) -> SchedulerState:
     """Assemble the per-iteration schedule bundle.
 
-    ``step_size`` is a PolynomialSchedule, an array of length n, or a constant;
+    ``step_size`` is a function of the iteration index (such as
+    :func:`polynomial_schedule`), an array of length n, or a constant;
     pass ``adaptive`` instead for dual averaging.  ``selections=None`` keeps
     every non-burn-in iteration.
     """
@@ -175,8 +159,8 @@ def init_scheduler(n_iterations: int, *, step_size=None, adaptive: DualAveraging
                                  field="step_size")
     eps = None
     if step_size is not None:
-        if isinstance(step_size, PolynomialSchedule):
-            eps = step_size.values(n_iterations)
+        if callable(step_size):
+            eps = np.asarray(step_size(np.arange(n_iterations)), dtype=np.float64)
         elif np.ndim(step_size) == 0:
             eps = np.full(n_iterations, float(step_size))
         else:

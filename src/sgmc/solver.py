@@ -38,7 +38,8 @@ from . import io as sample_io
 from .adaption import (OnlineCovState, RMSPropState, rmsprop_step,
                        welford_finalize, welford_step)
 from .core import ParameterVector, RandomKey, normal_flat
-from .data import BatchSpec, BatchState, Dataset, init_batch_state, next_batch
+from .data import (STRATEGIES, BatchSpec, BatchState, Dataset, init_batch_state,
+                   next_batch)
 from .errors import ChainError, ConfigurationError, NumericError
 from .integrator import (langevin_step, obabo_trajectory,
                          reversible_leapfrog_trajectory, sghmc_step)
@@ -59,7 +60,7 @@ class AcceptanceStats:
     accepts: int = 0
     last_alpha: Optional[float] = None
     last_exponent: Optional[float] = None
-    last_delta_h: Optional[float] = None  # debug runs only
+    last_delta_h: Optional[float] = None  # Metropolis rounds only
 
     @property
     def rate(self) -> float:
@@ -90,6 +91,12 @@ class Binding:
     dataset: Dataset
     batch_size: int
     batch_strategy: str = "draw_replacement"
+
+    def __post_init__(self):
+        _require(1 <= self.batch_size <= self.dataset.size, "batch_size",
+                 f"batch size outside [1, {self.dataset.size}] (the dataset's size)")
+        _require(self.batch_strategy in STRATEGIES, "batch_strategy",
+                 f"unknown batching strategy {self.batch_strategy!r}")
 
 
 def _init_state(bound: Binding, theta0: ParameterVector, key: RandomKey, **fields):
@@ -122,6 +129,10 @@ class Langevin(AcceptAll):
     rms_prop: bool = False
     rms_alpha: float = 0.99
     rms_lam: float = 1e-5
+
+    def __post_init__(self):
+        _require(0.0 < self.rms_alpha < 1.0, "rms_alpha", "rms_alpha must lie in (0, 1)")
+        _require(self.rms_lam > 0.0, "rms_lam", "rms_lam must be > 0")
 
     def init(self, bound, theta0, key):
         rms = (RMSPropState.init(theta0.size, self.rms_alpha, self.rms_lam)
@@ -169,8 +180,7 @@ def sgmc_update(move: AcceptAll, bound: Binding, state: SolverState,
 # Metropolis trajectories and the amortized MH round
 
 class Metropolis:
-    """Base of the trajectories whose ``step`` is :func:`metropolis_round`: a
-    ``debug`` knob (record -dH in the acceptance statistics) and
+    """Base of the trajectories whose ``step`` is :func:`metropolis_round`, with
     ``trajectory(theta, p0, grad_fn, item, rng) -> (theta, p, W)``."""
 
     def init(self, bound: Binding, theta0: ParameterVector, key: RandomKey) -> SolverState:
@@ -185,7 +195,6 @@ class AMAGOLD(Metropolis):
 
     leapfrog_steps: int
     friction: float = 0.1
-    debug: bool = False
 
     def __post_init__(self):
         _require(self.leapfrog_steps >= 1, "leapfrog_steps", "need at least one leapfrog step")
@@ -207,10 +216,10 @@ class SGGMC(Metropolis):
 
     obabo_steps: int
     friction: float = 0.0
-    debug: bool = False
 
     def __post_init__(self):
         _require(self.obabo_steps >= 1, "obabo_steps", "need at least one OBABO step")
+        _require(self.friction >= 0, "friction", "friction must be >= 0")
 
     def step(self, bound, state, item):
         return sggmc_round(self, bound, state, item)
@@ -247,11 +256,8 @@ def metropolis_round(traj: Metropolis, bound: Binding, state: SolverState,
     alpha = math.exp(min(exponent, 0.0))
     accept = math.log(state.rng.random()) < exponent
 
-    delta_h = None
-    if traj.debug:
-        k0 = 0.5 * float(p0 @ p0)
-        k_new = 0.5 * float(p_new @ p_new)
-        delta_h = (u_new + k_new - u0 - k0) / tau
+    k0, k_new = 0.5 * float(p0 @ p0), 0.5 * float(p_new @ p_new)
+    delta_h = (u_new + k_new - u0 - k0) / tau
     stats = AcceptanceStats(state.stats.proposals + 1,
                             state.stats.accepts + (1 if accept else 0),
                             alpha, exponent, delta_h)
@@ -448,33 +454,29 @@ def make_solver(name: str, density: LogDensityModel, dataset: Dataset, batch_siz
 # ---------------------------------------------------------------------------
 # Chain driver
 
-def _check_half_step_friction(block, scheduler: SchedulerState):
-    """AMAGOLD's beta at a static schedule's largest step or an adaptive one's first."""
+def _check_schedule(block, scheduler: SchedulerState):
+    """Adaptive step sizes need a Metropolis block; AMAGOLD's half-step friction beta,
+    at a static schedule's largest step or an adaptive one's first, must be below 1."""
+    _require(not scheduler.is_adaptive or isinstance(block, Metropolis), "target_accept",
+             "adaptive step sizes need a Metropolis sampler (no acceptance statistics)")
     if isinstance(block, AMAGOLD):
         eps = scheduler.adaptive.eps if scheduler.is_adaptive else scheduler.step_sizes.max()
         _require(0.5 * eps * block.friction < 1.0, "friction",
                  "half-step friction beta = step size * friction / 2 must be < 1")
 
 
-def _chain_result(store, stats, runtime, chain_id, gradient_evals, iterations,
-                  status="ok"):
-    mem = sample_io.finalize_results(store, "memory")
-    mem.update({
-        "status": status,
-        "acceptance_rate": stats.rate,
-        "runtime": runtime,
-        "iterations": iterations,
-        "gradient_evaluations": gradient_evals,
-        "store": store,
-    })
-    return mem
+def _chain_result(store, stats, runtime, gradient_evals, iterations, status="ok"):
+    return {"status": status, "chain_id": store.chain_id, "sample_count": store.sample_count,
+            "acceptance_rate": stats.rate, "runtime": runtime, "iterations": iterations,
+            "gradient_evaluations": gradient_evals, "store": store}
 
 
 def _run_chain(solver: Solver, scheduler: SchedulerState, init_theta: ParameterVector,
-               iterations: int, chain_key: RandomKey, chain_id: int, metadata: dict):
+               chain_key: RandomKey, chain_id: int):
     state = solver.init(init_theta, chain_key)
-    store = sample_io.SampleStore(solver.binding.density.layout, chain_id, dict(metadata))
+    store = sample_io.SampleStore(solver.binding.density.layout, chain_id)
     step, bound = solver.block.step, solver.binding
+    iterations = scheduler.n_iterations
     started = time.perf_counter()
     for t in range(iterations):
         item, scheduler = scheduler_next(scheduler, feedback=state.stats)
@@ -482,18 +484,18 @@ def _run_chain(solver: Solver, scheduler: SchedulerState, init_theta: ParameterV
             state = step(bound, state, item)
         except ArithmeticError as exc:  # NumericError, or overflow in model code
             partial = _chain_result(store, state.stats, time.perf_counter() - started,
-                                    chain_id, state.gradient_evals, t, "failed")
+                                    state.gradient_evals, t, "failed")
             raise ChainError(str(exc), iteration=t, partial=partial) from exc
         if item.keep:
             sample_io.collect_sample(store, state.theta, t)
     return _chain_result(store, state.stats, time.perf_counter() - started,
-                         chain_id, state.gradient_evals, iterations)
+                         state.gradient_evals, iterations)
 
 
-def run_mcmc(solver: Solver, scheduler: SchedulerState, init_theta: ParameterVector,
-             iterations: int, *, key: RandomKey, chains: int = 1,
-             metadata: dict | None = None) -> list[dict]:
-    """Run ``chains`` independent chains in turn; returns one result per chain.
+def run_mcmc(solver: Solver, scheduler: SchedulerState, init_theta: ParameterVector, *,
+             key: RandomKey, chains: int = 1) -> list[dict]:
+    """Run ``chains`` independent chains of ``scheduler.n_iterations`` iterations in
+    turn; returns one result per chain, its samples in ``result["store"]``.
 
     Chain c draws every stream from ``key.child(c)``, so each chain is a pure
     function of its key.  Each result's ``status`` is "ok" or "failed".  A
@@ -501,21 +503,13 @@ def run_mcmc(solver: Solver, scheduler: SchedulerState, init_theta: ParameterVec
     ChainError propagates with ``.partial`` holding the failing chain's
     collected samples and ``.results`` every chain's result.
     """
-    if iterations < 1:
-        raise ConfigurationError("need at least one iteration", field="iterations")
     if chains < 1:
         raise ConfigurationError("need at least one chain", field="chains")
-    metadata = metadata or {}
-    if scheduler.is_adaptive and not isinstance(solver.block, Metropolis):
-        raise ConfigurationError(
-            "adaptive step sizes need a Metropolis solver (no acceptance statistics "
-            f"exist for {solver.name})", field="step_size")
-    _check_half_step_friction(solver.block, scheduler)
+    _check_schedule(solver.block, scheduler)
     results, failure = [], None
     for c in range(chains):
         try:
-            results.append(_run_chain(solver, scheduler, init_theta, iterations,
-                                      key.child(c), c, metadata))
+            results.append(_run_chain(solver, scheduler, init_theta, key.child(c), c))
         except ChainError as exc:
             results.append(exc.partial)
             failure = failure or exc
@@ -536,11 +530,10 @@ class SamplerBundle:
     scheduler: SchedulerState
     init_theta: ParameterVector
     run_key: RandomKey
-    iterations: int
 
-    def run(self, chains: int = 1, metadata: dict | None = None) -> list[dict]:
-        return run_mcmc(self.solver, self.scheduler, self.init_theta, self.iterations,
-                        key=self.run_key, chains=chains, metadata=metadata)
+    def run(self, chains: int = 1) -> list[dict]:
+        return run_mcmc(self.solver, self.scheduler, self.init_theta, key=self.run_key,
+                        chains=chains)
 
 
 def build_sampler(name: str, config: dict) -> SamplerBundle:
@@ -568,9 +561,6 @@ def build_sampler(name: str, config: dict) -> SamplerBundle:
     solver = make_solver(name, model.density, dataset, batch_size,
                          cfg.get("batch_strategy", "draw_replacement"),
                          **{knob: cfg.get(knob) for knob in KNOBS.get(name, ())})
-    if iterations < 1:
-        raise ConfigurationError("iterations must be >= 1", field="iterations")
-
     root = RandomKey(seed)
     burn_in = int(cfg.get("burn_in", 0))
     selections = cfg.get("selections")
@@ -587,12 +577,7 @@ def build_sampler(name: str, config: dict) -> SamplerBundle:
         decay = float(cfg.get("step_size_decay", 0.33))
         step_sizes = polynomial_schedule(float(first), float(last), decay, iterations)
 
-    metropolis = isinstance(solver.block, Metropolis)
-    if adaptive is not None and not metropolis:
-        raise ConfigurationError(
-            f"adaptive step size is not available for accept-all sampler {name!r}",
-            field="target_accept")
-    if metropolis and temperature <= 0:
+    if isinstance(solver.block, Metropolis) and temperature <= 0:
         raise ConfigurationError("Metropolis solvers need temperature > 0",
                                  field="temperature")
     if isinstance(solver.block, Tempering):
@@ -608,6 +593,6 @@ def build_sampler(name: str, config: dict) -> SamplerBundle:
         temperature=temperature,
         key=root.child(1),
     )
-    _check_half_step_friction(solver.block, scheduler)
+    _check_schedule(solver.block, scheduler)
     init_theta = cfg.get("init_theta") or model.init
-    return SamplerBundle(solver, scheduler, init_theta, root.child(2), iterations)
+    return SamplerBundle(solver, scheduler, init_theta, root.child(2))

@@ -42,8 +42,8 @@ def test_criterion_1_conjugate_recovery():
     elapsed = time.perf_counter() - started
 
     schedule = polynomial_schedule(0.01, 0.0005, 0.33, iterations)
-    weights = schedule(result["samples"]["iterations"])
-    mean, var = weighted_moments(result["samples"]["variables"]["mu"], weights)
+    weights = schedule(result["store"].iterations())
+    mean, var = weighted_moments(result["store"].variables()["mu"], weights)
     mean_err = abs(mean - mu_ref) / sd_ref
     std_ratio = math.sqrt(var) / sd_ref
 
@@ -107,7 +107,7 @@ def test_criterion_3_hmc_reduction():
     ):
         model = quadratic_model(rng.uniform(0.5, 2.5, 3), rng.uniform(-1, 1, 3))
         dataset = synth_data_generate(model, RandomKey(0), 1)
-        solver = make_solver(name, model.density, dataset, 1, debug=True, **kw)
+        solver = make_solver(name, model.density, dataset, 1, **kw)
         state = solver.init(model.init, RandomKey(23))
         sched = init_scheduler(rounds, step_size=0.12)
         for _ in range(rounds):
@@ -127,8 +127,8 @@ def test_criterion_3_hmc_reduction():
     ):
         solver = make_solver(name, model.density, dataset, 1, **kw)
         sched = init_scheduler(20000, step_size=step)
-        result = run_mcmc(solver, sched, model.init, 20000, key=RandomKey(29))[0]
-        x = result["samples"]["variables"]["theta"]
+        result = run_mcmc(solver, sched, model.init, key=RandomKey(29))[0]
+        x = result["store"].variables()["theta"]
         ess = effective_sample_size(x)
         se_mean = x.std(ddof=1) / math.sqrt(ess)
         assert abs(x.mean()) <= 3 * se_mean, name
@@ -156,12 +156,12 @@ def test_criterion_4_tempering_explores_both_modes():
     tempered = build_sampler("resgld", dict(
         tau_high=10.0, swap_interval=50, correction=1.0, hot_step_factor=100.0,
         **common)).run()[0]
-    x = tempered["samples"]["variables"]["theta"]
+    x = tempered["store"].variables()["theta"]
     weight = float((x > 0).mean())
     visits_both = (x > 1.0).any() and (x < -1.0).any()
 
     baseline = build_sampler("sgld", dict(common)).run()[0]
-    xb = baseline["samples"]["variables"]["theta"]
+    xb = baseline["store"].variables()["theta"]
     baseline_weight = float((xb > 0).mean())
     elapsed = time.perf_counter() - started
 

@@ -28,6 +28,17 @@ def small_run_args(tmp_path, **over):
     return out
 
 
+# chain 0 runs to the end and chain 1 diverges at iteration 19
+FAILING_CHAIN = {"model": "linreg_sigma", "model_args": {"n_weights": 1},
+                 "true_params": {"w": [1.0], "sigma": 0.25}, "n_obs": 50,
+                 "sampler": "sgld", "step_size_first": 0.02, "step_size_last": 0.01,
+                 "iterations": 300, "batch_size": 5, "seed": 1, "chains": 2}
+
+# an adaptive AMAGOLD run, for the dual-averaging settings
+ADAPTIVE = {"model": "std_normal", "sampler": "amagold",
+            "sampler_args": {"leapfrog_steps": 2}, "target_accept": 0.65}
+
+
 class TestRun:
     def test_success_writes_artifacts(self, tmp_path):
         assert run_cli(*small_run_args(tmp_path)) == 0
@@ -109,7 +120,19 @@ class TestRun:
                       "sampler_args": {"leapfrog_steps": 2, "friction": 10.0},
                       "step_size_first": 0.5, "step_size_last": 0.2}),
         ("tau_high", {"model": "mixture_1d", "sampler": "resgld",
-                      "sampler_args": {"tau_high": 3.0}, "temperature": 5.0})])
+                      "sampler_args": {"tau_high": 3.0}, "temperature": 5.0}),
+        ("batch_strategy", {"batch_strategy": "bogus"}),
+        ("friction", {"model": "std_normal", "sampler": "sggmc",
+                      "sampler_args": {"obabo_steps": 2, "friction": -1.0}}),
+        ("rms_alpha", {"sampler": "psgld", "sampler_args": {"rms_alpha": 1.5}}),
+        ("rms_lam", {"sampler": "psgld", "sampler_args": {"rms_lam": 0.0}}),
+        ("target_accept", {**ADAPTIVE, "target_accept": 1.5}),
+        ("step_size_init", {**ADAPTIVE, "step_size_init": -1.0}),
+        ("step_size_first", {"step_size_first": 0.001, "step_size_last": 0.01}),
+        ("step_size_decay", {"step_size_decay": 1.5}),
+        ("selections", {"selections": -3}),
+        ("n_obs", {"n_obs": 0}),
+        ("batch_size", {"n_obs": 10, "batch_size": 20})])
     def test_invalid_sampler_setting_names_the_field(self, tmp_path, capsys, field, cfg):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({**cfg, "iterations": 10, "output": str(tmp_path / "x")}))
@@ -185,15 +208,10 @@ class TestRun:
         assert f"(field: {key})" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:divide by zero")
     def test_failing_chain_keeps_the_finished_chain(self, tmp_path):
-        # with this seed chain 0 runs to the end and chain 1 diverges at iteration 19
-        cfg = {"model": "linreg_sigma", "model_args": {"n_weights": 1},
-               "true_params": {"w": [1.0], "sigma": 0.25}, "n_obs": 50,
-               "sampler": "sgld", "step_size_first": 0.02, "step_size_last": 0.01,
-               "iterations": 300, "batch_size": 5, "seed": 1, "chains": 2,
-               "output": str(tmp_path / "run")}
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
+        path.write_text(json.dumps({**FAILING_CHAIN, "output": str(tmp_path / "run")}))
         assert run_cli("run", "--config", str(path)) == 3
         out = tmp_path / "run"
         assert len((out / "samples_chain0.jsonl").read_text().splitlines()) == 300
@@ -282,6 +300,28 @@ class TestCompare:
         path.write_text(json.dumps(summary))
         assert run_cli("compare", "--run", str(run_dir),
                        "--reference", "analytic") == 0
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:divide by zero")
+    def test_pools_only_the_finished_chains(self, tmp_path):
+        # the failed chain's diverged samples would size the oracle's proposal;
+        # its length-1 weight vector is named like the model's "w[0]"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**FAILING_CHAIN, "output": str(tmp_path / "run")}))
+        assert run_cli("run", "--config", str(path)) == 3
+        assert run_cli("compare", "--run", str(tmp_path / "run"), "--reference", "rwmh",
+                       "--oracle-steps", "2000") == 0
+        report = json.loads((tmp_path / "run" / "compare_report.json").read_text())
+        assert sorted(report["variables"]) == ["log_sigma", "w[0]"]
+
+    def test_no_finished_chain_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**FAILING_CHAIN, "chains": 1, "seed": 0,
+                                    "output": str(tmp_path / "run")}))
+        code = run_cli("run", "--config", str(path))
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert (code, [c["status"] for c in summary["chains"]]) == (3, ["failed"])
+        assert run_cli("compare", "--run", str(tmp_path / "run")) == 2
+        assert "status ok" in capsys.readouterr().err
 
     def test_missing_run_dir(self, tmp_path):
         assert run_cli("compare", "--run", str(tmp_path / "nope")) == 2

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from sgmc.core import RandomKey
 from sgmc.data import BatchSpec, init_batch_state, load_in_memory, next_batch
-from sgmc.errors import IngestionError
 
 from conftest import CHI2_99
 
@@ -27,35 +26,6 @@ class TestLoadInMemory:
     def test_ragged(self):
         with pytest.raises(ValueError, match="leading axes"):
             load_in_memory(arrays={"x": np.zeros((100, 4)), "y": np.zeros(99)})
-
-    def test_csv(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("a,b,c\n1,2,3\n4,5,6\n7,8,9\n")
-        ds = load_in_memory(csv_path=path, columns={"x": ["a", "b"], "y": ["c"]})
-        assert ds.size == 3
-        assert ds["x"].shape == (3, 2)
-        assert np.array_equal(ds["y"], [3.0, 6.0, 9.0])
-
-    def test_csv_bad_cell_locates_error(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("a,b\n1,2\n1,oops\n")
-        with pytest.raises(IngestionError) as err:
-            load_in_memory(csv_path=path, columns={"x": ["a"], "y": ["b"]})
-        assert err.value.row == 3
-        assert err.value.column == "b"
-
-    def test_csv_missing_column(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("a\n1\n")
-        with pytest.raises(IngestionError):
-            load_in_memory(csv_path=path, columns={"x": ["zzz"]})
-
-    def test_csv_short_row_locates_error(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("a,b\n1,2\n3\n")
-        with pytest.raises(IngestionError) as err:
-            load_in_memory(csv_path=path, columns={"x": ["a"], "y": ["b"]})
-        assert err.value.row == 3
 
 
 class TestNextBatch:

@@ -43,7 +43,7 @@ class TestLangevin:
     def test_annealed_stationary_variance(self):
         # U = theta^2 / 2 with exact gradient; eps-weighted variance -> 1
         n = 100000
-        eps = polynomial_schedule(0.3, 0.1, 0.55, n).values(n)
+        eps = polynomial_schedule(0.3, 0.1, 0.55, n)(np.arange(n))
         theta = np.zeros(1)
         rng = RandomKey(314).generator()
         total = mean_acc = wsum = 0.0

@@ -19,7 +19,7 @@ LAYOUT = make_layout({"w": (2,), "log_sigma": ()})
 
 
 def store_with(n, seed=5):
-    store = SampleStore(LAYOUT, chain_id=0, metadata={"sampler": "test"})
+    store = SampleStore(LAYOUT, chain_id=0)
     rng = RandomKey(seed).generator()
     for i in range(n):
         collect_sample(store, rng.standard_normal(3), 10 * i)
@@ -56,12 +56,6 @@ class TestCollect:
 
 
 class TestFinalize:
-    def test_memory_access_pattern(self):
-        results = finalize_results(store_with(5), "memory")
-        assert results["samples"]["variables"]["w"].shape == (5, 2)
-        assert results["sample_count"] == 5
-        assert results["metadata"]["sampler"] == "test"
-
     def test_jsonl_roundtrip_bit_exact(self, tmp_path):
         store = store_with(50)
         path = finalize_results(store, "jsonl", tmp_path / "s.jsonl")

@@ -5,8 +5,7 @@ import pytest
 
 from sgmc.core import ParameterVector, RandomKey, make_layout
 from sgmc.data import MiniBatch
-from sgmc.models import (builtin_names, ensemble_predict, get_model, rwmh_oracle,
-                         synth_data_generate)
+from sgmc.models import builtin_names, get_model, rwmh_oracle, synth_data_generate
 from sgmc.potential import fd_gradient, minibatch_value_grad
 
 
@@ -121,37 +120,3 @@ class TestRWMHOracle:
                 # reversibility: N_ij ~= N_ji within 3 s.e. of the difference
                 assert abs(nij - nji) < 3.0 * math.sqrt(nij + nji)
 
-
-class TestEnsemblePredict:
-    def test_two_model_average(self):
-        model = get_model("gaussian_mean")
-        samples = [ParameterVector(model.layout, np.array([v])) for v in (0.2, 0.4)]
-        out = ensemble_predict(samples, None, model)
-        assert out["mean"] == pytest.approx(0.3)
-
-    def test_identical_samples_zero_spread(self):
-        model = get_model("gaussian_mean")
-        samples = [ParameterVector(model.layout, np.array([0.7]))] * 5
-        assert ensemble_predict(samples, None, model)["std"] == 0.0
-
-    def test_empty_rejected(self):
-        model = get_model("gaussian_mean")
-        with pytest.raises(ValueError):
-            ensemble_predict([], None, model)
-
-    def test_conjugate_predictive_mean(self):
-        model = get_model("gaussian_mean")
-        ds = synth_data_generate(model, RandomKey(33), 100, {"mu": -0.4})
-        post = model.analytic_posterior(ds)
-        rng = RandomKey(44).generator()
-        draws = post["mean"]["mu"] + post["std"]["mu"] * rng.standard_normal(4000)
-        out = ensemble_predict(draws[:, None], None, model)
-        se = post["std"]["mu"] / math.sqrt(4000)
-        assert abs(out["mean"] - post["mean"]["mu"]) < 3 * se
-
-    def test_flat_matrix_input(self):
-        model = get_model("logreg_2d")
-        mat = np.array([[0.0, 0.0], [1.0, 1.0]])
-        out = ensemble_predict(mat, np.array([1.0, 1.0]), model)
-        assert out["outputs"][0] == pytest.approx(0.5)
-        assert out["n_models"] == 2

@@ -18,7 +18,7 @@ class TestPolynomialSchedule:
         assert abs(sched(10000) - 0.001) < 1e-12
 
     def test_strictly_decreasing(self):
-        values = polynomial_schedule(0.05, 0.001, 0.33, 10000).values(10001)
+        values = polynomial_schedule(0.05, 0.001, 0.33, 10000)(np.arange(10001))
         assert np.all(np.diff(values) < 0)
 
     def test_midpoint_against_closed_form(self):

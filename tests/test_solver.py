@@ -38,7 +38,7 @@ def half_normal_run(name, kw, outside):
     solver = make_solver(name, model.density, dataset, 1, **kw)
     sched = init_scheduler(200, step_size=0.5)
     init = ParameterVector(layout, np.array([1.0]))
-    return run_mcmc(solver, sched, init, 200, key=RandomKey(4))[0]
+    return run_mcmc(solver, sched, init, key=RandomKey(4))[0]
 
 
 TRUNCATED = [("amagold", {"leapfrog_steps": 3, "friction": 0.0}),
@@ -48,7 +48,7 @@ TRUNCATED = [("amagold", {"leapfrog_steps": 3, "friction": 0.0}),
 def run_solver(solver, model, n_iters, seed=5, step=0.2, burn_in=0, temperature=1.0):
     sched = init_scheduler(n_iters, step_size=step, burn_in=burn_in,
                            temperature=temperature)
-    return run_mcmc(solver, sched, model.init, n_iters, key=RandomKey(seed))[0]
+    return run_mcmc(solver, sched, model.init, key=RandomKey(seed))[0]
 
 
 class TestAcceptAll:
@@ -76,7 +76,7 @@ class TestAcceptAll:
         dataset = synth_data_generate(model, RandomKey(0), 1)
         solver = make_solver("sgld", model.density, dataset, 1)
         result = run_solver(solver, model, 20, temperature=0.0)
-        assert np.allclose(result["samples"]["variables"]["theta"], 0.0)
+        assert np.allclose(result["store"].variables()["theta"], 0.0)
 
     def test_accept_all_rate_is_one(self):
         model, dataset = std_normal_setup()
@@ -90,7 +90,7 @@ class TestAcceptAll:
         post = model.analytic_posterior(dataset)
         solver = make_solver("sgld", model.density, dataset, 20)
         result = run_solver(solver, model, 30000, step=0.002, burn_in=2000)
-        x = result["samples"]["variables"]["mu"]
+        x = result["store"].variables()["mu"]
         assert abs(x.mean() - post["mean"]["mu"]) < 0.2 * post["std"]["mu"]
         assert abs(x.std() / post["std"]["mu"] - 1.0) < 0.2
 
@@ -118,7 +118,7 @@ class TestMetropolisRounds:
         rng = RandomKey(3).generator()
         model = quadratic_model(rng.uniform(0.5, 2.0, 3), rng.uniform(-1, 1, 3))
         dataset = synth_data_generate(model, RandomKey(0), 1)
-        solver = make_solver(name, model.density, dataset, 1, debug=True, **kw)
+        solver = make_solver(name, model.density, dataset, 1, **kw)
         state = solver.init(model.init, RandomKey(8))
         sched = init_scheduler(50, step_size=0.15)
         for _ in range(50):
@@ -183,14 +183,14 @@ class TestMetropolisRounds:
         solver = make_solver("amagold", model.density, dataset, 1, leapfrog_steps=5,
                              friction=0.5)
         result = run_solver(solver, model, 300, step=0.2)
-        x = result["samples"]["variables"]["theta"]
+        x = result["store"].variables()["theta"]
         assert np.all(np.isfinite(x))
         assert 0.0 < result["acceptance_rate"] <= 1.0
 
     @pytest.mark.parametrize("name,kw", TRUNCATED)
     def test_infinite_potential_is_a_rejection(self, name, kw):
         result = half_normal_run(name, kw, -math.inf)
-        x = result["samples"]["variables"]["theta"]
+        x = result["store"].variables()["theta"]
         assert x.shape[0] == 200 and np.all(x >= 0.0)
         assert 0.0 < result["acceptance_rate"] < 1.0
 
@@ -206,8 +206,8 @@ class TestMetropolisRounds:
         solver = make_solver("sggmc", model.density, dataset, 1, obabo_steps=2,
                              friction=0.0)
         sched = init_scheduler(100000, step_size=0.9)
-        result = run_mcmc(solver, sched, model.init, 100000, key=RandomKey(31))[0]
-        x = result["samples"]["variables"]["theta"]
+        result = run_mcmc(solver, sched, model.init, key=RandomKey(31))[0]
+        x = result["store"].variables()["theta"]
         bins = np.digitize(x, [-0.5, 0.5])
         counts = np.zeros((3, 3))
         np.add.at(counts, (bins[:-1], bins[1:]), 1)
@@ -240,7 +240,7 @@ class TestReplicaExchange:
         solver = make_solver("resgld", model.density, dataset, 1, tau_high=10.0,
                              swap_interval=10, hot_step_factor=50.0)
         sched = init_scheduler(500, step_size=3e-4)
-        result = run_mcmc(solver, sched, model.init, 500, key=RandomKey(2))[0]
+        result = run_mcmc(solver, sched, model.init, key=RandomKey(2))[0]
         assert result["sample_count"] == 500
         # 500 steps / interval 10 -> 50 attempts recorded in acceptance stats
         assert 0.0 <= result["acceptance_rate"] <= 1.0
@@ -256,8 +256,8 @@ class TestReplicaExchange:
         block = Tempering(SGHMC(friction=1.0), tau_high=3.0)
         solver = Solver("resghmc", Binding(model.density, dataset, 1), block)
         sched = init_scheduler(20000, step_size=0.1)
-        result = run_mcmc(solver, sched, model.init, 20000, key=RandomKey(0))[0]
-        x = result["samples"]["variables"]["theta"].reshape(-1)
+        result = run_mcmc(solver, sched, model.init, key=RandomKey(0))[0]
+        x = result["store"].variables()["theta"].reshape(-1)
         ess = effective_sample_size(x)
         assert ess > 500
         # four standard errors: Var(mean) = 1/ESS, Var(sample variance) = 2/ESS
@@ -287,7 +287,7 @@ class TestRunMCMC:
         counts = []
         for n in (10, 1000):
             calls.clear()
-            run_mcmc(solver, init_scheduler(n, step_size=0.1), model.init, n,
+            run_mcmc(solver, init_scheduler(n, step_size=0.1), model.init,
                      key=RandomKey(3), chains=2)
             counts.append(len(calls))
         assert counts == [2 * built, 2 * built]
@@ -314,7 +314,7 @@ class TestRunMCMC:
                 monkeypatch.setattr(module, "replace", counting)
         sched = (init_scheduler(200, adaptive=DualAveragingState.init(0.1, 0.65), burn_in=100)
                  if adaptive else init_scheduler(200, step_size=0.1))
-        results = run_mcmc(solver, sched, model.init, 200, key=RandomKey(3), chains=2)
+        results = run_mcmc(solver, sched, model.init, key=RandomKey(3), chains=2)
         assert [r["status"] for r in results] == ["ok", "ok"]
         assert calls == []
 
@@ -323,14 +323,14 @@ class TestRunMCMC:
         solver = make_solver("sgld", model.density, dataset, 1)
         sched = init_scheduler(100, step_size=0.05, burn_in=20, selections=30,
                                key=RandomKey(3))
-        result = run_mcmc(solver, sched, model.init, 100, key=RandomKey(4))[0]
+        result = run_mcmc(solver, sched, model.init, key=RandomKey(4))[0]
         assert result["sample_count"] == 30
 
     def test_all_burn_in_collects_nothing(self):
         model, dataset = std_normal_setup()
         solver = make_solver("sgld", model.density, dataset, 1)
         sched = init_scheduler(1, step_size=0.05, burn_in=1)
-        result = run_mcmc(solver, sched, model.init, 1, key=RandomKey(4))[0]
+        result = run_mcmc(solver, sched, model.init, key=RandomKey(4))[0]
         assert result["sample_count"] == 0
 
     def test_same_seed_bit_identical(self):
@@ -339,7 +339,7 @@ class TestRunMCMC:
 
         def go():
             sched = init_scheduler(200, step_size=0.05, burn_in=10)
-            return run_mcmc(solver, sched, model.init, 200, key=RandomKey(9), chains=2)
+            return run_mcmc(solver, sched, model.init, key=RandomKey(9), chains=2)
 
         a, again = go(), go()
         for ra, rb in zip(a, again):
@@ -349,7 +349,7 @@ class TestRunMCMC:
         model, dataset = std_normal_setup()
         solver = make_solver("sgld", model.density, dataset, 1)
         sched = init_scheduler(50, step_size=0.05)
-        res = run_mcmc(solver, sched, model.init, 50, key=RandomKey(9), chains=2)
+        res = run_mcmc(solver, sched, model.init, key=RandomKey(9), chains=2)
         assert not np.array_equal(res[0]["store"].stacked(), res[1]["store"].stacked())
 
     @pytest.mark.filterwarnings("ignore:overflow")
@@ -359,7 +359,7 @@ class TestRunMCMC:
         solver = make_solver("sgld", model.density, dataset, 1)
         sched = init_scheduler(500, step_size=1e160)  # guaranteed blow-up
         with pytest.raises(ChainError) as err:
-            run_mcmc(solver, sched, model.init, 500, key=RandomKey(5))
+            run_mcmc(solver, sched, model.init, key=RandomKey(5))
         assert err.value.iteration is not None
         assert err.value.partial is not None
         assert err.value.partial["sample_count"] >= 0
@@ -371,7 +371,7 @@ class TestRunMCMC:
         from sgmc.scheduler import DualAveragingState
         sched = init_scheduler(10, adaptive=DualAveragingState.init(0.1))
         with pytest.raises(ConfigurationError):
-            run_mcmc(solver, sched, model.init, 10, key=RandomKey(1))
+            run_mcmc(solver, sched, model.init, key=RandomKey(1))
 
     def test_adaptive_amagold_reaches_target_acceptance(self):
         # dual averaging steers the rounds it adapts on, those before burn_in;
@@ -396,8 +396,8 @@ KNOB_TABLE = {  # a bare type marks a required knob
     "sgld": {"rms_prop": False, **RMS},
     "psgld": {"rms_prop": True, **RMS},
     "sghmc": {"friction": float, "noise_estimate": 0.0},
-    "amagold": {"leapfrog_steps": int, "friction": 0.1, "debug": False},
-    "sggmc": {"obabo_steps": int, "friction": 0.0, "debug": False},
+    "amagold": {"leapfrog_steps": int, "friction": 0.1},
+    "sggmc": {"obabo_steps": int, "friction": 0.0},
     "resgld": {"tau_high": float, "swap_interval": 50, "correction": 1.0,
                "hot_step_factor": 1.0, "rms_prop": False},
 }
@@ -431,7 +431,7 @@ class TestSamplerTable:
         assert solver.block == SAMPLERS[name](**expected)
 
     def test_knob_count(self):
-        assert sum(len(table) for table in KNOBS.values()) == 19
+        assert sum(len(table) for table in KNOBS.values()) == 17
 
     def test_resgld_has_no_temperature_knob(self):
         model, dataset = std_normal_setup()
