@@ -14,21 +14,9 @@ import numpy as np
 from .errors import NumericError
 
 
-@dataclass(frozen=True)
-class RMSPropState:
-    """Second-moment estimate V with decay ``alpha`` and regularizer ``lam``."""
-
-    v: np.ndarray
-    alpha: float = 0.99
-    lam: float = 1e-5
-
-    @classmethod
-    def init(cls, dim: int, alpha: float = 0.99, lam: float = 1e-5) -> "RMSPropState":
-        return cls(np.zeros(dim), alpha, lam)
-
-
-def rmsprop_step(state: RMSPropState, grad: np.ndarray):
-    """Update V <- alpha V + (1-alpha) g*g; return (state', preconditioner).
+def rmsprop_step(v: np.ndarray, grad: np.ndarray, alpha: float, lam: float):
+    """Update the second-moment estimate V <- alpha V + (1-alpha) g*g; return
+    (V', preconditioner).
 
     The preconditioner 1/(lam + sqrt(V)) is strictly positive and bounded by
     1/lam elementwise.
@@ -36,9 +24,8 @@ def rmsprop_step(state: RMSPropState, grad: np.ndarray):
     grad = np.asarray(grad, dtype=np.float64)
     if not np.all(np.isfinite(grad)):
         raise NumericError("non-finite gradient fed to rmsprop_step")
-    v = state.alpha * state.v + (1.0 - state.alpha) * grad * grad
-    precond = 1.0 / (state.lam + np.sqrt(v))
-    return RMSPropState(v, state.alpha, state.lam), precond
+    v = alpha * v + (1.0 - alpha) * grad * grad
+    return v, 1.0 / (lam + np.sqrt(v))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import numpy as np
 from . import io as sample_io
 from .core import RandomKey
 from .diagnostics import diagnostics_summary
-from .errors import ChainError, ConfigurationError
+from .errors import ChainError, ConfigurationError, check_type
 from .models import get_model, rwmh_oracle, synth_data_generate
 from .solver import KNOBS, SAMPLER_NAMES, build_sampler
 
@@ -143,17 +143,10 @@ def load_config(demo: str | None, config_path: str | None, overrides: dict) -> R
 
 
 def check_types(values: dict):
-    """Reject a value that does not have its RunConfig field's declared type.
-
-    None passes only for ``| None`` fields; an int passes for a float field.
-    """
+    """Reject a value that does not have its RunConfig field's declared type
+    (:func:`check_type`); None passes only for ``| None`` fields."""
     for name, value in values.items():
-        kinds = typing.get_args(_FIELD_TYPES[name]) or (_FIELD_TYPES[name],)
-        if float in kinds:
-            kinds += (int,)
-        if (isinstance(value, bool) and bool not in kinds) or not isinstance(value, kinds):
-            declared = RunConfig.__dataclass_fields__[name].type
-            raise ConfigurationError(f"expected {declared}, got {value!r}", field=name)
+        check_type(name, value, typing.get_args(_FIELD_TYPES[name]) or (_FIELD_TYPES[name],))
 
 
 def validate_config(cfg: RunConfig):
@@ -231,11 +224,7 @@ def write_outputs(cfg: RunConfig, results: list[dict], out_dir: Path,
 
 
 def run_command(args) -> int:
-    overrides = {
-        k: getattr(args, k)
-        for k in ("model", "sampler", "iterations", "burn_in", "selections",
-                  "batch_size", "seed", "chains", "output", "format")
-    }
+    overrides = {k: v for k, v in vars(args).items() if k in RunConfig.__dataclass_fields__}
     try:
         cfg = load_config(args.demo, args.config, overrides)
         model, dataset, bundle = _assemble(cfg)
@@ -284,6 +273,10 @@ def _column_stats(columns: list[str], mat: np.ndarray) -> dict[str, tuple[float,
 
 
 def compare_command(args) -> int:
+    if args.oracle_steps < 2:  # the oracle's std needs two kept samples
+        print("configuration error: need at least two oracle steps (field: oracle_steps)",
+              file=sys.stderr)
+        return EXIT_CONFIG
     run_dir = Path(args.run)
     try:
         cfg, names, flat = _load_run(run_dir)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the type check of a setting."""
 
 
 class LayoutError(ValueError):
@@ -13,6 +13,15 @@ class ConfigurationError(ValueError):
             message = f"{message} (field: {field})"
         super().__init__(message)
         self.field = field
+
+
+def check_type(field: str, value, kinds: tuple):
+    """Raise ConfigurationError naming ``field`` unless ``value`` is one of ``kinds``:
+    a bool passes only for bool, an int also for float."""
+    allowed = kinds + (int,) if float in kinds else kinds
+    if (isinstance(value, bool) and bool not in kinds) or not isinstance(value, allowed):
+        names = " | ".join("None" if kind is type(None) else kind.__name__ for kind in kinds)
+        raise ConfigurationError(f"expected {names}, got {value!r}", field=field)
 
 
 class NumericError(ArithmeticError):

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Layout, ParameterVector, RandomKey, make_layout
+from .core import Layout, ParameterVector, RandomKey, layout_size, make_layout
 from .data import Dataset, load_in_memory
 from .errors import ConfigurationError
 from .potential import LogDensityModel, full_value
@@ -29,12 +29,16 @@ class BuiltinModel:
     density: LogDensityModel
     generate: Callable  # (key, N, params) -> Dataset
     default_params: dict
-    init: ParameterVector
     analytic_posterior: Optional[Callable] = None  # dataset -> {"mean","std"}
 
     @property
     def layout(self) -> Layout:
         return self.density.layout
+
+    @property
+    def init(self) -> ParameterVector:
+        """The origin, where every built-in model starts."""
+        return ParameterVector(self.layout, np.zeros(layout_size(self.layout)))
 
 
 def synth_data_generate(model: BuiltinModel, key: RandomKey, n_obs: int,
@@ -88,7 +92,6 @@ def make_gaussian_mean(prior_std: float = 10.0) -> BuiltinModel:
         density=density,
         generate=generate,
         default_params={"mu": 0.5},
-        init=ParameterVector(layout, np.zeros(1)),
         analytic_posterior=analytic_posterior,
     )
 
@@ -138,15 +141,12 @@ def make_linreg_sigma(n_weights: int = 4) -> BuiltinModel:
 
     density = LogDensityModel(layout, batch_log_likelihood, batch_score,
                               log_prior, grad_log_prior)
-    init = np.zeros(d + 1)
-    init[d] = 0.0  # sigma starts at 1
     return BuiltinModel(
         name="linreg_sigma",
         density=density,
         generate=generate,
         default_params={"w": [0.5, -1.0, 2.0, 0.25][:d] + [0.0] * max(0, d - 4),
                         "sigma": 0.5, "x_scale": 1.0},
-        init=ParameterVector(layout, init),
     )
 
 
@@ -187,7 +187,6 @@ def make_logreg_2d(prior_std: float = 10.0) -> BuiltinModel:
         density=density,
         generate=generate,
         default_params={"w": [1.0, -1.5]},
-        init=ParameterVector(layout, np.zeros(2)),
     )
 
 
@@ -195,19 +194,17 @@ def make_logreg_2d(prior_std: float = 10.0) -> BuiltinModel:
 # Prior-only surrogates: the potential is the (negative) log-density itself,
 # served through a single dummy observation so the data plumbing stays uniform.
 
-def surrogate_from_logdensity(name: str, layout: Layout, log_density, grad_log_density,
-                              sample=None) -> BuiltinModel:
+def surrogate_from_logdensity(name: str, layout: Layout, log_density,
+                              grad_log_density) -> BuiltinModel:
     """Wrap a closed-form target density as a data-free builtin model.
 
     ``log_density``/``grad_log_density`` act on the flat parameter vector; the
     likelihood is identically zero so U(theta) = -log_density(theta) for any
     batch, making stochastic and exact potentials coincide.
     """
-    dim = sum(int(np.prod(s)) for _, s in layout)
+    dim = layout_size(layout)
 
     def generate(key, n_obs, params):
-        if sample is not None:
-            return load_in_memory(arrays={"y": sample(key, n_obs)})
         return load_in_memory(arrays={"y": np.zeros(n_obs)})
 
     density = LogDensityModel(
@@ -222,7 +219,6 @@ def surrogate_from_logdensity(name: str, layout: Layout, log_density, grad_log_d
         density=density,
         generate=generate,
         default_params={},
-        init=ParameterVector(layout, np.zeros(dim)),
     )
 
 
@@ -247,14 +243,7 @@ def make_mixture_1d(separation: float = 3.0, width: float = 1.0) -> BuiltinModel
         w_lo = 1.0 / (1.0 + math.exp(b - a))  # responsibility of the -s mode
         return np.array([-(w_lo * (t + s) + (1.0 - w_lo) * (t - s)) * inv2])
 
-    def sample(key, n_obs):
-        rng = key.generator()
-        signs = np.where(rng.random(n_obs) < 0.5, -1.0, 1.0)
-        return signs * s + sd * rng.standard_normal(n_obs)
-
-    model = surrogate_from_logdensity("mixture_1d", layout, log_density,
-                                      grad_log_density, sample=sample)
-    return model
+    return surrogate_from_logdensity("mixture_1d", layout, log_density, grad_log_density)
 
 
 def make_std_normal(dim: int = 1) -> BuiltinModel:
@@ -264,7 +253,6 @@ def make_std_normal(dim: int = 1) -> BuiltinModel:
         "std_normal", layout,
         lambda flat: float(-0.5 * flat @ flat - 0.5 * dim * LOG_2PI),
         lambda flat: -flat,
-        sample=lambda key, n: key.generator().standard_normal(n),
     )
 
 

@@ -94,9 +94,9 @@ def dual_averaging_step(state: DualAveragingState, accept_prob: float) -> DualAv
     return DualAveragingState(m, h_bar, log_eps, log_eps_avg, state.delta, state.mu)
 
 
-def random_thinning_plan(step_sizes, burn_in: int, selections: int, n_iterations: int,
-                         key: RandomKey) -> frozenset[int]:
-    """Pick ``selections`` distinct non-burn-in iterations, P(t) ~ eps_t.
+def random_thinning_plan(step_sizes: np.ndarray, burn_in: int, selections: int,
+                         n_iterations: int, key: RandomKey) -> frozenset[int]:
+    """Pick ``selections`` distinct non-burn-in iterations, P(t) ~ ``step_sizes[t]``.
 
     Drawn without replacement; with a constant schedule the inclusion
     frequency is uniform over the eligible range.
@@ -106,10 +106,7 @@ def random_thinning_plan(step_sizes, burn_in: int, selections: int, n_iterations
         raise ConfigurationError(
             f"cannot keep {selections} of {eligible.shape[0]} eligible iterations",
             field="selections")
-    if callable(step_sizes):
-        weights = np.asarray(step_sizes(eligible), dtype=np.float64)
-    else:
-        weights = np.asarray(step_sizes, dtype=np.float64)[eligible]
+    weights = np.asarray(step_sizes, dtype=np.float64)[eligible]
     if np.any(weights <= 0):
         raise ValueError("step sizes must be positive")
     if selections == eligible.shape[0]:
@@ -131,7 +128,6 @@ class SchedulerState:
     step_sizes: Optional[np.ndarray]  # static schedule, None when adaptive
     plan: frozenset[int]
     adaptive: Optional[DualAveragingState] = None
-    seen_proposals: int = 0
 
     @property
     def is_adaptive(self) -> bool:
@@ -186,18 +182,17 @@ def init_scheduler(n_iterations: int, *, step_size=None, adaptive: DualAveraging
 def scheduler_next(state: SchedulerState, feedback=None):
     """Emit the next ScheduleItem; ``feedback`` carries solver acceptance stats.
 
-    Guarantees keep => not burn_in for every emitted item.
+    Guarantees keep => not burn_in for every emitted item.  An adaptive run
+    makes one Metropolis round per iteration, so each call after the first
+    folds that round's acceptance probability in, during burn-in only.
     """
     t = state.iteration
     if t >= state.n_iterations:
         raise ValueError(f"schedule exhausted after {state.n_iterations} iterations")
     adaptive = state.adaptive
-    seen = state.seen_proposals
-    if adaptive is not None and feedback is not None:
-        # one adaptation step per completed MH round, burn-in only
-        if feedback.proposals > seen and feedback.last_alpha is not None and t <= state.burn_in:
-            adaptive = dual_averaging_step(adaptive, feedback.last_alpha)
-        seen = max(seen, feedback.proposals)
+    if (adaptive is not None and feedback is not None and feedback.last_alpha is not None
+            and t <= state.burn_in):
+        adaptive = dual_averaging_step(adaptive, feedback.last_alpha)
     if adaptive is not None:
         eps = adaptive.eps if t < state.burn_in else adaptive.eps_avg
     else:
@@ -205,4 +200,4 @@ def scheduler_next(state: SchedulerState, feedback=None):
     burn = t < state.burn_in
     item = ScheduleItem(eps, state.temperature, burn, (not burn) and (t in state.plan))
     return item, SchedulerState(t + 1, state.n_iterations, state.burn_in, state.temperature,
-                                state.step_sizes, state.plan, adaptive, seen)
+                                state.step_sizes, state.plan, adaptive)

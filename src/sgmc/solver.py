@@ -15,8 +15,8 @@ A sampler is one frozen block whose fields are its knobs:
 - :class:`Tempering`, replica exchange around any accept-all move, with a
   variance correction for the mini-batch noise in the swap test.
 
-:class:`Solver` binds a block to a :class:`Binding` (density, dataset, batch
-size and strategy).  :data:`SAMPLERS` maps each name to a block constructor
+:class:`Solver` binds a block to a density, its dataset, the batch size and the
+batching strategy.  :data:`SAMPLERS` maps each name to a block constructor
 whose parameters are the sampler's knobs (:data:`KNOBS`).
 
 Per-chain randomness comes from fixed streams of the chain key, each built once
@@ -35,12 +35,11 @@ from typing import Optional
 import numpy as np
 
 from . import io as sample_io
-from .adaption import (OnlineCovState, RMSPropState, rmsprop_step,
-                       welford_finalize, welford_step)
+from .adaption import OnlineCovState, rmsprop_step, welford_finalize, welford_step
 from .core import ParameterVector, RandomKey, normal_flat
 from .data import (STRATEGIES, BatchSpec, BatchState, Dataset, init_batch_state,
                    next_batch)
-from .errors import ChainError, ConfigurationError, NumericError
+from .errors import ChainError, ConfigurationError, NumericError, check_type
 from .integrator import (langevin_step, obabo_trajectory,
                          reversible_leapfrog_trajectory, sghmc_step)
 from .models import BuiltinModel
@@ -77,16 +76,17 @@ class SolverState:
     batch_spec: BatchSpec
     batch_state: BatchState
     p: Optional[np.ndarray] = None
-    rms: Optional[RMSPropState] = None
+    rms: Optional[np.ndarray] = None  # pSGLD's RMSProp second-moment estimate
     cached_potential: Optional[float] = None
     stats: AcceptanceStats = AcceptanceStats()
     gradient_evals: int = 0
 
 
 @dataclass(frozen=True)
-class Binding:
-    """What the blocks of one sampler act on: a density, its data and the batching."""
+class Solver:
+    """A sampler block bound to a density, its data and the batching."""
 
+    block: AcceptAll | Metropolis | Tempering
     density: LogDensityModel
     dataset: Dataset
     batch_size: int
@@ -98,11 +98,17 @@ class Binding:
         _require(self.batch_strategy in STRATEGIES, "batch_strategy",
                  f"unknown batching strategy {self.batch_strategy!r}")
 
+    def init(self, theta0: ParameterVector, key: RandomKey):
+        return self.block.init(self, theta0, key)
 
-def _init_state(bound: Binding, theta0: ParameterVector, key: RandomKey, **fields):
-    spec = BatchSpec(bound.batch_size, bound.batch_strategy, key.child(_STREAM_BATCH))
+    def step(self, state, item: ScheduleItem):
+        return self.block.step(self, state, item)
+
+
+def _init_state(solver: Solver, theta0: ParameterVector, key: RandomKey, **fields):
+    spec = BatchSpec(solver.batch_size, solver.batch_strategy, key.child(_STREAM_BATCH))
     return SolverState(theta0.values.copy(), key.child(_STREAM_ITER).generator(), spec,
-                       init_batch_state(bound.dataset, spec), **fields)
+                       init_batch_state(solver.dataset, spec), **fields)
 
 
 def _require(ok: bool, knob: str, message: str):
@@ -114,12 +120,12 @@ def _require(ok: bool, knob: str, message: str):
 # Accept-all moves
 
 class AcceptAll:
-    """Base of the accept-all moves: ``init(binding, theta0, key)`` gives the
+    """Base of the accept-all moves: ``init(solver, theta0, key)`` gives the
     state and ``integrate(state, grad, item) -> (theta, p, rms)`` is the step
     that :func:`sgmc_update` takes with the mini-batch gradient."""
 
-    def step(self, bound: Binding, state: SolverState, item: ScheduleItem) -> SolverState:
-        return sgmc_update(self, bound, state, item)
+    def step(self, solver: Solver, state: SolverState, item: ScheduleItem) -> SolverState:
+        return sgmc_update(self, solver, state, item)
 
 
 @dataclass(frozen=True)
@@ -134,13 +140,13 @@ class Langevin(AcceptAll):
         _require(0.0 < self.rms_alpha < 1.0, "rms_alpha", "rms_alpha must lie in (0, 1)")
         _require(self.rms_lam > 0.0, "rms_lam", "rms_lam must be > 0")
 
-    def init(self, bound, theta0, key):
-        rms = (RMSPropState.init(theta0.size, self.rms_alpha, self.rms_lam)
-               if self.rms_prop else None)
-        return _init_state(bound, theta0, key, rms=rms)
+    def init(self, solver, theta0, key):
+        return _init_state(solver, theta0, key,
+                           rms=np.zeros(theta0.size) if self.rms_prop else None)
 
     def integrate(self, state, grad, item):
-        rms, precond = rmsprop_step(state.rms, grad) if self.rms_prop else (None, None)
+        rms, precond = (rmsprop_step(state.rms, grad, self.rms_alpha, self.rms_lam)
+                        if self.rms_prop else (None, None))
         return langevin_step(state.theta, grad, item.step_size, item.temperature, precond,
                              rng=state.rng), None, rms
 
@@ -156,8 +162,8 @@ class SGHMC(AcceptAll):
         _require(0.0 <= self.noise_estimate <= self.friction, "noise_estimate",
                  "need 0 <= noise_estimate <= friction (noise variance 2 (C - B) >= 0)")
 
-    def init(self, bound, theta0, key):
-        return _init_state(bound, theta0, key, p=np.zeros(theta0.size))
+    def init(self, solver, theta0, key):
+        return _init_state(solver, theta0, key, p=np.zeros(theta0.size))
 
     def integrate(self, state, grad, item):
         theta, p = sghmc_step(state.theta, state.p, grad, item.step_size, self.friction,
@@ -165,11 +171,11 @@ class SGHMC(AcceptAll):
         return theta, p, None
 
 
-def sgmc_update(move: AcceptAll, bound: Binding, state: SolverState,
+def sgmc_update(move: AcceptAll, solver: Solver, state: SolverState,
                 item: ScheduleItem) -> SolverState:
     """One accept-all transition: a mini-batch gradient, then one step of ``move``."""
-    batch, bstate = next_batch(bound.dataset, state.batch_spec, state.batch_state)
-    _, grad = minibatch_value_grad(bound.density, state.theta, batch)
+    batch, bstate = next_batch(solver.dataset, state.batch_spec, state.batch_state)
+    _, grad = minibatch_value_grad(solver.density, state.theta, batch)
     theta, p, rms = move.integrate(state, grad, item)
     stats = AcceptanceStats(state.stats.proposals + 1, state.stats.accepts + 1)
     return SolverState(theta, state.rng, state.batch_spec, bstate, p, rms,
@@ -183,10 +189,10 @@ class Metropolis:
     """Base of the trajectories whose ``step`` is :func:`metropolis_round`, with
     ``trajectory(theta, p0, grad_fn, item, rng) -> (theta, p, W)``."""
 
-    def init(self, bound: Binding, theta0: ParameterVector, key: RandomKey) -> SolverState:
-        return _init_state(bound, theta0, key, p=np.zeros(theta0.size),
-                           cached_potential=full_value(bound.density, theta0.values,
-                                                       bound.dataset))
+    def init(self, solver: Solver, theta0: ParameterVector, key: RandomKey) -> SolverState:
+        return _init_state(solver, theta0, key, p=np.zeros(theta0.size),
+                           cached_potential=full_value(solver.density, theta0.values,
+                                                       solver.dataset))
 
 
 @dataclass(frozen=True)
@@ -199,8 +205,8 @@ class AMAGOLD(Metropolis):
     def __post_init__(self):
         _require(self.leapfrog_steps >= 1, "leapfrog_steps", "need at least one leapfrog step")
 
-    def step(self, bound, state, item):
-        return amagold_round(self, bound, state, item)
+    def step(self, solver, state, item):
+        return amagold_round(self, solver, state, item)
 
     def trajectory(self, theta, p0, grad_fn, item, rng):
         beta = 0.5 * item.step_size * self.friction  # half-step friction
@@ -221,20 +227,18 @@ class SGGMC(Metropolis):
         _require(self.obabo_steps >= 1, "obabo_steps", "need at least one OBABO step")
         _require(self.friction >= 0, "friction", "friction must be >= 0")
 
-    def step(self, bound, state, item):
-        return sggmc_round(self, bound, state, item)
+    def step(self, solver, state, item):
+        return sggmc_round(self, solver, state, item)
 
     def trajectory(self, theta, p0, grad_fn, item, rng):
         return obabo_trajectory(theta, p0, self.obabo_steps, item.step_size, self.friction,
                                 grad_fn, tau=item.temperature, rng=rng)
 
 
-def metropolis_round(traj: Metropolis, bound: Binding, state: SolverState,
+def metropolis_round(traj: Metropolis, solver: Solver, state: SolverState,
                      item: ScheduleItem) -> SolverState:
     """One amortized MH round around the trajectory of ``traj``."""
     tau = item.temperature
-    if tau <= 0:
-        raise ValueError("Metropolis solvers need temperature > 0")
     p0 = normal_flat(state.rng, state.theta.shape[0], math.sqrt(tau))
 
     box = [state.batch_state]  # the batch cursor, advanced by every gradient
@@ -242,13 +246,13 @@ def metropolis_round(traj: Metropolis, bound: Binding, state: SolverState,
 
     def grad_fn(flat):
         evals[0] += 1
-        batch, box[0] = next_batch(bound.dataset, state.batch_spec, box[0])
-        return minibatch_value_grad(bound.density, flat, batch)[1]
+        batch, box[0] = next_batch(solver.dataset, state.batch_spec, box[0])
+        return minibatch_value_grad(solver.density, flat, batch)[1]
 
     theta_new, p_new, work = traj.trajectory(state.theta, p0, grad_fn, item, state.rng)
 
     u0 = state.cached_potential
-    u_new = full_value(bound.density, theta_new, bound.dataset)
+    u_new = full_value(solver.density, theta_new, solver.dataset)
     exponent = (u0 - u_new + work) / tau
     # -inf (an endpoint outside the support) is a certain rejection
     if math.isnan(exponent) or exponent == math.inf:
@@ -313,14 +317,14 @@ class Tempering:
         _require(self.correction > 0, "correction", "correction factor must be > 0")
         _require(self.hot_step_factor > 0, "hot_step_factor", "hot step factor must be > 0")
 
-    def init(self, bound: Binding, theta0: ParameterVector, key: RandomKey) -> TemperingPair:
-        return TemperingPair(self.move.init(bound, theta0, key.child(0)),
-                             self.move.init(bound, theta0, key.child(1)),
+    def init(self, solver: Solver, theta0: ParameterVector, key: RandomKey) -> TemperingPair:
+        return TemperingPair(self.move.init(solver, theta0, key.child(0)),
+                             self.move.init(solver, theta0, key.child(1)),
                              OnlineCovState.init(1),
                              key.child(0).child(_STREAM_SWAP).generator())
 
-    def step(self, bound: Binding, pair: TemperingPair, item: ScheduleItem) -> TemperingPair:
-        return resgld_step(self, bound, pair, item)
+    def step(self, solver: Solver, pair: TemperingPair, item: ScheduleItem) -> TemperingPair:
+        return resgld_step(self, solver, pair, item)
 
 
 def resgld(tau_high: float, swap_interval: int = 50, correction: float = 1.0,
@@ -337,16 +341,16 @@ def swap_exponent(tau_low: float, tau_high: float, u_low: float, u_high: float,
     return dbeta * (u_low - u_high - dbeta * noise_var / correction)
 
 
-def _stochastic_u_pair(bound: Binding, state: SolverState):
+def _stochastic_u_pair(solver: Solver, state: SolverState):
     """Two independent fresh-batch potential estimates at the current position."""
-    batch_a, bstate = next_batch(bound.dataset, state.batch_spec, state.batch_state)
-    u_a, _ = minibatch_value_grad(bound.density, state.theta, batch_a)
-    batch_b, bstate = next_batch(bound.dataset, state.batch_spec, bstate)
-    u_b, _ = minibatch_value_grad(bound.density, state.theta, batch_b)
+    batch_a, bstate = next_batch(solver.dataset, state.batch_spec, state.batch_state)
+    u_a, _ = minibatch_value_grad(solver.density, state.theta, batch_a)
+    batch_b, bstate = next_batch(solver.dataset, state.batch_spec, bstate)
+    u_b, _ = minibatch_value_grad(solver.density, state.theta, batch_b)
     return u_a, u_b, bstate
 
 
-def resgld_swap(block: Tempering, bound: Binding, pair: TemperingPair,
+def resgld_swap(block: Tempering, solver: Solver, pair: TemperingPair,
                 tau: float) -> TemperingPair:
     """Attempt one state swap between the chain at ``tau`` and the tempered one.
 
@@ -354,8 +358,8 @@ def resgld_swap(block: Tempering, bound: Binding, pair: TemperingPair,
     paired fresh-batch evaluations, Var(U~) ~= Var((U~_a - U~_b)/sqrt(2)),
     which isolates mini-batch noise from the drift of the chains.
     """
-    u_low, u_low_b, bstate_low = _stochastic_u_pair(bound, pair.low)
-    u_high, u_high_b, bstate_high = _stochastic_u_pair(bound, pair.high)
+    u_low, u_low_b, bstate_low = _stochastic_u_pair(solver, pair.low)
+    u_high, u_high_b, bstate_high = _stochastic_u_pair(solver, pair.high)
     nv = welford_step(pair.noise_var, (u_low - u_low_b) / math.sqrt(2.0))
     nv = welford_step(nv, (u_high - u_high_b) / math.sqrt(2.0))
     sigma2 = float(welford_finalize(nv)[1][0]) if nv.count >= 2 else 0.0
@@ -376,16 +380,16 @@ def resgld_swap(block: Tempering, bound: Binding, pair: TemperingPair,
     return TemperingPair(low, high, nv, pair.rng, stats)
 
 
-def resgld_step(block: Tempering, bound: Binding, pair: TemperingPair,
+def resgld_step(block: Tempering, solver: Solver, pair: TemperingPair,
                 item: ScheduleItem) -> TemperingPair:
     """Advance both chains one step of ``block.move``; swap every ``swap_interval`` steps."""
     hot_item = ScheduleItem(item.step_size * block.hot_step_factor, block.tau_high,
                             item.burn_in, item.keep)
-    pair = TemperingPair(block.move.step(bound, pair.low, item),
-                         block.move.step(bound, pair.high, hot_item),
+    pair = TemperingPair(block.move.step(solver, pair.low, item),
+                         block.move.step(solver, pair.high, hot_item),
                          pair.noise_var, pair.rng, pair.stats)
     if pair.low.stats.proposals % block.swap_interval == 0:
-        pair = resgld_swap(block, bound, pair, item.temperature)
+        pair = resgld_swap(block, solver, pair, item.temperature)
     return pair
 
 
@@ -409,56 +413,48 @@ KNOBS = {name: {p.name: p.annotation if p.default is p.empty else p.default
          for name, make in SAMPLERS.items()}
 
 
-@dataclass(frozen=True)
-class Solver:
-    """A sampler block bound to a density and its data."""
-
-    name: str
-    binding: Binding
-    block: AcceptAll | Metropolis | Tempering
-
-    def init(self, theta0: ParameterVector, key: RandomKey):
-        return self.block.init(self.binding, theta0, key)
-
-    def step(self, state, item: ScheduleItem):
-        return self.block.step(self.binding, state, item)
-
-
 def make_solver(name: str, density: LogDensityModel, dataset: Dataset, batch_size: int,
                 batch_strategy: str = "draw_replacement", **knobs) -> Solver:
     """Bind sampler ``name`` to a model and a dataset.
 
     ``knobs`` are knobs of the sampler (:data:`KNOBS`); an omitted (or None)
     knob takes its default, and a required one raises ConfigurationError.
-    Given values are converted to the type of the default.
+    Given values are checked, not converted: each must have the type of its
+    default, by the rule of :func:`~sgmc.errors.check_type`.
     """
     if name not in SAMPLERS:
         raise ConfigurationError(f"unknown sampler {name!r}", field="sampler")
     table = KNOBS[name]
-    for knob in knobs:
+    values = {}
+    for knob, value in knobs.items():
         if knob not in table:
             raise ConfigurationError(f"sampler {name!r} has no such knob", field=knob)
-    values = {}
+        if value is not None:
+            default = table[knob]
+            check_type(knob, value, (default if isinstance(default, type) else type(default),))
+            values[knob] = value
     for knob, default in table.items():
-        kind = default if isinstance(default, type) else type(default)
-        value = knobs.get(knob)
-        if value is None:
-            if isinstance(default, type):
-                raise ConfigurationError(f"sampler {name!r} requires a value", field=knob)
-            value = default
-        values[knob] = kind(value)
-    return Solver(name, Binding(density, dataset, batch_size, batch_strategy),
-                  SAMPLERS[name](**values))
+        if isinstance(default, type) and knob not in values:
+            raise ConfigurationError(f"sampler {name!r} requires a value", field=knob)
+    return Solver(SAMPLERS[name](**values), density, dataset, batch_size, batch_strategy)
 
 
 # ---------------------------------------------------------------------------
 # Chain driver
 
 def _check_schedule(block, scheduler: SchedulerState):
-    """Adaptive step sizes need a Metropolis block; AMAGOLD's half-step friction beta,
-    at a static schedule's largest step or an adaptive one's first, must be below 1."""
-    _require(not scheduler.is_adaptive or isinstance(block, Metropolis), "target_accept",
+    """The one check of a block against its schedule.  Adaptive step sizes need a
+    Metropolis block, and a Metropolis block needs temperature > 0; a tempered
+    chain must run above the temperature; AMAGOLD's half-step friction beta, at a
+    static schedule's largest step or an adaptive one's first, must be below 1."""
+    metropolis = isinstance(block, Metropolis)
+    _require(not scheduler.is_adaptive or metropolis, "target_accept",
              "adaptive step sizes need a Metropolis sampler (no acceptance statistics)")
+    _require(not metropolis or scheduler.temperature > 0, "temperature",
+             "Metropolis samplers need temperature > 0")
+    if isinstance(block, Tempering):
+        _require(block.tau_high > scheduler.temperature, "tau_high",
+                 "tempered chain needs tau_high above the temperature")
     if isinstance(block, AMAGOLD):
         eps = scheduler.adaptive.eps if scheduler.is_adaptive else scheduler.step_sizes.max()
         _require(0.5 * eps * block.friction < 1.0, "friction",
@@ -474,14 +470,14 @@ def _chain_result(store, stats, runtime, gradient_evals, iterations, status="ok"
 def _run_chain(solver: Solver, scheduler: SchedulerState, init_theta: ParameterVector,
                chain_key: RandomKey, chain_id: int):
     state = solver.init(init_theta, chain_key)
-    store = sample_io.SampleStore(solver.binding.density.layout, chain_id)
-    step, bound = solver.block.step, solver.binding
+    store = sample_io.SampleStore(solver.density.layout, chain_id)
+    step = solver.block.step
     iterations = scheduler.n_iterations
     started = time.perf_counter()
     for t in range(iterations):
         item, scheduler = scheduler_next(scheduler, feedback=state.stats)
         try:
-            state = step(bound, state, item)
+            state = step(solver, state, item)
         except ArithmeticError as exc:  # NumericError, or overflow in model code
             partial = _chain_result(store, state.stats, time.perf_counter() - started,
                                     state.gradient_evals, t, "failed")
@@ -556,15 +552,10 @@ def build_sampler(name: str, config: dict) -> SamplerBundle:
     model: BuiltinModel = need("model")
     dataset: Dataset = need("dataset")
     iterations = int(need("iterations"))
-    batch_size = int(need("batch_size"))
-    seed = int(need("seed"))
-    solver = make_solver(name, model.density, dataset, batch_size,
+    solver = make_solver(name, model.density, dataset, int(need("batch_size")),
                          cfg.get("batch_strategy", "draw_replacement"),
                          **{knob: cfg.get(knob) for knob in KNOBS.get(name, ())})
-    root = RandomKey(seed)
-    burn_in = int(cfg.get("burn_in", 0))
-    selections = cfg.get("selections")
-    temperature = float(cfg.get("temperature", 1.0))
+    root = RandomKey(int(need("seed")))
 
     adaptive = None
     step_sizes = None
@@ -572,27 +563,15 @@ def build_sampler(name: str, config: dict) -> SamplerBundle:
         adaptive = DualAveragingState.init(
             float(cfg.get("step_size_init", 0.1)), float(cfg["target_accept"]))
     else:
-        first = need("step_size_first")
-        last = need("step_size_last")
-        decay = float(cfg.get("step_size_decay", 0.33))
-        step_sizes = polynomial_schedule(float(first), float(last), decay, iterations)
+        step_sizes = polynomial_schedule(float(need("step_size_first")),
+                                         float(need("step_size_last")),
+                                         float(cfg.get("step_size_decay", 0.33)), iterations)
 
-    if isinstance(solver.block, Metropolis) and temperature <= 0:
-        raise ConfigurationError("Metropolis solvers need temperature > 0",
-                                 field="temperature")
-    if isinstance(solver.block, Tempering):
-        _require(solver.block.tau_high > temperature, "tau_high",
-                 "tempered chain needs tau_high above the temperature")
-
-    scheduler = init_scheduler(
-        iterations,
-        step_size=step_sizes,
-        adaptive=adaptive,
-        burn_in=burn_in,
-        selections=selections,
-        temperature=temperature,
-        key=root.child(1),
-    )
+    scheduler = init_scheduler(iterations, step_size=step_sizes, adaptive=adaptive,
+                               burn_in=int(cfg.get("burn_in", 0)),
+                               selections=cfg.get("selections"),
+                               temperature=float(cfg.get("temperature", 1.0)),
+                               key=root.child(1))
     _check_schedule(solver.block, scheduler)
     init_theta = cfg.get("init_theta") or model.init
     return SamplerBundle(solver, scheduler, init_theta, root.child(2))

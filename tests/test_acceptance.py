@@ -178,7 +178,8 @@ def test_criterion_5_schedule_exactness():
     schedule = polynomial_schedule(0.05, 0.001, 0.33, 10000)
     assert abs(schedule(0) - 0.05) <= 1e-12
     assert abs(schedule(10000) - 0.001) <= 1e-12
-    plan = random_thinning_plan(schedule, 2000, 1000, 10000, RandomKey(31))
+    plan = random_thinning_plan(schedule(np.arange(10000)), 2000, 1000, 10000,
+                                RandomKey(31))
     assert len(plan) == 1000
     assert min(plan) >= 2000
     print("PASS criterion 5: schedule endpoints exact to 1e-12; thinning plan has "

@@ -3,42 +3,39 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgmc.adaption import (OnlineCovState, RMSPropState, rmsprop_step,
-                           welford_finalize, welford_step)
+from sgmc.adaption import OnlineCovState, rmsprop_step, welford_finalize, welford_step
 from sgmc.core import RandomKey
 from sgmc.errors import NumericError
 
 
 class TestRMSProp:
     def test_single_update(self):
-        state = RMSPropState(np.zeros(1), alpha=0.9, lam=1e-5)
-        state, _ = rmsprop_step(state, np.array([2.0]))
-        assert state.v == pytest.approx([0.4])
+        v, _ = rmsprop_step(np.zeros(1), np.array([2.0]), 0.9, 1e-5)
+        assert v == pytest.approx([0.4])
 
     def test_preconditioner_value(self):
-        state = RMSPropState(np.zeros(1), alpha=0.9, lam=1e-5)
-        state, precond = rmsprop_step(state, np.array([2.0]))
+        _, precond = rmsprop_step(np.zeros(1), np.array([2.0]), 0.9, 1e-5)
         assert precond[0] == pytest.approx(1.0 / (1e-5 + np.sqrt(0.4)), rel=1e-12)
         assert precond[0] == pytest.approx(1.5811, abs=1e-4)
 
     def test_zero_gradient_decays_to_cap(self):
-        state = RMSPropState(np.array([1.0]), alpha=0.5, lam=1e-5)
+        v = np.array([1.0])
         for _ in range(60):
-            state, precond = rmsprop_step(state, np.zeros(1))
-        assert state.v[0] < 1e-15
+            v, precond = rmsprop_step(v, np.zeros(1), 0.5, 1e-5)
+        assert v[0] < 1e-15
         assert precond[0] == pytest.approx(1e5, rel=1e-4)
 
     def test_bounds(self):
-        state = RMSPropState.init(3, alpha=0.99, lam=1e-5)
+        v = np.zeros(3)
         rng = RandomKey(4).generator()
         for _ in range(50):
-            state, precond = rmsprop_step(state, rng.standard_normal(3) * 10)
+            v, precond = rmsprop_step(v, rng.standard_normal(3) * 10, 0.99, 1e-5)
             assert np.all(precond > 0)
             assert np.all(precond <= 1e5)
 
     def test_non_finite_gradient(self):
         with pytest.raises(NumericError):
-            rmsprop_step(RMSPropState.init(2), np.array([1.0, np.inf]))
+            rmsprop_step(np.zeros(2), np.array([1.0, np.inf]), 0.99, 1e-5)
 
 
 class TestWelford:

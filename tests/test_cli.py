@@ -132,7 +132,14 @@ class TestRun:
         ("step_size_decay", {"step_size_decay": 1.5}),
         ("selections", {"selections": -3}),
         ("n_obs", {"n_obs": 0}),
-        ("batch_size", {"n_obs": 10, "batch_size": 20})])
+        ("batch_size", {"n_obs": 10, "batch_size": 20}),
+        # knob values are checked, not converted
+        ("rms_prop", {"sampler": "sgld", "sampler_args": {"rms_prop": "false"}}),
+        ("leapfrog_steps", {"model": "std_normal", "sampler": "amagold",
+                            "sampler_args": {"leapfrog_steps": 2.7}}),
+        ("friction", {"sampler": "sghmc", "sampler_args": {"friction": True}}),
+        ("leapfrog_steps", {"model": "std_normal", "sampler": "amagold",
+                            "sampler_args": {"leapfrog_steps": "x"}})])
     def test_invalid_sampler_setting_names_the_field(self, tmp_path, capsys, field, cfg):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({**cfg, "iterations": 10, "output": str(tmp_path / "x")}))
@@ -322,6 +329,14 @@ class TestCompare:
         assert (code, [c["status"] for c in summary["chains"]]) == (3, ["failed"])
         assert run_cli("compare", "--run", str(tmp_path / "run")) == 2
         assert "status ok" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("steps", ["1", "0"])
+    def test_too_few_oracle_steps_names_the_field(self, tmp_path, capsys, steps):
+        run_dir = self.run_gaussian(tmp_path)
+        assert run_cli("compare", "--run", str(run_dir), "--reference", "rwmh",
+                       "--oracle-steps", steps) == 2
+        assert "(field: oracle_steps)" in capsys.readouterr().err
+        assert not (run_dir / "compare_report.json").exists()
 
     def test_missing_run_dir(self, tmp_path):
         assert run_cli("compare", "--run", str(tmp_path / "nope")) == 2

@@ -79,12 +79,6 @@ class TestGenerators:
         ds = synth_data_generate(model, RandomKey(8), n, {"mu": 1.3})
         assert abs(ds["y"].mean() - 1.3) < 3.0 / math.sqrt(n)
 
-    def test_mixture_draws_cover_both_modes(self):
-        model = get_model("mixture_1d")
-        ds = synth_data_generate(model, RandomKey(10), 2000)
-        frac = (ds["y"] > 0).mean()
-        assert 0.4 < frac < 0.6
-
 
 class TestRWMHOracle:
     def test_standard_normal_moments(self):

@@ -74,7 +74,8 @@ class TestDualAveraging:
 class TestThinningPlan:
     def test_counts_and_range(self):
         eps = polynomial_schedule(0.05, 0.001, 0.33, 10000)
-        plan = random_thinning_plan(eps, 2000, 1000, 10000, RandomKey(4))
+        plan = random_thinning_plan(eps(np.arange(10000)), 2000, 1000, 10000,
+                                    RandomKey(4))
         assert len(plan) == 1000
         assert min(plan) >= 2000 and max(plan) < 10000
 

@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from sgmc.adaption import RMSPropState, rmsprop_step
+from sgmc import solver as solver_module
+from sgmc.adaption import rmsprop_step
 from sgmc.core import ParameterVector, RandomKey, make_layout, normal_flat
 from sgmc.data import BatchSpec, init_batch_state, next_batch
 from sgmc.diagnostics import effective_sample_size
@@ -14,9 +15,9 @@ from sgmc.integrator import langevin_step
 from sgmc.models import get_model, surrogate_from_logdensity, synth_data_generate
 from sgmc.potential import full_value, minibatch_value_grad
 from sgmc.scheduler import DualAveragingState, init_scheduler, scheduler_next
-from sgmc.solver import (_STREAM_BATCH, _STREAM_ITER, KNOBS, SAMPLER_NAMES, SAMPLERS,
-                         SGHMC, Binding, SamplerBundle, Solver, Tempering, build_sampler,
-                         make_solver, run_mcmc, swap_exponent)
+from sgmc.solver import (_STREAM_BATCH, _STREAM_ITER, AMAGOLD, KNOBS, SAMPLER_NAMES,
+                         SAMPLERS, SGGMC, SGHMC, Langevin, SamplerBundle, Solver, Tempering,
+                         build_sampler, make_solver, run_mcmc, swap_exponent)
 
 from conftest import quadratic_model
 
@@ -66,7 +67,7 @@ class TestAcceptAll:
         spec = BatchSpec(8, "draw_replacement", chain_key.child(_STREAM_BATCH))
         batch, _ = next_batch(dataset, spec, init_batch_state(dataset, spec))
         _, grad = minibatch_value_grad(model.density, state0.theta, batch)
-        _, precond = rmsprop_step(RMSPropState.init(1), grad)
+        _, precond = rmsprop_step(np.zeros(1), grad, 0.99, 1e-5)
         expected = langevin_step(state0.theta, grad, 0.01, 1.0, precond,
                                  rng=chain_key.child(_STREAM_ITER).generator())
         assert np.array_equal(state1.theta, expected)
@@ -254,7 +255,7 @@ class TestReplicaExchange:
         # reSGHMC is not in SAMPLERS: tempering around an SGHMC move
         model, dataset = std_normal_setup()
         block = Tempering(SGHMC(friction=1.0), tau_high=3.0)
-        solver = Solver("resghmc", Binding(model.density, dataset, 1), block)
+        solver = Solver(block, model.density, dataset, 1)
         sched = init_scheduler(20000, step_size=0.1)
         result = run_mcmc(solver, sched, model.init, key=RandomKey(0))[0]
         x = result["store"].variables()["theta"].reshape(-1)
@@ -373,6 +374,26 @@ class TestRunMCMC:
         with pytest.raises(ConfigurationError):
             run_mcmc(solver, sched, model.init, key=RandomKey(1))
 
+    @pytest.mark.parametrize("block", [AMAGOLD(leapfrog_steps=2), SGGMC(obabo_steps=2)])
+    def test_metropolis_at_zero_temperature_fails_before_any_chain(self, monkeypatch, block):
+        model, dataset = std_normal_setup()
+        solver = Solver(block, model.density, dataset, 1)
+        chains = []
+        monkeypatch.setattr(solver_module, "_run_chain", lambda *args: chains.append(args))
+        with pytest.raises(ConfigurationError) as err:
+            run_mcmc(solver, init_scheduler(5, step_size=0.1, temperature=0.0), model.init,
+                     key=RandomKey(1), chains=2)
+        assert err.value.field == "temperature"
+        assert chains == []
+
+    def test_tempered_chain_below_the_temperature_names_tau_high(self):
+        model, dataset = std_normal_setup()
+        solver = Solver(Tempering(Langevin(), tau_high=2.0), model.density, dataset, 1)
+        with pytest.raises(ConfigurationError) as err:
+            run_mcmc(solver, init_scheduler(5, step_size=0.1, temperature=5.0), model.init,
+                     key=RandomKey(1))
+        assert err.value.field == "tau_high"
+
     def test_adaptive_amagold_reaches_target_acceptance(self):
         # dual averaging steers the rounds it adapts on, those before burn_in;
         # the averaged step size frozen after it is not steered to the target
@@ -423,10 +444,11 @@ class TestSamplerTable:
     @pytest.mark.parametrize("name", sorted(KNOB_TABLE))
     def test_knob_table(self, name):
         assert KNOBS[name] == KNOB_TABLE[name]
-        # required knobs given as strings take their type; the others their default
+        # required knobs take the given value (an int also for a float knob); the
+        # others their default
         model, dataset = std_normal_setup()
         required = [k for k, v in KNOB_TABLE[name].items() if isinstance(v, type)]
-        solver = make_solver(name, model.density, dataset, 1, **{k: "4" for k in required})
+        solver = make_solver(name, model.density, dataset, 1, **{k: 4 for k in required})
         expected = {k: 4 if k in required else v for k, v in KNOB_TABLE[name].items()}
         assert solver.block == SAMPLERS[name](**expected)
 
@@ -465,7 +487,6 @@ class TestBuildSampler:
 
     def test_sgld_without_rmsprop_is_plain(self):
         bundle = build_sampler("sgld", self.config())
-        assert bundle.solver.name == "sgld"
         state = bundle.solver.init(bundle.init_theta, RandomKey(0))
         assert state.rms is None
 
