@@ -1,7 +1,7 @@
-"""Parameter containers and deterministic splittable randomness.
+"""Parameter layouts and deterministic splittable randomness.
 
-Parameters live in a canonical flat ``float64`` vector; the named structure
-(layout) only matters at API boundaries and in output files.  Randomness is
+Parameters live in one flat ``float64`` vector everywhere; its layout names the
+slots only at API boundaries (:func:`named`) and in output files.  Randomness is
 keyed: a :class:`RandomKey` is ``(seed, path)``, hashed into a generator that a
 stream builds once and draws from in order, so identical keys reproduce
 identical draws and sibling keys are statistically independent.
@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import LayoutError
 
 # layout: ordered ((name, shape), ...) pairs; shape () denotes a scalar slot
 Layout = tuple[tuple[str, tuple[int, ...]], ...]
@@ -28,7 +26,7 @@ def make_layout(spec) -> Layout:
             shape = (shape,)
         out.append((str(name), tuple(int(s) for s in shape)))
     if not out:
-        raise LayoutError("layout must be nonempty")
+        raise ValueError("layout must be nonempty")
     return tuple(out)
 
 
@@ -46,52 +44,16 @@ def layout_slices(layout: Layout) -> dict[str, tuple[slice, tuple[int, ...]]]:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class ParameterVector:
-    """Named parameter slots backed by one flat real vector.
-
-    Instances are treated as immutable values.
-    """
-
-    layout: Layout
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64).reshape(-1)
-        if vals.shape[0] != layout_size(self.layout):
-            raise LayoutError(
-                f"flat vector has length {vals.shape[0]}, layout expects "
-                f"{layout_size(self.layout)}"
-            )
-        object.__setattr__(self, "values", vals)
-
-    def to_named(self) -> dict[str, np.ndarray]:
-        """Structured read-only view ``{name: array}`` of the flat vector."""
-        out = {}
-        for name, (sl, shape) in layout_slices(self.layout).items():
-            arr = self.values[sl].reshape(shape)
-            arr.flags.writeable = False
-            out[name] = arr
-        return out
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.to_named()[name]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ParameterVector)
-            and self.layout == other.layout
-            and np.array_equal(self.values, other.values)
-        )
-
-    @property
-    def size(self) -> int:
-        return self.values.shape[0]
-
-
-def structure(layout: Layout, vec) -> ParameterVector:
-    """A copy of ``vec`` under ``layout``; rejects vectors of the wrong length."""
-    return ParameterVector(layout, np.array(vec, dtype=np.float64).reshape(-1))
+def named(layout: Layout, flat: np.ndarray) -> dict[str, np.ndarray]:
+    """Read-only views ``{name: array}`` of ``flat``, whose last axis is the flat
+    vector; leading axes (such as samples) are kept in front of each shape."""
+    if flat.shape[-1] != layout_size(layout):
+        raise ValueError(f"flat length {flat.shape[-1]}, layout expects {layout_size(layout)}")
+    out = {}
+    for name, (sl, shape) in layout_slices(layout).items():
+        out[name] = flat[..., sl].reshape(flat.shape[:-1] + shape)
+        out[name].flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,6 @@
 """Exception types shared across the package, and the type check of a setting."""
 
 
-class LayoutError(ValueError):
-    """Parameter layout mismatch (wrong length, wrong names, drifting shapes)."""
-
-
 class ConfigurationError(ValueError):
     """Invalid or incomplete sampler/run configuration; names the offending field."""
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Layout, layout_size, layout_slices
+from .core import Layout, layout_size, layout_slices, named
 from .errors import StoreError
 
 
@@ -55,12 +55,8 @@ class SampleStore:
         return np.stack(self._rows)
 
     def variables(self) -> dict[str, np.ndarray]:
-        """Per-variable arrays with the sample axis leading."""
-        flat = self.stacked()
-        out = {}
-        for name, (sl, shape) in layout_slices(self.layout).items():
-            out[name] = flat[:, sl].reshape((flat.shape[0],) + shape)
-        return out
+        """Per-variable read-only arrays with the sample axis leading."""
+        return named(self.layout, self.stacked())
 
 
 def collect_sample(store: SampleStore, flat, iteration: int) -> SampleStore:

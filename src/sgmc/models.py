@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Layout, ParameterVector, RandomKey, layout_size, make_layout
+from .core import Layout, RandomKey, layout_size, make_layout
 from .data import Dataset, load_in_memory
 from .errors import ConfigurationError
 from .potential import LogDensityModel, full_value
@@ -36,9 +36,9 @@ class BuiltinModel:
         return self.density.layout
 
     @property
-    def init(self) -> ParameterVector:
+    def init(self) -> np.ndarray:
         """The origin, where every built-in model starts."""
-        return ParameterVector(self.layout, np.zeros(layout_size(self.layout)))
+        return np.zeros(self.density.dim)
 
 
 def synth_data_generate(model: BuiltinModel, key: RandomKey, n_obs: int,
@@ -284,7 +284,7 @@ def get_model(name: str, **kwargs) -> BuiltinModel:
 # ---------------------------------------------------------------------------
 # Full-batch random-walk Metropolis oracle.
 
-def rwmh_oracle(model: BuiltinModel, dataset: Dataset, theta0: ParameterVector,
+def rwmh_oracle(model: BuiltinModel, dataset: Dataset, theta0: np.ndarray,
                 proposal_scale, steps: int, key: RandomKey, burn_in: int | None = None):
     """Gradient-free random-walk Metropolis targeting exp(-U) on the full data.
 
@@ -299,7 +299,7 @@ def rwmh_oracle(model: BuiltinModel, dataset: Dataset, theta0: ParameterVector,
     scale = np.asarray(proposal_scale, dtype=np.float64)
     if np.any(scale < 0):
         raise ValueError("proposal scale must be >= 0")
-    flat = theta0.values.copy()
+    flat = np.array(theta0, dtype=np.float64)
     dim = flat.shape[0]
     u = full_value(density, flat, dataset)
     rng = key.generator()

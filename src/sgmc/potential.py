@@ -7,8 +7,7 @@ vector and in log space.  There is one evaluator per quantity:
 mini-batch likelihood sum by N/n_eff, where n_eff counts unmasked rows, so
 padded epoch tails stay unbiased; :func:`full_value` gives the exact U from
 one vectorized call on the whole dataset.  :func:`per_observation` lifts
-per-observation functions of a :class:`ParameterVector` to this contract, and
-:func:`fd_gradient` is the finite-difference oracle of the tests.
+per-observation functions of the named parameters to this contract.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Layout, ParameterVector, layout_size, structure
+from .core import Layout, layout_size, named
 from .data import Dataset, MiniBatch
 
 
@@ -45,12 +44,13 @@ class LogDensityModel:
 
 def per_observation(layout: Layout, log_likelihood, grad_log_likelihood,
                     log_prior, grad_log_prior) -> LogDensityModel:
-    """Build a model from per-observation functions of a ParameterVector.
+    """Build a model from per-observation functions of the named parameters.
 
-    ``log_likelihood(theta, obs)`` consumes one observation (a mapping
-    name -> row) and returns a float; ``grad_log_likelihood`` returns the
-    score as a ParameterVector, and so does ``grad_log_prior(theta)``.  The
-    batch evaluators loop over the rows, so a vectorized model is faster.
+    ``log_likelihood(theta, obs)`` takes ``theta``, the read-only views
+    ``{name: array}`` of :func:`~sgmc.core.named`, and one observation (a
+    mapping name -> row), and returns a float; ``grad_log_likelihood`` returns
+    the score as a flat (dim,) array, and so does ``grad_log_prior(theta)``.
+    The batch evaluators loop over the rows, so a vectorized model is faster.
     """
 
     def rows(arrays):
@@ -58,17 +58,17 @@ def per_observation(layout: Layout, log_likelihood, grad_log_likelihood,
         return ({name: arr[i] for name, arr in arrays.items()} for i in range(n))
 
     def batch_log_likelihood(flat, arrays):
-        theta = structure(layout, flat)
+        theta = named(layout, flat)
         return np.array([log_likelihood(theta, obs) for obs in rows(arrays)])
 
     def batch_score(flat, arrays):
-        theta = structure(layout, flat)
-        return np.stack([grad_log_likelihood(theta, obs).values for obs in rows(arrays)])
+        theta = named(layout, flat)
+        return np.stack([grad_log_likelihood(theta, obs) for obs in rows(arrays)])
 
     return LogDensityModel(
         layout, batch_log_likelihood, batch_score,
-        lambda flat: log_prior(structure(layout, flat)),
-        lambda flat: grad_log_prior(structure(layout, flat)).values,
+        lambda flat: log_prior(named(layout, flat)),
+        lambda flat: grad_log_prior(named(layout, flat)),
     )
 
 
@@ -96,18 +96,3 @@ def full_value(model: LogDensityModel, flat: np.ndarray, dataset: Dataset) -> fl
     ll = np.asarray(model.batch_log_likelihood(flat, dataset.arrays), dtype=np.float64)
     return -float(ll.sum()) - float(model.log_prior(flat))
 
-
-def fd_gradient(f, theta: ParameterVector, h: float = 1e-5) -> ParameterVector:
-    """Central finite differences of a scalar function of theta (oracle use)."""
-    if h <= 0:
-        raise ValueError("step h must be > 0")
-    flat = theta.values
-    grad = np.zeros_like(flat)
-    for i in range(flat.shape[0]):
-        up, dn = flat.copy(), flat.copy()
-        up[i] += h
-        dn[i] -= h
-        grad[i] = (
-            f(ParameterVector(theta.layout, up)) - f(ParameterVector(theta.layout, dn))
-        ) / (2.0 * h)
-    return ParameterVector(theta.layout, grad)

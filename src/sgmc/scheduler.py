@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .core import RandomKey
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_type
 
 
 @dataclass
@@ -33,6 +33,10 @@ class ScheduleItem:
 
 def polynomial_schedule(first: float, last: float, gamma: float, n_iterations: int):
     """eps(t) = a (b + t)^(-gamma), hitting ``first`` at t=0 and ``last`` at t=n_iterations."""
+    for field, value in (("step_size_first", first), ("step_size_last", last),
+                         ("step_size_decay", gamma)):
+        check_type(field, value, (float,))
+    check_type("iterations", n_iterations, (int,))
     if not last > 0:
         raise ConfigurationError("need step_size_last > 0", field="step_size_last")
     if not first > last:
@@ -64,6 +68,8 @@ class DualAveragingState:
 
     @classmethod
     def init(cls, eps_init: float, delta: float = 0.65) -> "DualAveragingState":
+        check_type("step_size_init", eps_init, (float,))
+        check_type("target_accept", delta, (float,))
         if eps_init <= 0:
             raise ConfigurationError("initial step size must be > 0", field="step_size_init")
         if not 0 < delta < 1:
@@ -144,6 +150,10 @@ def init_scheduler(n_iterations: int, *, step_size=None, adaptive: DualAveraging
     pass ``adaptive`` instead for dual averaging.  ``selections=None`` keeps
     every non-burn-in iteration.
     """
+    check_type("iterations", n_iterations, (int,))
+    check_type("burn_in", burn_in, (int,))
+    check_type("selections", selections, (int, type(None)))
+    check_type("temperature", temperature, (float,))
     if n_iterations < 1:
         raise ConfigurationError("need at least one iteration", field="iterations")
     if not 0 <= burn_in <= n_iterations:

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import io as sample_io
 from .adaption import OnlineCovState, rmsprop_step, welford_finalize, welford_step
-from .core import ParameterVector, RandomKey, normal_flat
+from .core import RandomKey, normal_flat
 from .data import (STRATEGIES, BatchSpec, BatchState, Dataset, init_batch_state,
                    next_batch)
 from .errors import ChainError, ConfigurationError, NumericError, check_type
@@ -93,22 +93,23 @@ class Solver:
     batch_strategy: str = "draw_replacement"
 
     def __post_init__(self):
+        check_type("batch_size", self.batch_size, (int,))
         _require(1 <= self.batch_size <= self.dataset.size, "batch_size",
                  f"batch size outside [1, {self.dataset.size}] (the dataset's size)")
         _require(self.batch_strategy in STRATEGIES, "batch_strategy",
                  f"unknown batching strategy {self.batch_strategy!r}")
 
-    def init(self, theta0: ParameterVector, key: RandomKey):
+    def init(self, theta0: np.ndarray, key: RandomKey):
         return self.block.init(self, theta0, key)
 
     def step(self, state, item: ScheduleItem):
         return self.block.step(self, state, item)
 
 
-def _init_state(solver: Solver, theta0: ParameterVector, key: RandomKey, **fields):
+def _init_state(solver: Solver, theta0: np.ndarray, key: RandomKey, **fields):
     spec = BatchSpec(solver.batch_size, solver.batch_strategy, key.child(_STREAM_BATCH))
-    return SolverState(theta0.values.copy(), key.child(_STREAM_ITER).generator(), spec,
-                       init_batch_state(solver.dataset, spec), **fields)
+    return SolverState(np.array(theta0, dtype=np.float64), key.child(_STREAM_ITER).generator(),
+                       spec, init_batch_state(solver.dataset, spec), **fields)
 
 
 def _require(ok: bool, knob: str, message: str):
@@ -142,7 +143,7 @@ class Langevin(AcceptAll):
 
     def init(self, solver, theta0, key):
         return _init_state(solver, theta0, key,
-                           rms=np.zeros(theta0.size) if self.rms_prop else None)
+                           rms=np.zeros(len(theta0)) if self.rms_prop else None)
 
     def integrate(self, state, grad, item):
         rms, precond = (rmsprop_step(state.rms, grad, self.rms_alpha, self.rms_lam)
@@ -163,7 +164,7 @@ class SGHMC(AcceptAll):
                  "need 0 <= noise_estimate <= friction (noise variance 2 (C - B) >= 0)")
 
     def init(self, solver, theta0, key):
-        return _init_state(solver, theta0, key, p=np.zeros(theta0.size))
+        return _init_state(solver, theta0, key, p=np.zeros(len(theta0)))
 
     def integrate(self, state, grad, item):
         theta, p = sghmc_step(state.theta, state.p, grad, item.step_size, self.friction,
@@ -189,10 +190,10 @@ class Metropolis:
     """Base of the trajectories whose ``step`` is :func:`metropolis_round`, with
     ``trajectory(theta, p0, grad_fn, item, rng) -> (theta, p, W)``."""
 
-    def init(self, solver: Solver, theta0: ParameterVector, key: RandomKey) -> SolverState:
-        return _init_state(solver, theta0, key, p=np.zeros(theta0.size),
-                           cached_potential=full_value(solver.density, theta0.values,
-                                                       solver.dataset))
+    def init(self, solver: Solver, theta0: np.ndarray, key: RandomKey) -> SolverState:
+        state = _init_state(solver, theta0, key, p=np.zeros(len(theta0)))
+        state.cached_potential = full_value(solver.density, state.theta, solver.dataset)
+        return state
 
 
 @dataclass(frozen=True)
@@ -312,12 +313,11 @@ class Tempering:
     hot_step_factor: float = 1.0
 
     def __post_init__(self):
-        _require(self.tau_high > 1.0, "tau_high", "tempered chain needs tau_high > 1")
         _require(self.swap_interval >= 1, "swap_interval", "swap interval must be >= 1")
         _require(self.correction > 0, "correction", "correction factor must be > 0")
         _require(self.hot_step_factor > 0, "hot_step_factor", "hot step factor must be > 0")
 
-    def init(self, solver: Solver, theta0: ParameterVector, key: RandomKey) -> TemperingPair:
+    def init(self, solver: Solver, theta0: np.ndarray, key: RandomKey) -> TemperingPair:
         return TemperingPair(self.move.init(solver, theta0, key.child(0)),
                              self.move.init(solver, theta0, key.child(1)),
                              OnlineCovState.init(1),
@@ -467,7 +467,7 @@ def _chain_result(store, stats, runtime, gradient_evals, iterations, status="ok"
             "gradient_evaluations": gradient_evals, "store": store}
 
 
-def _run_chain(solver: Solver, scheduler: SchedulerState, init_theta: ParameterVector,
+def _run_chain(solver: Solver, scheduler: SchedulerState, init_theta: np.ndarray,
                chain_key: RandomKey, chain_id: int):
     state = solver.init(init_theta, chain_key)
     store = sample_io.SampleStore(solver.density.layout, chain_id)
@@ -488,10 +488,11 @@ def _run_chain(solver: Solver, scheduler: SchedulerState, init_theta: ParameterV
                          state.gradient_evals, iterations)
 
 
-def run_mcmc(solver: Solver, scheduler: SchedulerState, init_theta: ParameterVector, *,
+def run_mcmc(solver: Solver, scheduler: SchedulerState, init_theta: np.ndarray, *,
              key: RandomKey, chains: int = 1) -> list[dict]:
     """Run ``chains`` independent chains of ``scheduler.n_iterations`` iterations in
-    turn; returns one result per chain, its samples in ``result["store"]``.
+    turn, each from a copy of the flat start ``init_theta`` of shape ``(dim,)``;
+    returns one result per chain, its samples in ``result["store"]``.
 
     Chain c draws every stream from ``key.child(c)``, so each chain is a pure
     function of its key.  Each result's ``status`` is "ok" or "failed".  A
@@ -502,6 +503,9 @@ def run_mcmc(solver: Solver, scheduler: SchedulerState, init_theta: ParameterVec
     if chains < 1:
         raise ConfigurationError("need at least one chain", field="chains")
     _check_schedule(solver.block, scheduler)
+    dim = solver.density.dim
+    _require(np.shape(init_theta) == (dim,), "init_theta",
+             f"initial position must be a flat vector of shape ({dim},)")
     results, failure = [], None
     for c in range(chains):
         try:
@@ -524,7 +528,7 @@ class SamplerBundle:
 
     solver: Solver
     scheduler: SchedulerState
-    init_theta: ParameterVector
+    init_theta: np.ndarray
     run_key: RandomKey
 
     def run(self, chains: int = 1) -> list[dict]:
@@ -551,27 +555,27 @@ def build_sampler(name: str, config: dict) -> SamplerBundle:
 
     model: BuiltinModel = need("model")
     dataset: Dataset = need("dataset")
-    iterations = int(need("iterations"))
-    solver = make_solver(name, model.density, dataset, int(need("batch_size")),
+    iterations = need("iterations")
+    solver = make_solver(name, model.density, dataset, need("batch_size"),
                          cfg.get("batch_strategy", "draw_replacement"),
                          **{knob: cfg.get(knob) for knob in KNOBS.get(name, ())})
-    root = RandomKey(int(need("seed")))
+    check_type("seed", need("seed"), (int,))
+    root = RandomKey(cfg["seed"])
 
     adaptive = None
     step_sizes = None
     if cfg.get("target_accept") is not None:
-        adaptive = DualAveragingState.init(
-            float(cfg.get("step_size_init", 0.1)), float(cfg["target_accept"]))
+        adaptive = DualAveragingState.init(cfg.get("step_size_init", 0.1),
+                                           cfg["target_accept"])
     else:
-        step_sizes = polynomial_schedule(float(need("step_size_first")),
-                                         float(need("step_size_last")),
-                                         float(cfg.get("step_size_decay", 0.33)), iterations)
+        step_sizes = polynomial_schedule(need("step_size_first"),
+                                         need("step_size_last"),
+                                         cfg.get("step_size_decay", 0.33), iterations)
 
     scheduler = init_scheduler(iterations, step_size=step_sizes, adaptive=adaptive,
-                               burn_in=int(cfg.get("burn_in", 0)),
+                               burn_in=cfg.get("burn_in", 0),
                                selections=cfg.get("selections"),
-                               temperature=float(cfg.get("temperature", 1.0)),
+                               temperature=cfg.get("temperature", 1.0),
                                key=root.child(1))
     _check_schedule(solver.block, scheduler)
-    init_theta = cfg.get("init_theta") or model.init
-    return SamplerBundle(solver, scheduler, init_theta, root.child(2))
+    return SamplerBundle(solver, scheduler, cfg.get("init_theta", model.init), root.child(2))

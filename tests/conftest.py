@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sgmc.core import ParameterVector, make_layout
+from sgmc.core import make_layout
 from sgmc.data import load_in_memory
 from sgmc.models import surrogate_from_logdensity
 
@@ -26,7 +26,21 @@ def dummy_dataset():
     return load_in_memory(arrays={"y": np.zeros(1)})
 
 
+def fd_gradient(f, flat, h: float = 1e-5) -> np.ndarray:
+    """Central finite differences of a scalar function of the flat vector: the
+    oracle that the analytic gradients are checked against."""
+    if h <= 0:
+        raise ValueError("step h must be > 0")
+    flat = np.asarray(flat, dtype=np.float64)
+    grad = np.zeros_like(flat)
+    for i in range(flat.shape[0]):
+        up, dn = flat.copy(), flat.copy()
+        up[i] += h
+        dn[i] -= h
+        grad[i] = (f(up) - f(dn)) / (2.0 * h)
+    return grad
+
+
 @pytest.fixture
-def tiny_pv():
-    layout = make_layout({"w": (2,), "log_sigma": ()})
-    return ParameterVector(layout, np.array([1.0, 2.0, 0.5]))
+def tiny_layout():
+    return make_layout({"w": (2,), "log_sigma": ()})

@@ -12,17 +12,17 @@ import time
 import numpy as np
 import pytest
 
-from sgmc.core import ParameterVector, RandomKey
+from sgmc.core import RandomKey
 from sgmc.data import BatchSpec, MiniBatch, init_batch_state, next_batch
 from sgmc.diagnostics import effective_sample_size, weighted_moments
 from sgmc.models import (builtin_names, get_model, rwmh_oracle,
                          synth_data_generate)
-from sgmc.potential import fd_gradient, full_value, minibatch_value_grad
+from sgmc.potential import full_value, minibatch_value_grad
 from sgmc.scheduler import (init_scheduler, polynomial_schedule,
                             random_thinning_plan, scheduler_next)
 from sgmc.solver import build_sampler, make_solver, run_mcmc
 
-from conftest import quadratic_model
+from conftest import fd_gradient, quadratic_model
 
 
 def test_criterion_1_conjugate_recovery():
@@ -71,11 +71,10 @@ def test_criterion_2_regression_vs_oracle():
     mean_s, std_s = flat.mean(axis=0), flat.std(axis=0, ddof=1)
 
     # gradient-free reference: pilot pass tunes the proposal, long pass scores
-    start = ParameterVector(model.layout, mean_s)
-    pilot = rwmh_oracle(model, dataset, start, std_s * 2.4 / math.sqrt(5),
+    pilot = rwmh_oracle(model, dataset, mean_s, std_s * 2.4 / math.sqrt(5),
                         steps=40000, key=RandomKey(7).child(8))
     scale = pilot["samples"].std(axis=0, ddof=1) * 2.4 / math.sqrt(5)
-    oracle = rwmh_oracle(model, dataset, start, scale, steps=300000,
+    oracle = rwmh_oracle(model, dataset, mean_s, scale, steps=300000,
                          key=RandomKey(7).child(9))
     om = oracle["samples"]
     mean_o, std_o = om.mean(axis=0), om.std(axis=0, ddof=1)
@@ -148,7 +147,7 @@ def test_criterion_4_tempering_explores_both_modes():
     started = time.perf_counter()
     model = get_model("mixture_1d", width=0.7)
     dataset = synth_data_generate(model, RandomKey(3).child(0), 1)
-    init = ParameterVector(model.layout, np.array([-3.0]))
+    init = np.array([-3.0])
     common = dict(model=model, dataset=dataset, iterations=100000, burn_in=10000,
                   batch_size=1, seed=3, step_size_first=3e-4, step_size_last=1.5e-4,
                   init_theta=init)
@@ -198,12 +197,10 @@ def test_criterion_6_gradient_suite():
             batch = MiniBatch({k: v[rows] for k, v in dataset.arrays.items()},
                               np.ones(n_rows, dtype=bool), dataset.size, rows)
             flat = rng.standard_normal(model.density.dim) * 0.8
-            theta = ParameterVector(model.layout, flat)
             _, analytic = minibatch_value_grad(model.density, flat, batch)
-            fd = fd_gradient(
-                lambda pv: minibatch_value_grad(model.density, pv.values, batch)[0],
-                theta, h=1e-5)
-            rel = np.linalg.norm(analytic - fd.values) / max(np.linalg.norm(analytic), 1e-8)
+            fd = fd_gradient(lambda x: minibatch_value_grad(model.density, x, batch)[0],
+                             flat, h=1e-5)
+            rel = np.linalg.norm(analytic - fd) / max(np.linalg.norm(analytic), 1e-8)
             worst = max(worst, rel)
             assert rel <= 1e-5, f"{name}: relative error {rel}"
     print(f"PASS criterion 6: gradient suite over {len(builtin_names())} models x "

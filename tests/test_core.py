@@ -3,9 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgmc.core import (ParameterVector, RandomKey, layout_size, make_layout, normal_flat,
-                       structure)
-from sgmc.errors import LayoutError
+from sgmc.core import RandomKey, layout_size, make_layout, named, normal_flat
 
 from conftest import CHI2_99
 
@@ -22,28 +20,41 @@ def layouts():
 
 
 class TestParameterVector:
-    def test_declared_ordering(self):
-        pv = ParameterVector(make_layout({"w": (2,), "log_sigma": ()}), [1.0, 2.0, 0.5])
-        assert np.array_equal(pv.values, [1.0, 2.0, 0.5])
-        assert np.array_equal(pv["w"], [1.0, 2.0]) and float(pv["log_sigma"]) == 0.5
+    """The flat parameter vector and its named views, :func:`named`."""
 
-    def test_structure_wrong_length(self, tiny_pv):
-        with pytest.raises(LayoutError):
-            structure(tiny_pv.layout, np.zeros(4))
+    def test_declared_ordering(self, tiny_layout):
+        flat = np.array([1.0, 2.0, 0.5])
+        views = named(tiny_layout, flat)
+        assert list(views) == ["w", "log_sigma"]
+        assert np.array_equal(views["w"], [1.0, 2.0]) and float(views["log_sigma"]) == 0.5
 
-    def test_named_view(self, tiny_pv):
-        named = tiny_pv.to_named()
-        assert named["w"].shape == (2,)
-        assert named["log_sigma"].shape == ()
-        assert float(named["log_sigma"]) == 0.5
+    def test_structure_wrong_length(self, tiny_layout):
+        with pytest.raises(ValueError):
+            named(tiny_layout, np.zeros(4))
+
+    def test_named_view(self, tiny_layout):
+        flat = np.array([1.0, 2.0, 0.5])
+        views = named(tiny_layout, flat)
+        assert views["w"].shape == (2,)
+        assert views["log_sigma"].shape == ()
+        assert float(views["log_sigma"]) == 0.5
+        assert np.shares_memory(views["w"], flat)  # views, not copies
+        with pytest.raises(ValueError):
+            views["w"][0] = 9.0  # ... and read-only
+
+    def test_leading_axes_are_kept(self, tiny_layout):
+        stacked = np.arange(12.0).reshape(4, 3)
+        views = named(tiny_layout, stacked)
+        assert views["w"].shape == (4, 2) and views["log_sigma"].shape == (4,)
+        assert np.array_equal(views["log_sigma"], stacked[:, 2])
 
     @given(layouts(), st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
     def test_roundtrip(self, layout, seed):
         vec = RandomKey(seed).generator().standard_normal(layout_size(layout))
-        pv = structure(layout, vec)
-        assert structure(layout, pv.values) == pv
-        assert np.array_equal(pv.values, vec)
+        views = named(layout, vec)
+        assert [(name, view.shape) for name, view in views.items()] == list(layout)
+        assert np.array_equal(np.concatenate([v.reshape(-1) for v in views.values()]), vec)
 
 
 class TestGaussianLike:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgmc.core import RandomKey, layout_size, make_layout, structure
+from sgmc.core import RandomKey, layout_size, make_layout, named
 from sgmc.errors import StoreError
 from sgmc.io import (SampleStore, collect_sample, finalize_results,
                      flat_column_names, read_csv_samples, read_jsonl)
@@ -136,7 +136,7 @@ def test_jsonl_roundtrip_property(seed, n_samples, layout):
 def test_flat_column_names_indexing():
     layout = make_layout({"a": (2, 2), "b": ()})
     assert flat_column_names(layout) == ["a[0,0]", "a[0,1]", "a[1,0]", "a[1,1]", "b"]
-    # naming matches the flattening order used by structure()
-    pv = structure(layout, np.arange(5.0))
-    assert pv["a"][0, 1] == 1.0
-    assert float(pv["b"]) == 4.0
+    # naming matches the flattening order used by named()
+    views = named(layout, np.arange(5.0))
+    assert views["a"][0, 1] == 1.0
+    assert float(views["b"]) == 4.0

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from sgmc.core import ParameterVector, RandomKey, make_layout
+from sgmc.core import RandomKey
 from sgmc.data import MiniBatch
 from sgmc.models import builtin_names, get_model, rwmh_oracle, synth_data_generate
-from sgmc.potential import fd_gradient, minibatch_value_grad
+from sgmc.potential import minibatch_value_grad
+
+from conftest import fd_gradient
 
 
 class TestLogDensities:
@@ -21,9 +23,8 @@ class TestLogDensities:
 
     def test_linreg_zero_residual_score(self):
         density = get_model("linreg_sigma", n_weights=2).density
-        theta = ParameterVector(make_layout({"w": (2,), "log_sigma": ()}), [1.0, -2.0, 0.3])
         x = np.array([[0.5, 1.5]])
-        score = density.batch_score(theta.values, {"x": x, "y": x @ [1.0, -2.0]})
+        score = density.batch_score(np.array([1.0, -2.0, 0.3]), {"x": x, "y": x @ [1.0, -2.0]})
         assert np.allclose(score[0, :2], 0.0, atol=1e-14)
 
     def test_logreg_symmetry_at_zero_logit(self):
@@ -49,13 +50,18 @@ class TestGradientChecks:
                           np.ones(rows.shape[0], dtype=bool), dataset.size, rows)
         for key in [RandomKey(55).child(i) for i in range(20)]:
             flat = key.generator().standard_normal(model.density.dim) * 0.8
-            theta = ParameterVector(model.layout, flat)
             _, analytic = minibatch_value_grad(model.density, flat, batch)
-            fd = fd_gradient(
-                lambda pv: minibatch_value_grad(model.density, pv.values, batch)[0],
-                theta, h=1e-5)
-            rel = np.linalg.norm(analytic - fd.values) / max(np.linalg.norm(analytic), 1e-8)
+            fd = fd_gradient(lambda x: minibatch_value_grad(model.density, x, batch)[0],
+                             flat, h=1e-5)
+            rel = np.linalg.norm(analytic - fd) / max(np.linalg.norm(analytic), 1e-8)
             assert rel <= 1e-5, f"{name}: rel err {rel}"
+
+
+@pytest.mark.parametrize("name", sorted(builtin_names()))
+def test_init_is_the_flat_origin(name):
+    model = get_model(name)
+    assert type(model.init) is np.ndarray
+    assert np.array_equal(model.init, np.zeros(model.density.dim))
 
 
 class TestGenerators:
@@ -94,8 +100,7 @@ class TestRWMHOracle:
     def test_zero_proposal_scale_freezes_chain(self):
         model = get_model("std_normal")
         ds = synth_data_generate(model, RandomKey(0), 1)
-        theta0 = ParameterVector(model.layout, np.array([0.4]))
-        out = rwmh_oracle(model, ds, theta0, 0.0, steps=500, key=RandomKey(3))
+        out = rwmh_oracle(model, ds, np.array([0.4]), 0.0, steps=500, key=RandomKey(3))
         assert out["acceptance_rate"] == 1.0
         assert np.all(out["samples"] == 0.4)
 

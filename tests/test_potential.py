@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from sgmc.core import ParameterVector, RandomKey, make_layout
+from sgmc.core import RandomKey, make_layout
 from sgmc.data import BatchSpec, MiniBatch, init_batch_state, load_in_memory, next_batch
 from sgmc.models import builtin_names, get_model, synth_data_generate
-from sgmc.potential import fd_gradient, full_value, minibatch_value_grad, per_observation
+from sgmc.potential import full_value, minibatch_value_grad, per_observation
+
+from conftest import fd_gradient
 
 LOG_NORM_1 = -1.4189385332046727  # log N(1; 0, 1)
 LOG_2PI = np.log(2.0 * np.pi)
@@ -17,16 +19,16 @@ def gaussian_two_points():
     layout = make_layout({"mu": ()})
 
     def log_likelihood(theta, obs):
-        r = float(obs["y"]) - theta.values[0]
+        r = float(obs["y"]) - float(theta["mu"])
         return -0.5 * r * r - 0.5 * LOG_2PI
 
     def grad_log_likelihood(theta, obs):
-        return ParameterVector(layout, np.array([float(obs["y"]) - theta.values[0]]))
+        return np.array([float(obs["y"]) - float(theta["mu"])])
 
     density = per_observation(
         layout, log_likelihood, grad_log_likelihood,
         log_prior=lambda theta: 0.0,
-        grad_log_prior=lambda theta: ParameterVector(layout, np.zeros(1)),
+        grad_log_prior=lambda theta: np.zeros(1),
     )
     ds = load_in_memory(arrays={"y": np.array([1.0, 3.0])})
     return density, ds
@@ -119,72 +121,65 @@ class TestFullPotential:
 
 class TestFiniteDifferences:
     def test_quadratic(self):
-        layout = make_layout({"x": (2,)})
-        theta = ParameterVector(layout, np.array([1.0, 2.0]))
-        grad = fd_gradient(lambda pv: 0.5 * float(pv.values @ pv.values), theta)
-        assert np.allclose(grad.values, [1.0, 2.0], atol=1e-8)
+        grad = fd_gradient(lambda x: 0.5 * float(x @ x), np.array([1.0, 2.0]))
+        assert np.allclose(grad, [1.0, 2.0], atol=1e-8)
 
     def test_constant(self):
-        layout = make_layout({"x": (3,)})
-        grad = fd_gradient(lambda pv: 4.2, ParameterVector(layout, np.ones(3)))
-        assert np.array_equal(grad.values, np.zeros(3))
+        grad = fd_gradient(lambda x: 4.2, np.ones(3))
+        assert np.array_equal(grad, np.zeros(3))
 
-    def test_h_must_be_positive(self, tiny_pv):
+    def test_h_must_be_positive(self):
         with pytest.raises(ValueError):
-            fd_gradient(lambda pv: 0.0, tiny_pv, h=0.0)
+            fd_gradient(lambda x: 0.0, np.array([1.0, 2.0, 0.5]), h=0.0)
 
     def test_oracle_self_check_on_stochastic_potential(self):
         model = get_model("gaussian_mean")
         ds = model.generate(RandomKey(9), 20, {"mu": 1.0})
         batch = MiniBatch({"y": ds["y"][:4]}, np.ones(4, dtype=bool), 20,
                           np.arange(4))
-        theta = ParameterVector(model.layout, np.array([0.6]))
-        _, analytic = minibatch_value_grad(model.density, theta.values, batch)
-        fd = fd_gradient(
-            lambda pv: minibatch_value_grad(model.density, pv.values, batch)[0],
-            theta, h=1e-5)
-        rel = np.linalg.norm(analytic - fd.values) / max(np.linalg.norm(analytic), 1e-8)
+        theta = np.array([0.6])
+        _, analytic = minibatch_value_grad(model.density, theta, batch)
+        fd = fd_gradient(lambda x: minibatch_value_grad(model.density, x, batch)[0],
+                         theta, h=1e-5)
+        rel = np.linalg.norm(analytic - fd) / max(np.linalg.norm(analytic), 1e-8)
         assert rel <= 1e-5
 
 
-def gaussian_mean_rows(layout):
+def gaussian_mean_rows():
     def log_likelihood(theta, obs):
-        r = float(obs["y"]) - float(theta.values[0])
+        r = float(obs["y"]) - float(theta["mu"])
         return -0.5 * r * r - 0.5 * LOG_2PI
 
     def grad_log_likelihood(theta, obs):
-        return ParameterVector(layout, np.array([float(obs["y"]) - theta.values[0]]))
+        return np.array([float(obs["y"]) - float(theta["mu"])])
 
     return log_likelihood, grad_log_likelihood
 
 
-def linreg_sigma_rows(layout):
-    d = layout[0][1][0]
-
+def linreg_sigma_rows():
     def log_likelihood(theta, obs):
-        w, ls = theta.values[:d], theta.values[d]
+        w, ls = theta["w"], float(theta["log_sigma"])
         r = float(obs["y"]) - float(obs["x"] @ w)
         return -0.5 * (r / math.exp(ls)) ** 2 - ls - 0.5 * LOG_2PI
 
     def grad_log_likelihood(theta, obs):
-        w, ls = theta.values[:d], theta.values[d]
+        w, ls = theta["w"], float(theta["log_sigma"])
         sigma2 = math.exp(2.0 * ls)
         r = float(obs["y"]) - float(obs["x"] @ w)
-        return ParameterVector(layout, np.append((r / sigma2) * obs["x"],
-                                                 r * r / sigma2 - 1.0))
+        return np.append((r / sigma2) * obs["x"], r * r / sigma2 - 1.0)
 
     return log_likelihood, grad_log_likelihood
 
 
-def logreg_2d_rows(layout):
+def logreg_2d_rows():
     def log_likelihood(theta, obs):
-        z = float(obs["x"] @ theta.values)
+        z = float(obs["x"] @ theta["w"])
         return float(obs["y"]) * z - np.logaddexp(0.0, z)
 
     def grad_log_likelihood(theta, obs):
-        z = float(obs["x"] @ theta.values)
+        z = float(obs["x"] @ theta["w"])
         resid = float(obs["y"]) - 1.0 / (1.0 + math.exp(-z))
-        return ParameterVector(layout, resid * np.asarray(obs["x"], dtype=np.float64))
+        return resid * np.asarray(obs["x"], dtype=np.float64)
 
     return log_likelihood, grad_log_likelihood
 
@@ -203,10 +198,11 @@ class TestBatchFastPath:
         ds = synth_data_generate(model, RandomKey(31), 16)
         density = model.density
         layout = density.layout
+        flat_of = lambda theta: np.concatenate([v.reshape(-1) for v in theta.values()])
         stripped = per_observation(
-            layout, *ROW_REFERENCES[name](layout),
-            lambda theta: density.log_prior(theta.values),
-            lambda theta: ParameterVector(layout, density.grad_log_prior(theta.values)))
+            layout, *ROW_REFERENCES[name](),
+            lambda theta: density.log_prior(flat_of(theta)),
+            lambda theta: density.grad_log_prior(flat_of(theta)))
         keys = [RandomKey(5).child(i) for i in range(10)]
         for key in keys:
             flat = key.generator().standard_normal(density.dim) * 0.5

@@ -7,7 +7,7 @@ import pytest
 
 from sgmc import solver as solver_module
 from sgmc.adaption import rmsprop_step
-from sgmc.core import ParameterVector, RandomKey, make_layout, normal_flat
+from sgmc.core import RandomKey, make_layout, normal_flat
 from sgmc.data import BatchSpec, init_batch_state, next_batch
 from sgmc.diagnostics import effective_sample_size
 from sgmc.errors import ChainError, ConfigurationError
@@ -38,8 +38,7 @@ def half_normal_run(name, kw, outside):
     dataset = synth_data_generate(model, RandomKey(0), 1)
     solver = make_solver(name, model.density, dataset, 1, **kw)
     sched = init_scheduler(200, step_size=0.5)
-    init = ParameterVector(layout, np.array([1.0]))
-    return run_mcmc(solver, sched, init, key=RandomKey(4))[0]
+    return run_mcmc(solver, sched, np.array([1.0]), key=RandomKey(4))[0]
 
 
 TRUNCATED = [("amagold", {"leapfrog_steps": 3, "friction": 0.0}),
@@ -246,10 +245,20 @@ class TestReplicaExchange:
         # 500 steps / interval 10 -> 50 attempts recorded in acceptance stats
         assert 0.0 <= result["acceptance_rate"] <= 1.0
 
-    def test_tau_high_must_exceed_one(self):
+    def test_tau_high_must_exceed_the_temperature(self):
         model, dataset = std_normal_setup()
-        with pytest.raises(ConfigurationError):
-            make_solver("resgld", model.density, dataset, 1, tau_high=1.0)
+        solver = make_solver("resgld", model.density, dataset, 1, tau_high=1.0)
+        with pytest.raises(ConfigurationError) as err:
+            run_mcmc(solver, init_scheduler(20, step_size=0.1, temperature=1.0), model.init,
+                     key=RandomKey(0))
+        assert err.value.field == "tau_high"
+
+    def test_tau_high_below_one_runs_above_the_temperature(self):
+        model, dataset = std_normal_setup()
+        solver = make_solver("resgld", model.density, dataset, 1, tau_high=0.9)
+        result = run_mcmc(solver, init_scheduler(20, step_size=0.1, temperature=0.5),
+                          model.init, key=RandomKey(0))[0]
+        assert result["status"] == "ok" and result["sample_count"] == 20
 
     def test_replica_exchange_sghmc_from_public_blocks(self):
         # reSGHMC is not in SAMPLERS: tempering around an SGHMC move
@@ -386,6 +395,24 @@ class TestRunMCMC:
         assert err.value.field == "temperature"
         assert chains == []
 
+    @pytest.mark.parametrize("path", ["run_mcmc", "build_sampler"])
+    @pytest.mark.parametrize("init", [np.zeros(2), np.zeros((1, 1))],
+                             ids=["length-2", "shape-1x1"])
+    def test_wrong_shape_init_theta_fails_before_any_chain(self, monkeypatch, path, init):
+        model, dataset = std_normal_setup()  # dim 1
+        chains = []
+        monkeypatch.setattr(solver_module, "_run_chain", lambda *args: chains.append(args))
+        with pytest.raises(ConfigurationError) as err:
+            if path == "run_mcmc":
+                run_mcmc(make_solver("sgld", model.density, dataset, 1),
+                         init_scheduler(5, step_size=0.1), init, key=RandomKey(1), chains=2)
+            else:
+                build_sampler("sgld", dict(
+                    model=model, dataset=dataset, iterations=5, batch_size=1, seed=1,
+                    step_size_first=0.1, step_size_last=0.05, init_theta=init)).run(chains=2)
+        assert err.value.field == "init_theta"
+        assert chains == []
+
     def test_tempered_chain_below_the_temperature_names_tau_high(self):
         model, dataset = std_normal_setup()
         solver = Solver(Tempering(Langevin(), tau_high=2.0), model.density, dataset, 1)
@@ -489,6 +516,40 @@ class TestBuildSampler:
         bundle = build_sampler("sgld", self.config())
         state = bundle.solver.init(bundle.init_theta, RandomKey(0))
         assert state.rms is None
+
+    def test_init_theta_is_used_as_given(self):
+        # a length-5 array, whose truth value is ambiguous, must not be read with `or`
+        model = get_model("linreg_sigma")
+        init = np.array([0.5, -1.0, 2.0, 0.25, -0.7])
+        bundle = build_sampler("sgld", self.config(
+            model=model, dataset=synth_data_generate(model, RandomKey(0), 20), init_theta=init,
+            step_size_first=1e-3, step_size_last=5e-4))
+        state = bundle.solver.init(bundle.init_theta, RandomKey(0))
+        assert np.array_equal(state.theta, init) and state.theta is not init
+        assert bundle.run()[0]["status"] == "ok"
+        assert np.array_equal(init, [0.5, -1.0, 2.0, 0.25, -0.7])  # copied, never moved
+
+    ADAPTIVE = dict(step_size_first=None, step_size_last=None, target_accept=0.65,
+                    leapfrog_steps=2)
+
+    @pytest.mark.parametrize("name, over, field", [
+        # values are type-checked where they are owned, never converted
+        ("sgld", {"iterations": 10.7}, "iterations"),
+        ("sgld", {"iterations": "10"}, "iterations"),
+        ("sgld", {"step_size_first": "0.01", "step_size_last": 0.001}, "step_size_first"),
+        ("sgld", {"step_size_last": "0.05"}, "step_size_last"),
+        ("sgld", {"step_size_decay": "0.33"}, "step_size_decay"),
+        ("sgld", {"burn_in": 2.5}, "burn_in"),
+        ("sgld", {"selections": 5.0}, "selections"),
+        ("sgld", {"temperature": "1.0"}, "temperature"),
+        ("sgld", {"batch_size": 1.0}, "batch_size"),
+        ("sgld", {"seed": 1.5}, "seed"),
+        ("amagold", {**ADAPTIVE, "step_size_init": "0.1"}, "step_size_init"),
+        ("amagold", {**ADAPTIVE, "target_accept": "0.65"}, "target_accept")])
+    def test_invalid_sampler_setting_names_the_field(self, name, over, field):
+        with pytest.raises(ConfigurationError) as err:
+            build_sampler(name, self.config(**over))
+        assert err.value.field == field
 
     def test_zero_iterations_rejected(self):
         with pytest.raises(ConfigurationError):
