@@ -8,13 +8,19 @@ refactor that claims byte-identical samples must pass this test unchanged.
 writes in each output format.
 
 A change that deliberately alters the key stream (the documented
-(seed, path) -> stream mapping) changes these digests on purpose: such a
-change regenerates the constants with ``python tests/test_golden.py`` and
-records the update in CHANGES.md.
+(seed, path) -> stream mapping) or the numerics (say, a model's
+log-likelihood formula) changes these digests on purpose: such a change
+regenerates the constants with ``python tests/test_golden.py`` and records
+the old and new digests in CHANGES.md.  ``python tests/test_golden.py
+--check`` prints only the entries that differ from the pinned constants and
+exits 1 if any does, so a regeneration shows exactly what moved.
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -50,7 +56,7 @@ CASES = {
 # (sha256 of the stacked samples, acceptance rate, gradient evaluations)
 GOLDEN = {
     'amagold': ('29cccf82c0e0e2715a8043abd856d4f93868ce575154dbc3296bb5a59a59ef14', 0.8433333333333334, 900),
-    'amagold_target_accept': ('ce8743b03e4a12b995abfca975a361f6036a74f23563ed056023d07c6a505141', 0.67, 900),
+    'amagold_target_accept': ('194ea9dd8220e1a88b07032673ff6839e50b006b8229e7f744f1bcf34a3e0891', 0.67, 900),
     'psgld': ('23caba593fccf30b68e39a9e634c2488f6ba0dc8d8d9cd25432b36a0ce7aa966', 1.0, 300),
     'resgld': ('4c4cd0254cbd055e7b03f5792f77ae30cc8b97025904e12b6dee1bf26d2329ef', 0.5, 600),
     'resgld_rms_prop': ('1c9afda7032ba0bf0d42520eecd38df03da70409a5b458e1ba2b86ed6b69472e', 0.6333333333333333, 600),
@@ -109,8 +115,14 @@ def test_golden_output_files(tmp_path):
 
 
 if __name__ == "__main__":
-    for case in sorted(CASES):
-        print(f"    {case!r}: {run_case(case)!r},")
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, digest in file_digests(Path(tmp)).items():
-            print(f"    {name!r}: {digest!r},")
+    if sys.argv[1:] not in ([], ["--check"]):
+        sys.exit("usage: python tests/test_golden.py [--check]")
+    check = sys.argv[1:] == ["--check"]
+    current = {case: run_case(case) for case in sorted(CASES)}
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        current.update(file_digests(Path(tmp)))
+    pinned = {**GOLDEN, **FILE_GOLDEN}
+    moved = {name: value for name, value in current.items() if value != pinned.get(name)}
+    for name, value in (moved if check else current).items():
+        print(f"    {name!r}: {value!r},")
+    sys.exit(1 if check and moved else 0)

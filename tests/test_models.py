@@ -5,8 +5,9 @@ import pytest
 
 from sgmc.core import RandomKey
 from sgmc.data import MiniBatch
+from sgmc.errors import ConfigurationError
 from sgmc.models import builtin_names, get_model, rwmh_oracle, synth_data_generate
-from sgmc.potential import minibatch_value_grad
+from sgmc.potential import full_value, minibatch_value_grad
 
 from conftest import fd_gradient
 
@@ -33,11 +34,39 @@ class TestLogDensities:
         logp = density.batch_log_likelihood(np.zeros(2), arrays)
         assert logp == pytest.approx([-math.log(2.0)] * 2, rel=1e-12)
 
+    @pytest.mark.parametrize("z", [0.0, 40.0, -40.0, 800.0, -800.0])
+    @pytest.mark.parametrize("y", [0.0, 1.0])
+    def test_logreg_matches_logaddexp(self, z, y):
+        density = get_model("logreg_2d").density
+        arrays = {"x": np.array([[1.0, 0.0]]), "y": np.array([y])}
+        logp = density.batch_log_likelihood(np.array([z, 0.0]), arrays)
+        assert logp[0] == pytest.approx(y * z - np.logaddexp(0.0, z), rel=1e-12, abs=1e-15)
+
     def test_mixture_modes_equal_height(self):
         model = get_model("mixture_1d")
         at = lambda v: model.density.log_prior(np.array([v]))
         assert at(3.0) == pytest.approx(at(-3.0), rel=1e-12)
         assert at(0.0) < at(3.0)
+
+
+class TestLogregFullValue:
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        return synth_data_generate(get_model("logreg_2d"), RandomKey(17), 100_000)
+
+    @pytest.mark.parametrize("w", [(0.02, -0.03), (1.0, -1.5), (40.0, -30.0)])
+    def test_matches_logaddexp(self, dataset, w):
+        density = get_model("logreg_2d").density
+        flat = np.array(w)
+        z = dataset["x"] @ flat
+        expected = -np.sum(dataset["y"] * z - np.logaddexp(0.0, z)) - density.log_prior(flat)
+        assert full_value(density, flat, dataset) == pytest.approx(expected, rel=1e-12)
+
+    def test_leaves_the_data_unchanged(self, dataset):
+        x, y = dataset["x"].copy(), dataset["y"].copy()
+        full_value(get_model("logreg_2d").density, np.array([1.0, -1.5]), dataset)
+        assert np.array_equal(dataset["x"], x)
+        assert np.array_equal(dataset["y"], y)
 
 
 class TestGradientChecks:
@@ -103,6 +132,15 @@ class TestRWMHOracle:
         out = rwmh_oracle(model, ds, np.array([0.4]), 0.0, steps=500, key=RandomKey(3))
         assert out["acceptance_rate"] == 1.0
         assert np.all(out["samples"] == 0.4)
+
+    @pytest.mark.parametrize("name", ["std_normal", "gaussian_mean"])
+    @pytest.mark.parametrize("shape", [(3,), (1, 1), ()], ids=str)
+    def test_wrong_shape_start_names_the_field(self, name, shape):
+        model = get_model(name)
+        ds = synth_data_generate(model, RandomKey(0), 5)
+        with pytest.raises(ConfigurationError) as err:
+            rwmh_oracle(model, ds, np.zeros(shape), 1.0, steps=100, key=RandomKey(1))
+        assert err.value.field == "init_theta"
 
     def test_detailed_balance_three_bins(self):
         model = get_model("std_normal")
