@@ -8,7 +8,6 @@ which the sampler tests treat as exact ground truth.
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -17,7 +16,7 @@ import numpy as np
 
 from .core import Layout, RandomKey, layout_size, make_layout
 from .data import Dataset, load_in_memory
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_kwargs
 from .potential import LogDensityModel, full_value
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -287,10 +286,7 @@ def get_model(name: str, **kwargs) -> BuiltinModel:
         factory = _REGISTRY[name]
     except KeyError:
         raise ConfigurationError(f"unknown model {name!r}", field="model") from None
-    accepted = inspect.signature(factory).parameters
-    for key in kwargs:
-        if key not in accepted:
-            raise ConfigurationError(f"model {name!r} takes no such argument", field=key)
+    check_kwargs(f"model {name!r}", factory, kwargs)
     return factory(**kwargs)
 
 

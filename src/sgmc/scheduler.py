@@ -146,9 +146,8 @@ def init_scheduler(n_iterations: int, *, step_size=None, adaptive: DualAveraging
     """Assemble the per-iteration schedule bundle.
 
     ``step_size`` is a function of the iteration index (such as
-    :func:`polynomial_schedule`), an array of length n, or a constant;
-    pass ``adaptive`` instead for dual averaging.  ``selections=None`` keeps
-    every non-burn-in iteration.
+    :func:`polynomial_schedule`) or a float; pass ``adaptive`` instead for dual
+    averaging.  ``selections=None`` keeps every non-burn-in iteration.
     """
     check_type("iterations", n_iterations, (int,))
     check_type("burn_in", burn_in, (int,))
@@ -167,13 +166,9 @@ def init_scheduler(n_iterations: int, *, step_size=None, adaptive: DualAveraging
     if step_size is not None:
         if callable(step_size):
             eps = np.asarray(step_size(np.arange(n_iterations)), dtype=np.float64)
-        elif np.ndim(step_size) == 0:
-            eps = np.full(n_iterations, float(step_size))
         else:
-            eps = np.asarray(step_size, dtype=np.float64)
-            if eps.shape[0] != n_iterations:
-                raise ConfigurationError("step-size array length != iterations",
-                                         field="step_size")
+            check_type("step_size", step_size, (float,))
+            eps = np.full(n_iterations, float(step_size))
         if np.any(eps <= 0):
             raise ConfigurationError("step sizes must be positive", field="step_size")
     eligible = n_iterations - burn_in

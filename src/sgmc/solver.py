@@ -26,7 +26,6 @@ as a generator and read in order: child(0) batches, child(1) iterations, child(2
 from __future__ import annotations
 
 import functools
-import inspect
 import math
 import time
 from dataclasses import dataclass
@@ -39,7 +38,8 @@ from .adaption import OnlineCovState, rmsprop_step, welford_finalize, welford_st
 from .core import RandomKey, normal_flat
 from .data import (STRATEGIES, BatchSpec, BatchState, Dataset, init_batch_state,
                    next_batch)
-from .errors import ChainError, ConfigurationError, NumericError, check_type
+from .errors import (ChainError, ConfigurationError, NumericError, check_kwargs,
+                     check_type, parameters)
 from .integrator import (langevin_step, obabo_trajectory,
                          reversible_leapfrog_trajectory, sghmc_step)
 from .models import BuiltinModel
@@ -205,6 +205,7 @@ class AMAGOLD(Metropolis):
 
     def __post_init__(self):
         _require(self.leapfrog_steps >= 1, "leapfrog_steps", "need at least one leapfrog step")
+        _require(self.friction >= 0, "friction", "friction must be >= 0")
 
     def step(self, solver, state, item):
         return amagold_round(self, solver, state, item)
@@ -409,7 +410,7 @@ SAMPLER_NAMES = tuple(SAMPLERS)
 # name -> {knob: default}, read once from the constructor's parameters; a bare
 # type in place of the default marks a required knob
 KNOBS = {name: {p.name: p.annotation if p.default is p.empty else p.default
-                for p in inspect.signature(make, eval_str=True).parameters.values()}
+                for p in parameters(make).values()}
          for name, make in SAMPLERS.items()}
 
 
@@ -417,26 +418,14 @@ def make_solver(name: str, density: LogDensityModel, dataset: Dataset, batch_siz
                 batch_strategy: str = "draw_replacement", **knobs) -> Solver:
     """Bind sampler ``name`` to a model and a dataset.
 
-    ``knobs`` are knobs of the sampler (:data:`KNOBS`); an omitted (or None)
-    knob takes its default, and a required one raises ConfigurationError.
-    Given values are checked, not converted: each must have the type of its
-    default, by the rule of :func:`~sgmc.errors.check_type`.
+    ``knobs`` are knobs of the sampler (:data:`KNOBS`); an omitted knob takes
+    its default.  :func:`~sgmc.errors.check_kwargs` refuses an unknown knob, a
+    value (None too) without the knob's annotated type, and a missing required one.
     """
     if name not in SAMPLERS:
         raise ConfigurationError(f"unknown sampler {name!r}", field="sampler")
-    table = KNOBS[name]
-    values = {}
-    for knob, value in knobs.items():
-        if knob not in table:
-            raise ConfigurationError(f"sampler {name!r} has no such knob", field=knob)
-        if value is not None:
-            default = table[knob]
-            check_type(knob, value, (default if isinstance(default, type) else type(default),))
-            values[knob] = value
-    for knob, default in table.items():
-        if isinstance(default, type) and knob not in values:
-            raise ConfigurationError(f"sampler {name!r} requires a value", field=knob)
-    return Solver(SAMPLERS[name](**values), density, dataset, batch_size, batch_strategy)
+    check_kwargs(f"sampler {name!r}", SAMPLERS[name], knobs)
+    return Solver(SAMPLERS[name](**knobs), density, dataset, batch_size, batch_strategy)
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +489,7 @@ def run_mcmc(solver: Solver, scheduler: SchedulerState, init_theta: np.ndarray, 
     ChainError propagates with ``.partial`` holding the failing chain's
     collected samples and ``.results`` every chain's result.
     """
+    check_type("chains", chains, (int,))
     if chains < 1:
         raise ConfigurationError("need at least one chain", field="chains")
     _check_schedule(solver.block, scheduler)
@@ -536,16 +526,27 @@ class SamplerBundle:
                         chains=chains)
 
 
+# build_sampler's own settings; any other key must be a knob of some sampler
+SETTINGS = frozenset({
+    "model", "dataset", "init_theta", "iterations", "batch_size", "batch_strategy", "seed",
+    "step_size_first", "step_size_last", "step_size_decay", "target_accept",
+    "step_size_init", "burn_in", "selections", "temperature"})
+
+
 def build_sampler(name: str, config: dict) -> SamplerBundle:
     """Assemble a ready-to-run sampler from a flat configuration mapping.
 
     Required for every sampler: model (BuiltinModel), dataset, iterations,
     batch_size, seed, and a step-size block (step_size_first/step_size_last/
     step_size_decay, or target_accept/step_size_init for adaptive runs).
-    The sampler's knobs are read from the same mapping; :data:`KNOBS` says
-    which are required.  A None value counts as unset and takes the default.
+    The sampler's knobs come from the same mapping (:data:`KNOBS`); another
+    sampler's knob is ignored, and a key that is neither a knob nor in
+    :data:`SETTINGS` is a ConfigurationError.  A None value counts as unset.
     """
     cfg = {k: v for k, v in config.items() if v is not None}
+    for key in cfg:
+        if key not in SETTINGS and not any(key in table for table in KNOBS.values()):
+            raise ConfigurationError("no sampler takes this setting", field=key)
 
     def need(field_name):
         if field_name not in cfg:
@@ -558,7 +559,7 @@ def build_sampler(name: str, config: dict) -> SamplerBundle:
     iterations = need("iterations")
     solver = make_solver(name, model.density, dataset, need("batch_size"),
                          cfg.get("batch_strategy", "draw_replacement"),
-                         **{knob: cfg.get(knob) for knob in KNOBS.get(name, ())})
+                         **{knob: cfg[knob] for knob in KNOBS.get(name, ()) if knob in cfg})
     check_type("seed", need("seed"), (int,))
     root = RandomKey(cfg["seed"])
 

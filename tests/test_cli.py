@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import pytest
@@ -101,6 +102,21 @@ class TestRun:
         path.write_text(json.dumps({"iterations": 10, "bogus_knob": 1}))
         assert run_cli("run", "--config", str(path)) == 2
 
+    def test_config_file_must_hold_an_object(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps([1, 2]))
+        assert run_cli("run", "--config", str(path)) == 2
+        assert "(field: config)" in capsys.readouterr().err
+
+    def test_second_run_parses_no_signature(self, tmp_path, monkeypatch):
+        # each settings table's signature is parsed once per process
+        assert run_cli(*small_run_args(tmp_path, **{"--output": str(tmp_path / "a")})) == 0
+        calls = []
+        parse = inspect.signature
+        monkeypatch.setattr(inspect, "signature",
+                            lambda *args, **kwargs: calls.append(args) or parse(*args, **kwargs))
+        assert run_cli(*small_run_args(tmp_path, **{"--output": str(tmp_path / "b")})) == 0
+        assert calls == []
 
     @pytest.mark.parametrize("key", ["frcition", "seed"])
     def test_bad_sampler_args_key_names_the_field(self, tmp_path, capsys, key):
@@ -139,7 +155,9 @@ class TestRun:
                             "sampler_args": {"leapfrog_steps": 2.7}}),
         ("friction", {"sampler": "sghmc", "sampler_args": {"friction": True}}),
         ("leapfrog_steps", {"model": "std_normal", "sampler": "amagold",
-                            "sampler_args": {"leapfrog_steps": "x"}})])
+                            "sampler_args": {"leapfrog_steps": "x"}}),
+        ("friction", {"model": "std_normal", "sampler": "amagold",
+                      "sampler_args": {"leapfrog_steps": 2, "friction": -1.0}})])
     def test_invalid_sampler_setting_names_the_field(self, tmp_path, capsys, field, cfg):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({**cfg, "iterations": 10, "output": str(tmp_path / "x")}))
@@ -205,8 +223,11 @@ class TestRun:
         assert f"(field: {key})" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize("key, entry", [("bogus", {"model_args": {"bogus": 1}}),
-                                            ("nu", {"true_params": {"nu": 1}})])
+    @pytest.mark.parametrize("key, entry", [
+        ("bogus", {"model_args": {"bogus": 1}}),
+        ("nu", {"true_params": {"nu": 1}}),
+        # model arguments are type-checked like knobs
+        ("n_weights", {"model": "linreg_sigma", "model_args": {"n_weights": "4"}})])
     def test_unknown_model_key_names_the_field(self, tmp_path, capsys, key, entry):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"model": "gaussian_mean", "iterations": 10, **entry,

@@ -93,6 +93,13 @@ def test_init_is_the_flat_origin(name):
     assert np.array_equal(model.init, np.zeros(model.density.dim))
 
 
+@pytest.mark.parametrize("n_weights", ["4", 4.0], ids=repr)
+def test_model_argument_of_the_wrong_type_names_the_field(n_weights):
+    with pytest.raises(ConfigurationError) as err:
+        get_model("linreg_sigma", n_weights=n_weights)
+    assert err.value.field == "n_weights"
+
+
 class TestGenerators:
     def test_reproducible(self):
         model = get_model("linreg_sigma")

@@ -165,3 +165,10 @@ class TestSchedulerNext:
     def test_selections_need_key(self):
         with pytest.raises(ConfigurationError):
             init_scheduler(10, step_size=0.1, selections=2)
+
+    @pytest.mark.parametrize("step_size", [np.full(10, 0.1), [0.1] * 10, "0.1"],
+                             ids=["array", "list", "str"])
+    def test_step_size_is_a_float_or_a_function(self, step_size):
+        with pytest.raises(ConfigurationError) as err:
+            init_scheduler(10, step_size=step_size)
+        assert err.value.field == "step_size"

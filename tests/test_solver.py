@@ -362,6 +362,15 @@ class TestRunMCMC:
         res = run_mcmc(solver, sched, model.init, key=RandomKey(9), chains=2)
         assert not np.array_equal(res[0]["store"].stacked(), res[1]["store"].stacked())
 
+    @pytest.mark.parametrize("chains", [2.0, "2", True])
+    def test_chains_of_the_wrong_type_names_the_field(self, chains):
+        model, dataset = std_normal_setup()
+        solver = make_solver("sgld", model.density, dataset, 1)
+        with pytest.raises(ConfigurationError) as err:
+            run_mcmc(solver, init_scheduler(5, step_size=0.1), model.init, key=RandomKey(1),
+                     chains=chains)
+        assert err.value.field == "chains"
+
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_numeric_failure_carries_iteration_and_partial(self):
         model = quadratic_model([1.0])
@@ -479,6 +488,12 @@ class TestSamplerTable:
         expected = {k: 4 if k in required else v for k, v in KNOB_TABLE[name].items()}
         assert solver.block == SAMPLERS[name](**expected)
 
+    def test_none_is_not_a_default(self):
+        model, dataset = std_normal_setup()
+        with pytest.raises(ConfigurationError) as err:
+            make_solver("sghmc", model.density, dataset, 1, friction=1.0, noise_estimate=None)
+        assert err.value.field == "noise_estimate"
+
     def test_knob_count(self):
         assert sum(len(table) for table in KNOBS.values()) == 17
 
@@ -505,6 +520,15 @@ class TestBuildSampler:
         with pytest.raises(ConfigurationError) as err:
             build_sampler("resgld", self.config())
         assert err.value.field == "tau_high"
+
+    @pytest.mark.parametrize("key", ["fricton", "burnin", "selection"])
+    def test_unknown_setting_is_named(self, key):
+        # a misspelt key would leave its default in force; another sampler's knob
+        # (tau_high, for sgld) is still accepted
+        assert build_sampler("sgld", self.config(tau_high=3.0)).solver.block == Langevin()
+        with pytest.raises(ConfigurationError) as err:
+            build_sampler("amagold", self.config(leapfrog_steps=2, **{key: 5}))
+        assert err.value.field == key
 
     def test_psgld_bundle_runs(self):
         bundle = build_sampler("psgld", self.config())
