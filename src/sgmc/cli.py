@@ -231,12 +231,12 @@ def run_command(args) -> int:
 
 def _load_run(run_dir: Path):
     """The run's config, its variable names and the flat samples of every chain
-    whose status is "ok", pooled in chain order."""
+    whose status is "ok", pooled in chain order.  Config fields that ``RunConfig``
+    no longer declares, kept by runs of older versions, are dropped."""
     with open(run_dir / "summary.json", encoding="utf-8") as fh:
         summary = json.load(fh)
-    config = dict(summary["config"])
-    config.pop("cache_count", None)  # a removed no-op knob, kept by older runs
-    cfg = RunConfig(**config)
+    cfg = RunConfig(**{k: v for k, v in summary["config"].items()
+                       if k in RunConfig.__dataclass_fields__})
     reader = sample_io.read_jsonl if cfg.format == "jsonl" else sample_io.read_csv_samples
     names, blocks = [], []
     for chain in summary["chains"]:

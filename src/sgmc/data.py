@@ -4,7 +4,9 @@ A Dataset is a dict of arrays sharing a leading observation axis of length N.
 Batches come in three flavours: i.i.d. draws with replacement, epoch-wise
 shuffling (tail batch padded and masked out), and continuous shuffling (the
 stream runs on into the next epoch, so every batch is full).  A stream draws in
-order from one generator built from ``spec.key`` (shufflings: a permutation per epoch).
+order from one generator built from ``spec.key`` (shufflings: a permutation per epoch);
+its cursor, a :class:`BatchState`, is a stream like that generator, advanced in
+place and never copied.  A breach of a batch rule is a ConfigurationError naming its field.
 Consumers must honour the mask; pad rows are zeros and carry no information.
 Whole-dataset quantities (the exact potential) read ``Dataset.arrays``
 directly, with no batching.
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import RandomKey
+from .errors import ConfigurationError, check_type
 
 STRATEGIES = ("draw_replacement", "shuffle", "shuffle_in_epochs")
 
@@ -62,17 +65,19 @@ class BatchSpec:
     key: RandomKey = RandomKey(0)
 
     def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown batching strategy {self.strategy!r}")
+        check_type("batch_size", self.size, (int,))
         if self.size < 1:
-            raise ValueError("batch size must be >= 1")
+            raise ConfigurationError("batch size must be >= 1", field="batch_size")
+        if self.strategy not in STRATEGIES:
+            raise ConfigurationError(f"unknown batching strategy {self.strategy!r}",
+                                     field="batch_strategy")
 
 
 @dataclass
 class BatchState:
-    """Cursor of one batch stream, one per chain: ``rng`` is the stream's generator,
-    shared by all its states, ``perm`` the read-only permutation of the current
-    epoch and ``position`` the offset in it."""
+    """Cursor of one batch stream, one per chain, advanced in place by
+    :func:`next_batch`: ``rng`` is the stream's generator, ``perm`` the read-only
+    permutation of the current epoch and ``position`` the offset in it."""
 
     rng: np.random.Generator
     position: int = 0
@@ -96,7 +101,8 @@ def load_in_memory(arrays) -> Dataset:
 
 def init_batch_state(dataset: Dataset, spec: BatchSpec) -> BatchState:
     if spec.size > dataset.size:
-        raise ValueError(f"batch size {spec.size} exceeds dataset size {dataset.size}")
+        raise ConfigurationError(f"batch size {spec.size} exceeds dataset size {dataset.size}",
+                                 field="batch_size")
     return BatchState(spec.key.generator())
 
 
@@ -114,12 +120,12 @@ def _take(dataset: Dataset, idx: np.ndarray, valid: int) -> MiniBatch:
 
 def _epoch_permutation(rng: np.random.Generator, big_n: int) -> np.ndarray:
     perm = rng.permutation(big_n)
-    perm.flags.writeable = False  # shared by every state of the epoch
+    perm.flags.writeable = False  # each batch's ``indices`` is a view of it
     return perm
 
 
 def next_batch(dataset: Dataset, spec: BatchSpec, state: BatchState):
-    """Draw the next mini-batch; returns ``(batch, next_state)``.
+    """Draw the next mini-batch, advancing ``state`` in place; returns ``(batch, state)``.
 
     The sequence is a pure function of ``(dataset, spec)`` from :func:`init_batch_state`.
     """
@@ -130,18 +136,17 @@ def next_batch(dataset: Dataset, spec: BatchSpec, state: BatchState):
     if spec.strategy == "draw_replacement":
         return _take(dataset, state.rng.integers(0, big_n, size=n), n), state
 
-    perm = state.perm
-    if perm is None:
-        perm = _epoch_permutation(state.rng, big_n)
-    take = perm[state.position : state.position + n]
-    position, valid = state.position + n, n
-    if position >= big_n:  # this batch ends the epoch
-        position, perm = position - big_n, None
+    if state.perm is None:
+        state.perm = _epoch_permutation(state.rng, big_n)
+    take = state.perm[state.position : state.position + n]
+    state.position, valid = state.position + n, n
+    if state.position >= big_n:  # this batch ends the epoch
+        state.position, state.perm = state.position - big_n, None
         if spec.strategy == "shuffle_in_epochs":  # pad the tail with masked row 0
             valid = take.shape[0]
             take = np.concatenate([take, np.zeros(n - valid, dtype=take.dtype)])
-            position = 0
-        elif position:  # "shuffle" runs on into the next epoch (n <= N: at most one)
-            perm = _epoch_permutation(state.rng, big_n)
-            take = np.concatenate([take, perm[:position]])
-    return _take(dataset, take, valid), BatchState(state.rng, position, perm)
+            state.position = 0
+        elif state.position:  # "shuffle" runs on into the next epoch (n <= N: at most one)
+            state.perm = _epoch_permutation(state.rng, big_n)
+            take = np.concatenate([take, state.perm[:state.position]])
+    return _take(dataset, take, valid), state

@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import Layout, RandomKey, layout_size, make_layout
 from .data import Dataset, load_in_memory
-from .errors import ConfigurationError, check_kwargs
+from .errors import ConfigurationError, check_kwargs, check_type
 from .potential import LogDensityModel, full_value
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -42,14 +42,16 @@ class BuiltinModel:
 
 def synth_data_generate(model: BuiltinModel, key: RandomKey, n_obs: int,
                         true_params: dict | None = None) -> Dataset:
-    """Reproducible synthetic dataset from the model's generative process."""
+    """Reproducible synthetic dataset from the model's generative process; each
+    true parameter must have the type of the model's default for it."""
     if n_obs < 1:
         raise ConfigurationError("need at least one observation", field="n_obs")
     params = dict(model.default_params)
-    for name in true_params or {}:
+    for name, value in (true_params or {}).items():
         if name not in params:
             raise ConfigurationError(f"model {model.name!r} has no such parameter",
                                      field=name)
+        check_type(name, value, (type(params[name]),))
     params.update(true_params or {})
     return model.generate(key, n_obs, params)
 
@@ -100,6 +102,8 @@ def make_gaussian_mean(prior_std: float = 10.0) -> BuiltinModel:
 # Improper uniform prior on w, exponential(1) prior on sigma (log-prior -sigma).
 
 def make_linreg_sigma(n_weights: int = 4) -> BuiltinModel:
+    if n_weights < 1:
+        raise ConfigurationError("need at least one weight", field="n_weights")
     layout = make_layout({"w": (n_weights,), "log_sigma": ()})
     d = n_weights
 
@@ -131,8 +135,8 @@ def make_linreg_sigma(n_weights: int = 4) -> BuiltinModel:
 
     def generate(key, n_obs, params):
         w = np.asarray(params["w"], dtype=np.float64)
-        if w.shape[0] != d:
-            raise ValueError(f"expected {d} true weights, got {w.shape[0]}")
+        if w.shape != (d,):
+            raise ConfigurationError(f"expected {d} true weights, got {w.shape}", field="w")
         kx, ke = key.child(0), key.child(1)
         x = kx.generator().standard_normal((n_obs, d)) * params.get("x_scale", 1.0)
         y = x @ w + params["sigma"] * ke.generator().standard_normal(n_obs)
@@ -239,7 +243,7 @@ def make_mixture_1d(separation: float = 3.0, width: float = 1.0) -> BuiltinModel
     layout = make_layout({"theta": ()})
     s, sd = float(separation), float(width)
     if sd <= 0:
-        raise ValueError("component width must be > 0")
+        raise ConfigurationError("component width must be > 0", field="width")
     inv2 = 1.0 / (sd * sd)
 
     def log_density(flat):
@@ -260,6 +264,8 @@ def make_mixture_1d(separation: float = 3.0, width: float = 1.0) -> BuiltinModel
 
 def make_std_normal(dim: int = 1) -> BuiltinModel:
     """Standard normal target U = |theta|^2 / 2 (solver calibration runs)."""
+    if dim < 1:
+        raise ConfigurationError("need dim >= 1", field="dim")
     layout = make_layout({"theta": (dim,)} if dim > 1 else {"theta": ()})
     return surrogate_from_logdensity(
         "std_normal", layout,

@@ -36,8 +36,7 @@ import numpy as np
 from . import io as sample_io
 from .adaption import OnlineCovState, rmsprop_step, welford_finalize, welford_step
 from .core import RandomKey, normal_flat
-from .data import (STRATEGIES, BatchSpec, BatchState, Dataset, init_batch_state,
-                   next_batch)
+from .data import BatchSpec, BatchState, Dataset, init_batch_state, next_batch
 from .errors import (ChainError, ConfigurationError, NumericError, check_kwargs,
                      check_type, parameters)
 from .integrator import (langevin_step, obabo_trajectory,
@@ -68,8 +67,8 @@ class AcceptanceStats:
 
 @dataclass
 class SolverState:
-    """Per-chain sampler state.  A step never mutates it but builds a new one,
-    which shares ``rng`` and ``batch_state.rng``: stepping moves the streams forward."""
+    """Per-chain sampler state.  A step never mutates it but builds a new one, which
+    shares the streams ``rng`` and ``batch_state``: stepping moves them forward in place."""
 
     theta: np.ndarray
     rng: np.random.Generator
@@ -93,17 +92,20 @@ class Solver:
     batch_strategy: str = "draw_replacement"
 
     def __post_init__(self):
-        check_type("batch_size", self.batch_size, (int,))
-        _require(1 <= self.batch_size <= self.dataset.size, "batch_size",
-                 f"batch size outside [1, {self.dataset.size}] (the dataset's size)")
-        _require(self.batch_strategy in STRATEGIES, "batch_strategy",
-                 f"unknown batching strategy {self.batch_strategy!r}")
+        BatchSpec(self.batch_size, self.batch_strategy)  # the data layer's batch rules
+        _require(self.batch_size <= self.dataset.size, "batch_size",
+                 f"batch size exceeds the dataset's size {self.dataset.size}")
 
     def init(self, theta0: np.ndarray, key: RandomKey):
         return self.block.init(self, theta0, key)
 
     def step(self, state, item: ScheduleItem):
         return self.block.step(self, state, item)
+
+    def potential(self, state: SolverState, flat: np.ndarray):
+        """The stochastic (U~, grad U~) at ``flat`` on the chain's next mini-batch."""
+        batch, _ = next_batch(self.dataset, state.batch_spec, state.batch_state)
+        return minibatch_value_grad(self.density, flat, batch)
 
 
 def _init_state(solver: Solver, theta0: np.ndarray, key: RandomKey, **fields):
@@ -175,11 +177,10 @@ class SGHMC(AcceptAll):
 def sgmc_update(move: AcceptAll, solver: Solver, state: SolverState,
                 item: ScheduleItem) -> SolverState:
     """One accept-all transition: a mini-batch gradient, then one step of ``move``."""
-    batch, bstate = next_batch(solver.dataset, state.batch_spec, state.batch_state)
-    _, grad = minibatch_value_grad(solver.density, state.theta, batch)
+    _, grad = solver.potential(state, state.theta)
     theta, p, rms = move.integrate(state, grad, item)
     stats = AcceptanceStats(state.stats.proposals + 1, state.stats.accepts + 1)
-    return SolverState(theta, state.rng, state.batch_spec, bstate, p, rms,
+    return SolverState(theta, state.rng, state.batch_spec, state.batch_state, p, rms,
                        state.cached_potential, stats, state.gradient_evals + 1)
 
 
@@ -242,14 +243,11 @@ def metropolis_round(traj: Metropolis, solver: Solver, state: SolverState,
     """One amortized MH round around the trajectory of ``traj``."""
     tau = item.temperature
     p0 = normal_flat(state.rng, state.theta.shape[0], math.sqrt(tau))
-
-    box = [state.batch_state]  # the batch cursor, advanced by every gradient
     evals = [0]
 
     def grad_fn(flat):
         evals[0] += 1
-        batch, box[0] = next_batch(solver.dataset, state.batch_spec, box[0])
-        return minibatch_value_grad(solver.density, flat, batch)[1]
+        return solver.potential(state, flat)[1]
 
     theta_new, p_new, work = traj.trajectory(state.theta, p0, grad_fn, item, state.rng)
 
@@ -269,8 +267,8 @@ def metropolis_round(traj: Metropolis, solver: Solver, state: SolverState,
                             alpha, exponent, delta_h)
     if not accept:
         theta_new, p_new, u_new = state.theta, -p0, u0
-    return SolverState(theta_new, state.rng, state.batch_spec, box[0], p_new, state.rms,
-                       u_new, stats, state.gradient_evals + evals[0])
+    return SolverState(theta_new, state.rng, state.batch_spec, state.batch_state, p_new,
+                       state.rms, u_new, stats, state.gradient_evals + evals[0])
 
 
 # the round under each built-in trajectory's name, so that traces tell them apart
@@ -342,15 +340,6 @@ def swap_exponent(tau_low: float, tau_high: float, u_low: float, u_high: float,
     return dbeta * (u_low - u_high - dbeta * noise_var / correction)
 
 
-def _stochastic_u_pair(solver: Solver, state: SolverState):
-    """Two independent fresh-batch potential estimates at the current position."""
-    batch_a, bstate = next_batch(solver.dataset, state.batch_spec, state.batch_state)
-    u_a, _ = minibatch_value_grad(solver.density, state.theta, batch_a)
-    batch_b, bstate = next_batch(solver.dataset, state.batch_spec, bstate)
-    u_b, _ = minibatch_value_grad(solver.density, state.theta, batch_b)
-    return u_a, u_b, bstate
-
-
 def resgld_swap(block: Tempering, solver: Solver, pair: TemperingPair,
                 tau: float) -> TemperingPair:
     """Attempt one state swap between the chain at ``tau`` and the tempered one.
@@ -359,22 +348,21 @@ def resgld_swap(block: Tempering, solver: Solver, pair: TemperingPair,
     paired fresh-batch evaluations, Var(U~) ~= Var((U~_a - U~_b)/sqrt(2)),
     which isolates mini-batch noise from the drift of the chains.
     """
-    u_low, u_low_b, bstate_low = _stochastic_u_pair(solver, pair.low)
-    u_high, u_high_b, bstate_high = _stochastic_u_pair(solver, pair.high)
+    low, high = pair.low, pair.high
+    # two fresh-batch estimates per chain, drawn low, low, high, high
+    u_low, u_low_b, u_high, u_high_b = (solver.potential(s, s.theta)[0]
+                                        for s in (low, low, high, high))
     nv = welford_step(pair.noise_var, (u_low - u_low_b) / math.sqrt(2.0))
     nv = welford_step(nv, (u_high - u_high_b) / math.sqrt(2.0))
     sigma2 = float(welford_finalize(nv)[1][0]) if nv.count >= 2 else 0.0
     exponent = swap_exponent(tau, block.tau_high, u_low, u_high, sigma2, block.correction)
     accept = math.log(pair.rng.random()) < exponent
-    low, high = pair.low, pair.high
-    theta_low, rms_low, theta_high, rms_high = low.theta, low.rms, high.theta, high.rms
     if accept:  # exchange position and position-bound solver state; streams stay put
-        theta_low, rms_low, theta_high, rms_high = (high.theta.copy(), high.rms,
-                                                    low.theta.copy(), low.rms)
-    low = SolverState(theta_low, low.rng, low.batch_spec, bstate_low, low.p, rms_low,
-                      low.cached_potential, low.stats, low.gradient_evals)
-    high = SolverState(theta_high, high.rng, high.batch_spec, bstate_high, high.p, rms_high,
-                       high.cached_potential, high.stats, high.gradient_evals)
+        low, high = (
+            SolverState(high.theta.copy(), low.rng, low.batch_spec, low.batch_state, low.p,
+                        high.rms, low.cached_potential, low.stats, low.gradient_evals),
+            SolverState(low.theta.copy(), high.rng, high.batch_spec, high.batch_state, high.p,
+                        low.rms, high.cached_potential, high.stats, high.gradient_evals))
     stats = AcceptanceStats(pair.stats.proposals + 1,
                             pair.stats.accepts + (1 if accept else 0),
                             math.exp(min(exponent, 0.0)), exponent)

@@ -227,7 +227,14 @@ class TestRun:
         ("bogus", {"model_args": {"bogus": 1}}),
         ("nu", {"true_params": {"nu": 1}}),
         # model arguments are type-checked like knobs
-        ("n_weights", {"model": "linreg_sigma", "model_args": {"n_weights": "4"}})])
+        ("n_weights", {"model": "linreg_sigma", "model_args": {"n_weights": "4"}}),
+        # a true parameter has the type of the model's default
+        ("mu", {"true_params": {"mu": "0.5"}}),
+        # model arguments and true parameters are range-checked
+        ("dim", {"model": "std_normal", "model_args": {"dim": 0}}),
+        ("n_weights", {"model": "linreg_sigma", "model_args": {"n_weights": 0}}),
+        ("w", {"model": "linreg_sigma", "true_params": {"w": [1.0, 2.0]}}),
+        ("width", {"model": "mixture_1d", "model_args": {"width": 0.0}})])
     def test_unknown_model_key_names_the_field(self, tmp_path, capsys, key, entry):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"model": "gaussian_mean", "iterations": 10, **entry,
@@ -325,6 +332,7 @@ class TestCompare:
         path = run_dir / "summary.json"
         summary = json.loads(path.read_text())
         summary["config"]["cache_count"] = 1
+        summary["config"]["debug"] = False  # another field of an older version
         path.write_text(json.dumps(summary))
         assert run_cli("compare", "--run", str(run_dir),
                        "--reference", "analytic") == 0

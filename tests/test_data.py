@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgmc.core import RandomKey
-from sgmc.data import BatchSpec, init_batch_state, load_in_memory, next_batch
+from sgmc.data import STRATEGIES, BatchSpec, init_batch_state, load_in_memory, next_batch
+from sgmc.errors import ConfigurationError
 
 from conftest import CHI2_99
 
@@ -36,6 +37,34 @@ class TestNextBatch:
             init_batch_state(ds, BatchSpec(5, "shuffle", RandomKey(0)))
         with pytest.raises(ValueError):
             next_batch(ds, BatchSpec(5, "shuffle", RandomKey(0)), init_batch_state(ds, spec))
+
+    @pytest.mark.parametrize("size, strategy, field", [
+        (0, "shuffle", "batch_size"), (1.0, "shuffle", "batch_size"),
+        (2, "bogus", "batch_strategy")])
+    def test_bad_spec_names_the_field(self, size, strategy, field):
+        with pytest.raises(ConfigurationError) as err:
+            BatchSpec(size, strategy)
+        assert err.value.field == field
+
+    def test_batch_larger_than_dataset_names_batch_size(self):
+        ds = load_in_memory(arrays={"y": np.arange(3.0)})
+        with pytest.raises(ConfigurationError) as err:
+            init_batch_state(ds, BatchSpec(5, "shuffle", RandomKey(0)))
+        assert err.value.field == "batch_size"
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_advances_the_state_it_is_given(self, strategy):
+        # the cursor is a stream: next_batch moves it forward and hands it back
+        ds = load_in_memory(arrays={"y": np.arange(7.0)})
+        spec = BatchSpec(3, strategy, RandomKey(2))
+        expected = [b.indices.tolist() for b in drain(ds, spec, 5)]
+        state = init_batch_state(ds, spec)
+        got = []
+        for _ in range(5):
+            batch, returned = next_batch(ds, spec, state)
+            assert returned is state
+            got.append(batch.indices.tolist())
+        assert got == expected
 
     def test_epochs_partition(self):
         ds = load_in_memory(arrays={"y": np.arange(4.0)})

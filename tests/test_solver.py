@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from sgmc.potential import full_value, minibatch_value_grad
 from sgmc.scheduler import DualAveragingState, init_scheduler, scheduler_next
 from sgmc.solver import (_STREAM_BATCH, _STREAM_ITER, AMAGOLD, KNOBS, SAMPLER_NAMES,
                          SAMPLERS, SGGMC, SGHMC, Langevin, SamplerBundle, Solver, Tempering,
-                         build_sampler, make_solver, run_mcmc, swap_exponent)
+                         TemperingPair, build_sampler, make_solver, resgld_swap, run_mcmc,
+                         swap_exponent)
 
 from conftest import quadratic_model
 
@@ -260,6 +262,31 @@ class TestReplicaExchange:
                           model.init, key=RandomKey(0))[0]
         assert result["status"] == "ok" and result["sample_count"] == 20
 
+    def swap_with_uniform(self, u):
+        """One reSGLD swap attempt whose swap stream draws the uniform ``u``."""
+        model, dataset = std_normal_setup()
+        block = Tempering(Langevin(rms_prop=True), tau_high=3.0)
+        solver = Solver(block, model.density, dataset, 1)
+        pair = block.init(solver, model.init, RandomKey(0))
+        pair.high.theta, pair.high.rms = np.array([2.0]), np.array([0.5])
+        pair = TemperingPair(pair.low, pair.high, pair.noise_var,
+                             SimpleNamespace(random=lambda: u))
+        return pair, resgld_swap(block, solver, pair, 1.0)
+
+    def test_rejected_swap_keeps_both_states(self):
+        pair, out = self.swap_with_uniform(math.inf)  # log u = inf: no exponent beats it
+        assert out.stats.proposals == 1 and out.stats.accepts == 0
+        assert out.low is pair.low and out.high is pair.high
+
+    def test_accepted_swap_exchanges_positions_not_streams(self):
+        # log u = -691, far below this pair's exponent of about -4/3
+        pair, out = self.swap_with_uniform(1e-300)
+        assert out.stats.accepts == 1
+        for new, old, other in ((out.low, pair.low, pair.high),
+                                (out.high, pair.high, pair.low)):
+            assert np.array_equal(new.theta, other.theta) and new.rms is other.rms
+            assert new.batch_state is old.batch_state and new.rng is old.rng
+
     def test_replica_exchange_sghmc_from_public_blocks(self):
         # reSGHMC is not in SAMPLERS: tempering around an SGHMC move
         model, dataset = std_normal_setup()
@@ -493,6 +520,13 @@ class TestSamplerTable:
         with pytest.raises(ConfigurationError) as err:
             make_solver("sghmc", model.density, dataset, 1, friction=1.0, noise_estimate=None)
         assert err.value.field == "noise_estimate"
+
+    @pytest.mark.parametrize("batch_size", [0, 1.0])
+    def test_bad_batch_size_names_the_field(self, batch_size):
+        model, dataset = std_normal_setup()
+        with pytest.raises(ConfigurationError) as err:
+            Solver(Langevin(), model.density, dataset, batch_size)
+        assert err.value.field == "batch_size"
 
     def test_knob_count(self):
         assert sum(len(table) for table in KNOBS.values()) == 17
