@@ -6,7 +6,9 @@ shuffling (tail batch padded and masked out), and continuous shuffling (the
 stream runs on into the next epoch, so every batch is full).  A stream draws in
 order from one generator built from ``spec.key`` (shufflings: a permutation per epoch);
 its cursor, a :class:`BatchState`, is a stream like that generator, advanced in
-place and never copied.  A breach of a batch rule is a ConfigurationError naming its field.
+place and never copied.  A one-row dataset's one batch is built once, read-only, and
+returned without a draw; full batches share one read-only mask per size.
+A breach of a batch rule is a ConfigurationError naming its field.
 Consumers must honour the mask; pad rows are zeros and carry no information.
 Whole-dataset quantities (the exact potential) read ``Dataset.arrays``
 directly, with no batching.
@@ -14,6 +16,7 @@ directly, with no batching.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +85,7 @@ class BatchState:
     rng: np.random.Generator
     position: int = 0
     perm: np.ndarray | None = None  # drawn at the epoch's first batch
+    only: MiniBatch | None = None  # a one-row dataset's one batch: row 0, unmasked
 
 
 def load_in_memory(arrays) -> Dataset:
@@ -103,19 +107,26 @@ def init_batch_state(dataset: Dataset, spec: BatchSpec) -> BatchState:
     if spec.size > dataset.size:
         raise ConfigurationError(f"batch size {spec.size} exceeds dataset size {dataset.size}",
                                  field="batch_size")
-    return BatchState(spec.key.generator())
+    only = _take(dataset, np.zeros(1, dtype=np.int64), 1) if dataset.size == 1 else None
+    for arr in (*only.arrays.values(), only.indices) if only else ():
+        arr.flags.writeable = False  # every call returns this one batch
+    return BatchState(spec.key.generator(), only=only)
+
+
+@functools.lru_cache(maxsize=None)
+def _full_mask(n: int) -> np.ndarray:
+    return np.broadcast_to(True, n)  # read-only, shared by every full batch of size n
 
 
 def _take(dataset: Dataset, idx: np.ndarray, valid: int) -> MiniBatch:
     """Gather rows ``idx``; the rows from ``valid`` on are padding, zeroed and masked."""
     # fancy indexing copies, so padding is zeroed without touching the dataset
     arrays = {name: arr[idx] for name, arr in dataset.arrays.items()}
-    mask = np.ones(idx.shape[0], dtype=bool)
-    if valid < idx.shape[0]:
-        mask[valid:] = False
-        for rows in arrays.values():
-            rows[valid:] = 0.0  # pad value; correctness rests on the mask
-    return MiniBatch(arrays, mask, dataset.size, idx, valid)
+    if valid == idx.shape[0]:
+        return MiniBatch(arrays, _full_mask(valid), dataset.size, idx, valid)
+    for rows in arrays.values():
+        rows[valid:] = 0.0  # pad value; correctness rests on the mask
+    return MiniBatch(arrays, np.arange(idx.shape[0]) < valid, dataset.size, idx, valid)
 
 
 def _epoch_permutation(rng: np.random.Generator, big_n: int) -> np.ndarray:
@@ -132,6 +143,8 @@ def next_batch(dataset: Dataset, spec: BatchSpec, state: BatchState):
     n, big_n = spec.size, dataset.size
     if n > big_n:
         raise ValueError(f"batch size {n} exceeds dataset size {big_n}")
+    if state.only is not None:
+        return state.only, state
 
     if spec.strategy == "draw_replacement":
         return _take(dataset, state.rng.integers(0, big_n, size=n), n), state

@@ -60,6 +60,8 @@ def synth_data_generate(model: BuiltinModel, key: RandomKey, n_obs: int,
 # gaussian_mean: y ~ N(mu, 1), prior mu ~ N(0, prior_std^2).  Conjugate.
 
 def make_gaussian_mean(prior_std: float = 10.0) -> BuiltinModel:
+    if prior_std <= 0:
+        raise ConfigurationError("prior_std must be > 0", field="prior_std")
     layout = make_layout({"mu": ()})
     var0 = prior_std * prior_std
 
@@ -157,6 +159,8 @@ def make_linreg_sigma(n_weights: int = 4) -> BuiltinModel:
 # logreg_2d: Bernoulli labels with logistic link, N(0, prior_std^2) prior.
 
 def make_logreg_2d(prior_std: float = 10.0) -> BuiltinModel:
+    if prior_std <= 0:
+        raise ConfigurationError("prior_std must be > 0", field="prior_std")
     layout = make_layout({"w": (2,)})
     var0 = prior_std * prior_std
 
@@ -190,6 +194,8 @@ def make_logreg_2d(prior_std: float = 10.0) -> BuiltinModel:
 
     def generate(key, n_obs, params):
         w = np.asarray(params["w"], dtype=np.float64)
+        if w.shape != (2,):
+            raise ConfigurationError(f"expected 2 true weights, got {w.shape}", field="w")
         kx, ky = key.child(0), key.child(1)
         x = kx.generator().standard_normal((n_obs, 2))
         prob = 1.0 / (1.0 + np.exp(-(x @ w)))

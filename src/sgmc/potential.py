@@ -4,9 +4,10 @@ A model supplies the vectorized log-likelihood and score of a batch of
 observations plus the log-prior and its gradient, all on the flat parameter
 vector and in log space.  There is one evaluator per quantity:
 :func:`minibatch_value_grad` gives the stochastic (U~, grad U~), scaling the
-mini-batch likelihood sum by N/n_eff, where n_eff counts unmasked rows, so
-padded epoch tails stay unbiased; :func:`full_value` gives the exact U from
-one vectorized call on the whole dataset.  :func:`per_observation` lifts
+mini-batch sums by N/n_eff, where n_eff counts unmasked rows, so padded epoch
+tails stay unbiased; with ``value=False`` it gives only grad U~ and evaluates no
+log-likelihood or log-prior.  :func:`full_value` gives the exact U from one
+vectorized call on the whole dataset.  :func:`per_observation` lifts
 per-observation functions of the named parameters to this contract.
 """
 
@@ -72,23 +73,21 @@ def per_observation(layout: Layout, log_likelihood, grad_log_likelihood,
     )
 
 
-def minibatch_value_grad(model: LogDensityModel, flat: np.ndarray, batch: MiniBatch):
-    """Flat-vector stochastic potential: (U~, grad U~)."""
+def minibatch_value_grad(model: LogDensityModel, flat: np.ndarray, batch: MiniBatch,
+                         value: bool = True):
+    """Flat-vector stochastic potential: (U~, grad U~), or (None, grad U~) without ``value``."""
     n_eff = batch.n_effective
     if n_eff == 0:
         raise ValueError("mini-batch is fully masked")
     scale = batch.full_size / n_eff
-    ll = np.asarray(model.batch_log_likelihood(flat, batch.arrays), dtype=np.float64)
+    # select, don't multiply: masked rows may hold arbitrary garbage
+    rows = slice(None) if n_eff == batch.size else batch.mask
     scores = np.asarray(model.batch_score(flat, batch.arrays), dtype=np.float64)
-    if n_eff == batch.size:
-        ll_sum, score_sum = float(ll.sum()), scores.sum(axis=0)
-    else:
-        # select, don't multiply: masked rows may hold arbitrary garbage
-        ll_sum = float(ll[batch.mask].sum())
-        score_sum = scores[batch.mask].sum(axis=0)
-    value = -scale * ll_sum - float(model.log_prior(flat))
-    grad = -scale * score_sum - model.grad_log_prior(flat)
-    return value, grad
+    grad = -scale * scores[rows].sum(axis=0) - model.grad_log_prior(flat)
+    if not value:
+        return None, grad
+    ll = np.asarray(model.batch_log_likelihood(flat, batch.arrays), dtype=np.float64)
+    return -scale * float(ll[rows].sum()) - float(model.log_prior(flat)), grad
 
 
 def full_value(model: LogDensityModel, flat: np.ndarray, dataset: Dataset) -> float:

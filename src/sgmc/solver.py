@@ -102,10 +102,11 @@ class Solver:
     def step(self, state, item: ScheduleItem):
         return self.block.step(self, state, item)
 
-    def potential(self, state: SolverState, flat: np.ndarray):
-        """The stochastic (U~, grad U~) at ``flat`` on the chain's next mini-batch."""
+    def potential(self, state: SolverState, flat: np.ndarray, value: bool = True):
+        """The stochastic (U~, grad U~) at ``flat`` on the chain's next mini-batch;
+        without ``value``, U~ is None and not computed."""
         batch, _ = next_batch(self.dataset, state.batch_spec, state.batch_state)
-        return minibatch_value_grad(self.density, flat, batch)
+        return minibatch_value_grad(self.density, flat, batch, value)
 
 
 def _init_state(solver: Solver, theta0: np.ndarray, key: RandomKey, **fields):
@@ -177,7 +178,7 @@ class SGHMC(AcceptAll):
 def sgmc_update(move: AcceptAll, solver: Solver, state: SolverState,
                 item: ScheduleItem) -> SolverState:
     """One accept-all transition: a mini-batch gradient, then one step of ``move``."""
-    _, grad = solver.potential(state, state.theta)
+    _, grad = solver.potential(state, state.theta, value=False)
     theta, p, rms = move.integrate(state, grad, item)
     stats = AcceptanceStats(state.stats.proposals + 1, state.stats.accepts + 1)
     return SolverState(theta, state.rng, state.batch_spec, state.batch_state, p, rms,
@@ -247,7 +248,7 @@ def metropolis_round(traj: Metropolis, solver: Solver, state: SolverState,
 
     def grad_fn(flat):
         evals[0] += 1
-        return solver.potential(state, flat)[1]
+        return solver.potential(state, flat, value=False)[1]
 
     theta_new, p_new, work = traj.trajectory(state.theta, p0, grad_fn, item, state.rng)
 

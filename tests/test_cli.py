@@ -234,7 +234,12 @@ class TestRun:
         ("dim", {"model": "std_normal", "model_args": {"dim": 0}}),
         ("n_weights", {"model": "linreg_sigma", "model_args": {"n_weights": 0}}),
         ("w", {"model": "linreg_sigma", "true_params": {"w": [1.0, 2.0]}}),
-        ("width", {"model": "mixture_1d", "model_args": {"width": 0.0}})])
+        ("width", {"model": "mixture_1d", "model_args": {"width": 0.0}}),
+        ("prior_std", {"model_args": {"prior_std": 0.0}}),
+        ("prior_std", {"model_args": {"prior_std": -2.0}}),
+        ("prior_std", {"model": "logreg_2d", "model_args": {"prior_std": 0.0}}),
+        ("prior_std", {"model": "logreg_2d", "model_args": {"prior_std": -2.0}}),
+        ("w", {"model": "logreg_2d", "true_params": {"w": [1.0, 2.0, 3.0]}})])
     def test_unknown_model_key_names_the_field(self, tmp_path, capsys, key, entry):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"model": "gaussian_mean", "iterations": 10, **entry,

@@ -66,6 +66,34 @@ class TestNextBatch:
             got.append(batch.indices.tolist())
         assert got == expected
 
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_one_row_dataset_has_one_read_only_batch(self, strategy):
+        # N = 1: every batch is row 0, unmasked, built once and handed out without a draw
+        ds = load_in_memory(arrays={"x": np.array([[1.0, 2.0]]), "y": np.array([3.0])})
+        spec = BatchSpec(1, strategy, RandomKey(2))
+        state = init_batch_state(ds, spec)
+        drawn = state.rng.bit_generator.state
+        first, _ = next_batch(ds, spec, state)
+        for _ in range(5):
+            batch, returned = next_batch(ds, spec, state)
+            assert batch is first and returned is state
+        assert state.rng.bit_generator.state == drawn
+        assert first.indices.tolist() == [0] and first.mask.tolist() == [True]
+        assert first.n_effective == 1 and first.full_size == 1
+        assert first.arrays["x"].tolist() == [[1.0, 2.0]] and first.arrays["y"].tolist() == [3.0]
+        for arr in (*first.arrays.values(), first.mask, first.indices):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+        assert ds["y"].flags.writeable  # the dataset itself stays as it was
+
+    def test_full_batches_share_one_read_only_mask(self):
+        ds = load_in_memory(arrays={"y": np.arange(7.0)})
+        full, other, tail = drain(ds, BatchSpec(3, "shuffle_in_epochs", RandomKey(2)), 3)
+        assert full.mask is other.mask and full.mask.tolist() == [True] * 3
+        with pytest.raises(ValueError, match="read-only"):
+            full.mask[0] = False
+        assert tail.mask.tolist() == [True, False, False]
+
     def test_epochs_partition(self):
         ds = load_in_memory(arrays={"y": np.arange(4.0)})
         b1, b2 = drain(ds, BatchSpec(2, "shuffle_in_epochs", RandomKey(3)), 2)

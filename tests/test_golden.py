@@ -4,6 +4,8 @@ Each case runs ``build_sampler`` briefly and compares the SHA-256 of the
 collected samples (``store.stacked().tobytes()``), the acceptance rate and the
 gradient-evaluation count with constants recorded from an earlier commit.  A
 refactor that claims byte-identical samples must pass this test unchanged.
+``ONE_ROW_GOLDEN`` pins the same for one-row (data-free) targets, whose every
+mini-batch is the dataset's only row.
 ``FILE_GOLDEN`` pins the bytes of the sample files that one ``sgmc run``
 writes in each output format.
 
@@ -28,6 +30,7 @@ import pytest
 
 from sgmc.cli import main
 from sgmc.core import RandomKey
+from sgmc.data import STRATEGIES
 from sgmc.models import get_model, synth_data_generate
 from sgmc.solver import build_sampler
 
@@ -69,6 +72,24 @@ GOLDEN = {
 }
 
 
+# one-row (data-free) targets, N = 1 and batch_size 1: every batch is the only row
+ONE_ROW_CASES = {
+    **{f"std_normal_sgld_{strategy}": ("std_normal", {"dim": 3}, "sgld",
+                                       {"batch_strategy": strategy})
+       for strategy in STRATEGIES},
+    "mixture_1d_resgld": ("mixture_1d", {}, "resgld",
+                          {"tau_high": 10.0, "swap_interval": 10, "step_size_first": 0.1,
+                           "step_size_last": 0.05}),
+}
+
+ONE_ROW_GOLDEN = {
+    'mixture_1d_resgld': ('db56e1b708543c92980615d64c9ed41fafb3dd719f1f91662879ce8f077e6a44', 0.5, 600),
+    'std_normal_sgld_draw_replacement': ('3796af197dca52f412e248a739743f7029f2931f8100a7520e39537836a18cf9', 1.0, 300),
+    'std_normal_sgld_shuffle': ('3796af197dca52f412e248a739743f7029f2931f8100a7520e39537836a18cf9', 1.0, 300),
+    'std_normal_sgld_shuffle_in_epochs': ('3796af197dca52f412e248a739743f7029f2931f8100a7520e39537836a18cf9', 1.0, 300),
+}
+
+
 # a small 2-chain run of the 2-parameter logistic regression
 FILE_RUN = {"model": "logreg_2d", "n_obs": 60, "sampler": "sgld", "iterations": 200,
             "burn_in": 50, "batch_size": 8, "seed": 11, "chains": 2,
@@ -83,19 +104,29 @@ FILE_GOLDEN = {
 }
 
 
-def run_case(name):
-    sampler, over = CASES[name]
-    model = get_model("logreg_2d")
-    dataset = synth_data_generate(model, RandomKey(11).child(0), 60)
-    cfg = dict(BASE, model=model, dataset=dataset, **over)
-    result = build_sampler(sampler, cfg).run()[0]
+def _run(model, n_obs, sampler, over):
+    dataset = synth_data_generate(model, RandomKey(11).child(0), n_obs)
+    result = build_sampler(sampler, dict(BASE, model=model, dataset=dataset, **over)).run()[0]
     digest = hashlib.sha256(result["store"].stacked().tobytes()).hexdigest()
     return digest, result["acceptance_rate"], result["gradient_evaluations"]
+
+
+def run_case(name):
+    if name in ONE_ROW_CASES:
+        model, model_args, sampler, over = ONE_ROW_CASES[name]
+        return _run(get_model(model, **model_args), 1, sampler, dict(over, batch_size=1))
+    sampler, over = CASES[name]
+    return _run(get_model("logreg_2d"), 60, sampler, over)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_digest(name):
     assert run_case(name) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(ONE_ROW_CASES))
+def test_one_row_golden_digest(name):
+    assert run_case(name) == ONE_ROW_GOLDEN[name]
 
 
 def file_digests(tmp: Path) -> dict:
@@ -118,10 +149,10 @@ if __name__ == "__main__":
     if sys.argv[1:] not in ([], ["--check"]):
         sys.exit("usage: python tests/test_golden.py [--check]")
     check = sys.argv[1:] == ["--check"]
-    current = {case: run_case(case) for case in sorted(CASES)}
+    current = {case: run_case(case) for case in sorted(CASES) + sorted(ONE_ROW_CASES)}
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         current.update(file_digests(Path(tmp)))
-    pinned = {**GOLDEN, **FILE_GOLDEN}
+    pinned = {**GOLDEN, **ONE_ROW_GOLDEN, **FILE_GOLDEN}
     moved = {name: value for name, value in current.items() if value != pinned.get(name)}
     for name, value in (moved if check else current).items():
         print(f"    {name!r}: {value!r},")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -95,6 +96,31 @@ class TestMinibatchPotential:
             flat = key.generator().standard_normal(density.dim) * 0.5
             value, _ = minibatch_value_grad(density, flat, whole)
             assert full_value(density, flat, ds) == value
+
+
+class TestGradientOnly:
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_gradient_equals_the_value_and_gradient_one(self, name):
+        # N = 7 in batches of 3: the third batch is padded and masked
+        model = get_model(name)
+        ds = synth_data_generate(model, RandomKey(12), 7)
+        spec = BatchSpec(3, "shuffle_in_epochs", RandomKey(4))
+        state = init_batch_state(ds, spec)
+
+        def refuse(*args):
+            raise AssertionError("a gradient-only evaluation asked for a value")
+
+        grad_only = dataclasses.replace(model.density, batch_log_likelihood=refuse,
+                                        log_prior=refuse)
+        flat = RandomKey(6).generator().standard_normal(model.density.dim) * 0.5
+        masks = []
+        for _ in range(3):
+            batch, _ = next_batch(ds, spec, state)
+            masks.append(batch.mask.tolist())
+            _, grad = minibatch_value_grad(model.density, flat, batch)
+            value, only = minibatch_value_grad(grad_only, flat, batch, value=False)
+            assert value is None and np.array_equal(only, grad)
+        assert masks[2] == [True, False, False]
 
 
 class TestFullPotential:

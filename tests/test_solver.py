@@ -303,6 +303,42 @@ class TestReplicaExchange:
         assert 0.0 < result["acceptance_rate"] < 1.0  # swaps both taken and refused
 
 
+class TestGradientOnlySteps:
+    @staticmethod
+    def count_value_calls(name, kw, iterations=40):
+        """Mini-batch log-likelihood, full-data log-likelihood and log-prior calls of a run."""
+        model = get_model("gaussian_mean")
+        dataset = synth_data_generate(model, RandomKey(1), 20)
+        density, calls = model.density, {"batch": 0, "full": 0, "prior": 0}
+
+        def log_likelihood(flat, arrays):
+            calls["full" if arrays is dataset.arrays else "batch"] += 1
+            return density.batch_log_likelihood(flat, arrays)
+
+        def log_prior(flat):
+            calls["prior"] += 1
+            return density.log_prior(flat)
+
+        counting = dataclasses.replace(density, batch_log_likelihood=log_likelihood,
+                                       log_prior=log_prior)
+        solver = make_solver(name, counting, dataset, 4, **kw)
+        run_mcmc(solver, init_scheduler(iterations, step_size=0.01), model.init,
+                 key=RandomKey(3))
+        return calls
+
+    @pytest.mark.parametrize("name,kw,full", [
+        ("sgld", {}, 0),
+        ("sghmc", {"friction": 1.0}, 0),
+        # the exact potential at the start and once per round
+        ("amagold", {"leapfrog_steps": 3, "friction": 0.1}, 41)])
+    def test_steps_evaluate_no_minibatch_value(self, name, kw, full):
+        assert self.count_value_calls(name, kw) == {"batch": 0, "full": full, "prior": full}
+
+    def test_resgld_evaluates_four_minibatch_values_per_swap_attempt(self):
+        calls = self.count_value_calls("resgld", {"tau_high": 3.0, "swap_interval": 5})
+        assert calls == {"batch": 4 * 8, "full": 0, "prior": 4 * 8}  # 40 steps / 5
+
+
 class TestRunMCMC:
     # generators per chain: batch and iteration streams per state, and for
     # replica exchange two states plus the swap stream
