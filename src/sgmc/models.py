@@ -60,7 +60,7 @@ def synth_data_generate(model: BuiltinModel, key: RandomKey, n_obs: int,
 # gaussian_mean: y ~ N(mu, 1), prior mu ~ N(0, prior_std^2).  Conjugate.
 
 def make_gaussian_mean(prior_std: float = 10.0) -> BuiltinModel:
-    if prior_std <= 0:
+    if not prior_std > 0:
         raise ConfigurationError("prior_std must be > 0", field="prior_std")
     layout = make_layout({"mu": ()})
     var0 = prior_std * prior_std
@@ -159,7 +159,7 @@ def make_linreg_sigma(n_weights: int = 4) -> BuiltinModel:
 # logreg_2d: Bernoulli labels with logistic link, N(0, prior_std^2) prior.
 
 def make_logreg_2d(prior_std: float = 10.0) -> BuiltinModel:
-    if prior_std <= 0:
+    if not prior_std > 0:
         raise ConfigurationError("prior_std must be > 0", field="prior_std")
     layout = make_layout({"w": (2,)})
     var0 = prior_std * prior_std
@@ -248,7 +248,7 @@ def make_mixture_1d(separation: float = 3.0, width: float = 1.0) -> BuiltinModel
     """Equal-weight two-Gaussian target with modes at +-separation."""
     layout = make_layout({"theta": ()})
     s, sd = float(separation), float(width)
-    if sd <= 0:
+    if not sd > 0:
         raise ConfigurationError("component width must be > 0", field="width")
     inv2 = 1.0 / (sd * sd)
 

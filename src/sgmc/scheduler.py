@@ -70,7 +70,7 @@ class DualAveragingState:
     def init(cls, eps_init: float, delta: float = 0.65) -> "DualAveragingState":
         check_type("step_size_init", eps_init, (float,))
         check_type("target_accept", delta, (float,))
-        if eps_init <= 0:
+        if not eps_init > 0:
             raise ConfigurationError("initial step size must be > 0", field="step_size_init")
         if not 0 < delta < 1:
             raise ConfigurationError("target acceptance must lie in (0, 1)",
@@ -157,7 +157,7 @@ def init_scheduler(n_iterations: int, *, step_size=None, adaptive: DualAveraging
         raise ConfigurationError("need at least one iteration", field="iterations")
     if not 0 <= burn_in <= n_iterations:
         raise ConfigurationError("burn-in outside [0, iterations]", field="burn_in")
-    if temperature < 0:
+    if not temperature >= 0:
         raise ConfigurationError("temperature must be >= 0", field="temperature")
     if (step_size is None) == (adaptive is None):
         raise ConfigurationError("provide exactly one of step_size / adaptive",
@@ -169,7 +169,7 @@ def init_scheduler(n_iterations: int, *, step_size=None, adaptive: DualAveraging
         else:
             check_type("step_size", step_size, (float,))
             eps = np.full(n_iterations, float(step_size))
-        if np.any(eps <= 0):
+        if not np.all(eps > 0):
             raise ConfigurationError("step sizes must be positive", field="step_size")
     eligible = n_iterations - burn_in
     if selections is None:

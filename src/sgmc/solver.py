@@ -10,11 +10,11 @@ A sampler is one frozen block whose fields are its knobs:
   It resamples the momentum, runs the trajectory and accepts with
   exp((U(start) - U(end) + W) / tau): the exact potential U is evaluated only
   at the endpoints (the start value is cached from the last accept) and W is
-  the trajectory's stochastic work.  A rejection keeps the position and flips
-  the round's initial momentum;
+  the trajectory's stochastic work.  A rejection keeps the position;
 - :class:`Tempering`, replica exchange around any accept-all move, with a
   variance correction for the mini-batch noise in the swap test.
 
+Each block owns the state ``aux`` a chain carries for it and its ``check`` of the schedule.
 :class:`Solver` binds a block to a density, its dataset, the batch size and the
 batching strategy.  :data:`SAMPLERS` maps each name to a block constructor
 whose parameters are the sampler's knobs (:data:`KNOBS`).
@@ -67,16 +67,14 @@ class AcceptanceStats:
 
 @dataclass
 class SolverState:
-    """Per-chain sampler state.  A step never mutates it but builds a new one, which
-    shares the streams ``rng`` and ``batch_state``: stepping moves them forward in place."""
+    """Per-chain state; only the block reads ``aux``.  A step never mutates it but builds
+    a new one, which shares the streams ``rng`` and ``batch_state``, moved on in place."""
 
     theta: np.ndarray
     rng: np.random.Generator
     batch_spec: BatchSpec
     batch_state: BatchState
-    p: Optional[np.ndarray] = None
-    rms: Optional[np.ndarray] = None  # pSGLD's RMSProp second-moment estimate
-    cached_potential: Optional[float] = None
+    aux: object = None  # the block's own state, from its ``start``
     stats: AcceptanceStats = AcceptanceStats()
     gradient_evals: int = 0
 
@@ -109,27 +107,38 @@ class Solver:
         return minibatch_value_grad(self.density, flat, batch, value)
 
 
-def _init_state(solver: Solver, theta0: np.ndarray, key: RandomKey, **fields):
-    spec = BatchSpec(solver.batch_size, solver.batch_strategy, key.child(_STREAM_BATCH))
-    return SolverState(np.array(theta0, dtype=np.float64), key.child(_STREAM_ITER).generator(),
-                       spec, init_batch_state(solver.dataset, spec), **fields)
-
-
 def _require(ok: bool, knob: str, message: str):
     if not ok:
         raise ConfigurationError(message, field=knob)
 
 
+class Move:
+    """Base of the blocks that advance one chain: ``init`` builds the chain's
+    streams and takes ``aux`` from the block's ``start(solver, theta)``."""
+
+    def init(self, solver: Solver, theta0: np.ndarray, key: RandomKey) -> SolverState:
+        spec = BatchSpec(solver.batch_size, solver.batch_strategy, key.child(_STREAM_BATCH))
+        theta = np.array(theta0, dtype=np.float64)
+        return SolverState(theta, key.child(_STREAM_ITER).generator(), spec,
+                           init_batch_state(solver.dataset, spec), self.start(solver, theta))
+
+
 # ---------------------------------------------------------------------------
 # Accept-all moves
 
-class AcceptAll:
-    """Base of the accept-all moves: ``init(solver, theta0, key)`` gives the
-    state and ``integrate(state, grad, item) -> (theta, p, rms)`` is the step
-    that :func:`sgmc_update` takes with the mini-batch gradient."""
+class AcceptAll(Move):
+    """Base of the accept-all moves: :func:`sgmc_update` takes the step ``integrate(state,
+    grad, item) -> (theta, aux)`` with the mini-batch gradient.  A replica swap moves
+    ``aux`` with the position if ``follows_theta`` is set; otherwise it stays with its chain."""
+
+    follows_theta = False
 
     def step(self, solver: Solver, state: SolverState, item: ScheduleItem) -> SolverState:
         return sgmc_update(self, solver, state, item)
+
+    def check(self, scheduler: SchedulerState):
+        _require(not scheduler.is_adaptive, "target_accept",
+                 "adaptive step sizes need a Metropolis sampler (no acceptance statistics)")
 
 
 @dataclass(frozen=True)
@@ -139,63 +148,67 @@ class Langevin(AcceptAll):
     rms_prop: bool = False
     rms_alpha: float = 0.99
     rms_lam: float = 1e-5
+    follows_theta = True  # the RMSProp second moments (aux) travel with the position
 
     def __post_init__(self):
         _require(0.0 < self.rms_alpha < 1.0, "rms_alpha", "rms_alpha must lie in (0, 1)")
         _require(self.rms_lam > 0.0, "rms_lam", "rms_lam must be > 0")
 
-    def init(self, solver, theta0, key):
-        return _init_state(solver, theta0, key,
-                           rms=np.zeros(len(theta0)) if self.rms_prop else None)
+    def start(self, solver, theta):
+        return np.zeros(len(theta)) if self.rms_prop else None
 
     def integrate(self, state, grad, item):
-        rms, precond = (rmsprop_step(state.rms, grad, self.rms_alpha, self.rms_lam)
+        rms, precond = (rmsprop_step(state.aux, grad, self.rms_alpha, self.rms_lam)
                         if self.rms_prop else (None, None))
         return langevin_step(state.theta, grad, item.step_size, item.temperature, precond,
-                             rng=state.rng), None, rms
+                             rng=state.rng), rms
 
 
 @dataclass(frozen=True)
 class SGHMC(AcceptAll):
-    """SGHMC with friction C and gradient-noise estimate B-hat (``noise_estimate``)."""
+    """SGHMC with friction C and gradient-noise estimate B-hat (``noise_estimate``);
+    its momentum (aux) stays with its chain in a replica swap."""
 
     friction: float
     noise_estimate: float = 0.0
 
     def __post_init__(self):
+        _require(self.friction >= 0, "friction", "friction must be >= 0")
         _require(0.0 <= self.noise_estimate <= self.friction, "noise_estimate",
                  "need 0 <= noise_estimate <= friction (noise variance 2 (C - B) >= 0)")
 
-    def init(self, solver, theta0, key):
-        return _init_state(solver, theta0, key, p=np.zeros(len(theta0)))
+    def start(self, solver, theta):
+        return np.zeros(len(theta))
 
     def integrate(self, state, grad, item):
-        theta, p = sghmc_step(state.theta, state.p, grad, item.step_size, self.friction,
-                              self.noise_estimate, item.temperature, rng=state.rng)
-        return theta, p, None
+        return sghmc_step(state.theta, state.aux, grad, item.step_size, self.friction,
+                          self.noise_estimate, item.temperature, rng=state.rng)
 
 
 def sgmc_update(move: AcceptAll, solver: Solver, state: SolverState,
                 item: ScheduleItem) -> SolverState:
     """One accept-all transition: a mini-batch gradient, then one step of ``move``."""
     _, grad = solver.potential(state, state.theta, value=False)
-    theta, p, rms = move.integrate(state, grad, item)
+    theta, aux = move.integrate(state, grad, item)
     stats = AcceptanceStats(state.stats.proposals + 1, state.stats.accepts + 1)
-    return SolverState(theta, state.rng, state.batch_spec, state.batch_state, p, rms,
-                       state.cached_potential, stats, state.gradient_evals + 1)
+    return SolverState(theta, state.rng, state.batch_spec, state.batch_state, aux, stats,
+                       state.gradient_evals + 1)
 
 
 # ---------------------------------------------------------------------------
 # Metropolis trajectories and the amortized MH round
 
-class Metropolis:
+class Metropolis(Move):
     """Base of the trajectories whose ``step`` is :func:`metropolis_round`, with
-    ``trajectory(theta, p0, grad_fn, item, rng) -> (theta, p, W)``."""
+    ``trajectory(theta, p0, grad_fn, item, rng) -> (theta, p, W)``; ``aux`` is the
+    exact potential at the position."""
 
-    def init(self, solver: Solver, theta0: np.ndarray, key: RandomKey) -> SolverState:
-        state = _init_state(solver, theta0, key, p=np.zeros(len(theta0)))
-        state.cached_potential = full_value(solver.density, state.theta, solver.dataset)
-        return state
+    def start(self, solver, theta):
+        return full_value(solver.density, theta, solver.dataset)
+
+    def check(self, scheduler: SchedulerState):
+        _require(scheduler.temperature > 0, "temperature",
+                 "Metropolis samplers need temperature > 0")
 
 
 @dataclass(frozen=True)
@@ -211,6 +224,12 @@ class AMAGOLD(Metropolis):
 
     def step(self, solver, state, item):
         return amagold_round(self, solver, state, item)
+
+    def check(self, scheduler):  # and beta below 1 at the largest, or first adapted, step
+        super().check(scheduler)
+        eps = scheduler.adaptive.eps if scheduler.is_adaptive else scheduler.step_sizes.max()
+        _require(0.5 * eps * self.friction < 1.0, "friction",
+                 "half-step friction beta = step size * friction / 2 must be < 1")
 
     def trajectory(self, theta, p0, grad_fn, item, rng):
         beta = 0.5 * item.step_size * self.friction  # half-step friction
@@ -252,7 +271,7 @@ def metropolis_round(traj: Metropolis, solver: Solver, state: SolverState,
 
     theta_new, p_new, work = traj.trajectory(state.theta, p0, grad_fn, item, state.rng)
 
-    u0 = state.cached_potential
+    u0 = state.aux
     u_new = full_value(solver.density, theta_new, solver.dataset)
     exponent = (u0 - u_new + work) / tau
     # -inf (an endpoint outside the support) is a certain rejection
@@ -267,9 +286,9 @@ def metropolis_round(traj: Metropolis, solver: Solver, state: SolverState,
                             state.stats.accepts + (1 if accept else 0),
                             alpha, exponent, delta_h)
     if not accept:
-        theta_new, p_new, u_new = state.theta, -p0, u0
-    return SolverState(theta_new, state.rng, state.batch_spec, state.batch_state, p_new,
-                       state.rms, u_new, stats, state.gradient_evals + evals[0])
+        theta_new, u_new = state.theta, u0
+    return SolverState(theta_new, state.rng, state.batch_spec, state.batch_state, u_new,
+                       stats, state.gradient_evals + evals[0])
 
 
 # the round under each built-in trajectory's name, so that traces tell them apart
@@ -326,6 +345,11 @@ class Tempering:
     def step(self, solver: Solver, pair: TemperingPair, item: ScheduleItem) -> TemperingPair:
         return resgld_step(self, solver, pair, item)
 
+    def check(self, scheduler: SchedulerState):
+        self.move.check(scheduler)
+        _require(self.tau_high > scheduler.temperature, "tau_high",
+                 "tempered chain needs tau_high above the temperature")
+
 
 def resgld(tau_high: float, swap_interval: int = 50, correction: float = 1.0,
            hot_step_factor: float = 1.0, rms_prop: bool = False) -> Tempering:
@@ -358,12 +382,13 @@ def resgld_swap(block: Tempering, solver: Solver, pair: TemperingPair,
     sigma2 = float(welford_finalize(nv)[1][0]) if nv.count >= 2 else 0.0
     exponent = swap_exponent(tau, block.tau_high, u_low, u_high, sigma2, block.correction)
     accept = math.log(pair.rng.random()) < exponent
-    if accept:  # exchange position and position-bound solver state; streams stay put
+    if accept:  # exchange the positions, and aux if it follows them; streams stay put
+        follows = block.move.follows_theta
         low, high = (
-            SolverState(high.theta.copy(), low.rng, low.batch_spec, low.batch_state, low.p,
-                        high.rms, low.cached_potential, low.stats, low.gradient_evals),
-            SolverState(low.theta.copy(), high.rng, high.batch_spec, high.batch_state, high.p,
-                        low.rms, high.cached_potential, high.stats, high.gradient_evals))
+            SolverState(high.theta.copy(), low.rng, low.batch_spec, low.batch_state,
+                        high.aux if follows else low.aux, low.stats, low.gradient_evals),
+            SolverState(low.theta.copy(), high.rng, high.batch_spec, high.batch_state,
+                        low.aux if follows else high.aux, high.stats, high.gradient_evals))
     stats = AcceptanceStats(pair.stats.proposals + 1,
                             pair.stats.accepts + (1 if accept else 0),
                             math.exp(min(exponent, 0.0)), exponent)
@@ -420,25 +445,6 @@ def make_solver(name: str, density: LogDensityModel, dataset: Dataset, batch_siz
 # ---------------------------------------------------------------------------
 # Chain driver
 
-def _check_schedule(block, scheduler: SchedulerState):
-    """The one check of a block against its schedule.  Adaptive step sizes need a
-    Metropolis block, and a Metropolis block needs temperature > 0; a tempered
-    chain must run above the temperature; AMAGOLD's half-step friction beta, at a
-    static schedule's largest step or an adaptive one's first, must be below 1."""
-    metropolis = isinstance(block, Metropolis)
-    _require(not scheduler.is_adaptive or metropolis, "target_accept",
-             "adaptive step sizes need a Metropolis sampler (no acceptance statistics)")
-    _require(not metropolis or scheduler.temperature > 0, "temperature",
-             "Metropolis samplers need temperature > 0")
-    if isinstance(block, Tempering):
-        _require(block.tau_high > scheduler.temperature, "tau_high",
-                 "tempered chain needs tau_high above the temperature")
-    if isinstance(block, AMAGOLD):
-        eps = scheduler.adaptive.eps if scheduler.is_adaptive else scheduler.step_sizes.max()
-        _require(0.5 * eps * block.friction < 1.0, "friction",
-                 "half-step friction beta = step size * friction / 2 must be < 1")
-
-
 def _chain_result(store, stats, runtime, gradient_evals, iterations, status="ok"):
     return {"status": status, "chain_id": store.chain_id, "sample_count": store.sample_count,
             "acceptance_rate": stats.rate, "runtime": runtime, "iterations": iterations,
@@ -481,7 +487,7 @@ def run_mcmc(solver: Solver, scheduler: SchedulerState, init_theta: np.ndarray, 
     check_type("chains", chains, (int,))
     if chains < 1:
         raise ConfigurationError("need at least one chain", field="chains")
-    _check_schedule(solver.block, scheduler)
+    solver.block.check(scheduler)
     dim = solver.density.dim
     _require(np.shape(init_theta) == (dim,), "init_theta",
              f"initial position must be a flat vector of shape ({dim},)")
@@ -567,5 +573,5 @@ def build_sampler(name: str, config: dict) -> SamplerBundle:
                                selections=cfg.get("selections"),
                                temperature=cfg.get("temperature", 1.0),
                                key=root.child(1))
-    _check_schedule(solver.block, scheduler)
+    solver.block.check(scheduler)
     return SamplerBundle(solver, scheduler, cfg.get("init_theta", model.init), root.child(2))

@@ -1,5 +1,6 @@
 import inspect
 import json
+import math
 
 import pytest
 
@@ -157,7 +158,15 @@ class TestRun:
         ("leapfrog_steps", {"model": "std_normal", "sampler": "amagold",
                             "sampler_args": {"leapfrog_steps": "x"}}),
         ("friction", {"model": "std_normal", "sampler": "amagold",
-                      "sampler_args": {"leapfrog_steps": 2, "friction": -1.0}})])
+                      "sampler_args": {"leapfrog_steps": 2, "friction": -1.0}}),
+        # SGHMC names its own friction, not noise_estimate
+        ("friction", {"sampler": "sghmc", "sampler_args": {"friction": -1.0}}),
+        ("friction", {"sampler": "sghmc", "sampler_args": {"friction": math.nan}}),
+        # NaN fails every range check: refused (exit 2), never run
+        ("temperature", {"sampler": "sgld", "temperature": math.nan}),
+        ("step_size_init", {**ADAPTIVE, "step_size_init": math.nan}),
+        ("step_size_init", {**ADAPTIVE, "sampler": "sggmc", "sampler_args": {"obabo_steps": 2},
+                            "step_size_init": math.nan})])
     def test_invalid_sampler_setting_names_the_field(self, tmp_path, capsys, field, cfg):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({**cfg, "iterations": 10, "output": str(tmp_path / "x")}))
@@ -239,7 +248,10 @@ class TestRun:
         ("prior_std", {"model_args": {"prior_std": -2.0}}),
         ("prior_std", {"model": "logreg_2d", "model_args": {"prior_std": 0.0}}),
         ("prior_std", {"model": "logreg_2d", "model_args": {"prior_std": -2.0}}),
-        ("w", {"model": "logreg_2d", "true_params": {"w": [1.0, 2.0, 3.0]}})])
+        ("w", {"model": "logreg_2d", "true_params": {"w": [1.0, 2.0, 3.0]}}),
+        ("prior_std", {"model_args": {"prior_std": math.nan}}),
+        ("prior_std", {"model": "logreg_2d", "model_args": {"prior_std": math.nan}}),
+        ("width", {"model": "mixture_1d", "model_args": {"width": math.nan}})])
     def test_unknown_model_key_names_the_field(self, tmp_path, capsys, key, entry):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"model": "gaussian_mean", "iterations": 10, **entry,

@@ -5,7 +5,9 @@ collected samples (``store.stacked().tobytes()``), the acceptance rate and the
 gradient-evaluation count with constants recorded from an earlier commit.  A
 refactor that claims byte-identical samples must pass this test unchanged.
 ``ONE_ROW_GOLDEN`` pins the same for one-row (data-free) targets, whose every
-mini-batch is the dataset's only row.
+mini-batch is the dataset's only row.  ``TEMPERED_GOLDEN`` pins replica exchange
+around SGHMC, which no sampler name builds: the one swap that keeps the move's
+state (the momentum) with its chain.
 ``FILE_GOLDEN`` pins the bytes of the sample files that one ``sgmc run``
 writes in each output format.
 
@@ -32,7 +34,8 @@ from sgmc.cli import main
 from sgmc.core import RandomKey
 from sgmc.data import STRATEGIES
 from sgmc.models import get_model, synth_data_generate
-from sgmc.solver import build_sampler
+from sgmc.scheduler import init_scheduler
+from sgmc.solver import SGHMC, Solver, Tempering, build_sampler, run_mcmc
 
 BASE = dict(iterations=300, burn_in=100, batch_size=8, seed=11,
             step_size_first=0.01, step_size_last=0.002)
@@ -90,6 +93,11 @@ ONE_ROW_GOLDEN = {
 }
 
 
+TEMPERED_GOLDEN = {
+    'tempered_sghmc': ('c0dcbe9628b808ee29ecb6b5430d7d0493bdde1a6f74a71ef0119f518d7bfe5e', 0.7, 1200),
+}
+
+
 # a small 2-chain run of the 2-parameter logistic regression
 FILE_RUN = {"model": "logreg_2d", "n_obs": 60, "sampler": "sgld", "iterations": 200,
             "burn_in": 50, "batch_size": 8, "seed": 11, "chains": 2,
@@ -104,14 +112,24 @@ FILE_GOLDEN = {
 }
 
 
-def _run(model, n_obs, sampler, over):
-    dataset = synth_data_generate(model, RandomKey(11).child(0), n_obs)
-    result = build_sampler(sampler, dict(BASE, model=model, dataset=dataset, **over)).run()[0]
+def _digest(result):
     digest = hashlib.sha256(result["store"].stacked().tobytes()).hexdigest()
     return digest, result["acceptance_rate"], result["gradient_evaluations"]
 
 
+def _run(model, n_obs, sampler, over):
+    dataset = synth_data_generate(model, RandomKey(11).child(0), n_obs)
+    return _digest(build_sampler(sampler, dict(BASE, model=model, dataset=dataset,
+                                               **over)).run()[0])
+
+
 def run_case(name):
+    if name == "tempered_sghmc":  # swap rate 0.7
+        model = get_model("gaussian_mean")
+        block = Tempering(SGHMC(friction=5.0), tau_high=1.05, swap_interval=5)
+        solver = Solver(block, model.density, synth_data_generate(model, RandomKey(0), 50), 8)
+        return _digest(run_mcmc(solver, init_scheduler(600, step_size=0.01), model.init,
+                                key=RandomKey(3))[0])
     if name in ONE_ROW_CASES:
         model, model_args, sampler, over = ONE_ROW_CASES[name]
         return _run(get_model(model, **model_args), 1, sampler, dict(over, batch_size=1))
@@ -127,6 +145,10 @@ def test_golden_digest(name):
 @pytest.mark.parametrize("name", sorted(ONE_ROW_CASES))
 def test_one_row_golden_digest(name):
     assert run_case(name) == ONE_ROW_GOLDEN[name]
+
+
+def test_tempered_sghmc_golden_digest():
+    assert run_case("tempered_sghmc") == TEMPERED_GOLDEN["tempered_sghmc"]
 
 
 def file_digests(tmp: Path) -> dict:
@@ -149,10 +171,11 @@ if __name__ == "__main__":
     if sys.argv[1:] not in ([], ["--check"]):
         sys.exit("usage: python tests/test_golden.py [--check]")
     check = sys.argv[1:] == ["--check"]
-    current = {case: run_case(case) for case in sorted(CASES) + sorted(ONE_ROW_CASES)}
+    current = {case: run_case(case)
+               for case in sorted(CASES) + sorted(ONE_ROW_CASES) + sorted(TEMPERED_GOLDEN)}
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         current.update(file_digests(Path(tmp)))
-    pinned = {**GOLDEN, **ONE_ROW_GOLDEN, **FILE_GOLDEN}
+    pinned = {**GOLDEN, **ONE_ROW_GOLDEN, **TEMPERED_GOLDEN, **FILE_GOLDEN}
     moved = {name: value for name, value in current.items() if value != pinned.get(name)}
     for name, value in (moved if check else current).items():
         print(f"    {name!r}: {value!r},")

@@ -7,7 +7,8 @@ from sgmc.core import RandomKey
 from sgmc.errors import NumericError
 from sgmc.integrator import (langevin_step, obabo_trajectory,
                              reversible_leapfrog_trajectory, sghmc_step)
-from sgmc.scheduler import polynomial_schedule
+from sgmc.scheduler import init_scheduler, polynomial_schedule
+from sgmc.solver import AMAGOLD, SGHMC
 
 
 def kinetic(p):
@@ -71,9 +72,9 @@ class TestSGHMC:
         assert p[0] == pytest.approx((1 - 0.1 * 0.5) ** 3)
 
     def test_negative_noise_variance_rejected(self):
+        # the SGHMC block owns the check: sghmc_step trusts C >= B >= 0
         with pytest.raises(ValueError):
-            sghmc_step(np.zeros(1), np.zeros(1), np.zeros(1), 0.1,
-                       friction=0.1, noise_estimate=0.2)
+            SGHMC(friction=0.1, noise_estimate=0.2)
 
     def test_stationary_variance(self):
         theta, p = np.zeros(1), np.zeros(1)
@@ -128,9 +129,12 @@ class TestReversibleLeapfrog:
         assert np.allclose(back_p, -p0, atol=1e-10)
 
     def test_beta_bounds(self):
+        # the AMAGOLD block owns beta = step size * friction / 2 in [0, 1): the block
+        # refuses friction < 0, and its check refuses beta >= 1 at the schedule's step
         with pytest.raises(ValueError):
-            reversible_leapfrog_trajectory(np.zeros(1), np.zeros(1), 1, 0.1, 1.0,
-                                           lambda th: th)
+            AMAGOLD(leapfrog_steps=1, friction=-1.0)
+        with pytest.raises(ValueError):
+            AMAGOLD(leapfrog_steps=1, friction=20.0).check(init_scheduler(5, step_size=0.1))
 
 
 class TestOBABO:

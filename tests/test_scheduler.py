@@ -166,6 +166,18 @@ class TestSchedulerNext:
         with pytest.raises(ConfigurationError):
             init_scheduler(10, step_size=0.1, selections=2)
 
+    @pytest.mark.parametrize("field, build", [
+        ("step_size", lambda: init_scheduler(10, step_size=math.nan)),
+        ("step_size", lambda: init_scheduler(10, step_size=lambda t: np.full(len(t), math.nan))),
+        ("temperature", lambda: init_scheduler(10, step_size=0.1, temperature=math.nan)),
+        ("step_size_init", lambda: DualAveragingState.init(math.nan))],
+        ids=["float", "function", "temperature", "step_size_init"])
+    def test_nan_is_refused(self, field, build):
+        # each range check holds in the positive form (not x > 0), which NaN fails
+        with pytest.raises(ConfigurationError) as err:
+            build()
+        assert err.value.field == field
+
     @pytest.mark.parametrize("step_size", [np.full(10, 0.1), [0.1] * 10, "0.1"],
                              ids=["array", "list", "str"])
     def test_step_size_is_a_float_or_a_function(self, step_size):

@@ -17,9 +17,9 @@ from sgmc.models import get_model, surrogate_from_logdensity, synth_data_generat
 from sgmc.potential import full_value, minibatch_value_grad
 from sgmc.scheduler import DualAveragingState, init_scheduler, scheduler_next
 from sgmc.solver import (_STREAM_BATCH, _STREAM_ITER, AMAGOLD, KNOBS, SAMPLER_NAMES,
-                         SAMPLERS, SGGMC, SGHMC, Langevin, SamplerBundle, Solver, Tempering,
-                         TemperingPair, build_sampler, make_solver, resgld_swap, run_mcmc,
-                         swap_exponent)
+                         SAMPLERS, SGGMC, SGHMC, AcceptAll, Langevin, SamplerBundle, Solver,
+                         Tempering, TemperingPair, build_sampler, make_solver, resgld_swap,
+                         run_mcmc, swap_exponent)
 
 from conftest import quadratic_model
 
@@ -137,22 +137,22 @@ class TestMetropolisRounds:
         state = solver.init(model.init, chain_key)
         sched = init_scheduler(60, step_size=0.5)
         # replay the iteration stream: per round p0, then the trajectory's noise
-        # (none without friction), then the accept uniform
+        # (none without friction), then the accept uniform, and nothing else
         replay = chain_key.child(_STREAM_ITER).generator()
         saw_reject = False
         for _ in range(60):
             item, sched = scheduler_next(sched)
             before = state
             state = solver.step(state, item)
-            p0 = normal_flat(replay, 1, 1.0)
+            normal_flat(replay, 1, 1.0)
             replay.random()
+            assert state.rng.bit_generator.state == replay.bit_generator.state
             assert state.stats.accepts <= state.stats.proposals
             assert 0.0 <= state.stats.last_alpha <= 1.0
             if state.stats.accepts == before.stats.accepts:  # rejected round
                 saw_reject = True
                 assert np.array_equal(state.theta, before.theta)
-                assert state.cached_potential == before.cached_potential
-                assert np.array_equal(state.p, -p0)
+                assert state.aux == before.aux  # the cached exact potential
         assert saw_reject
 
     def test_accept_refreshes_cached_potential(self):
@@ -164,7 +164,7 @@ class TestMetropolisRounds:
         for _ in range(200):
             item, sched = scheduler_next(sched)
             state = solver.step(state, item)
-            assert state.cached_potential == full_value(model.density, state.theta, dataset)
+            assert state.aux == full_value(model.density, state.theta, dataset)
         assert 0.5 < state.stats.rate <= 1.0
 
     def test_metropolis_needs_positive_temperature(self):
@@ -268,7 +268,7 @@ class TestReplicaExchange:
         block = Tempering(Langevin(rms_prop=True), tau_high=3.0)
         solver = Solver(block, model.density, dataset, 1)
         pair = block.init(solver, model.init, RandomKey(0))
-        pair.high.theta, pair.high.rms = np.array([2.0]), np.array([0.5])
+        pair.high.theta, pair.high.aux = np.array([2.0]), np.array([0.5])  # RMSProp moments
         pair = TemperingPair(pair.low, pair.high, pair.noise_var,
                              SimpleNamespace(random=lambda: u))
         return pair, resgld_swap(block, solver, pair, 1.0)
@@ -284,7 +284,7 @@ class TestReplicaExchange:
         assert out.stats.accepts == 1
         for new, old, other in ((out.low, pair.low, pair.high),
                                 (out.high, pair.high, pair.low)):
-            assert np.array_equal(new.theta, other.theta) and new.rms is other.rms
+            assert np.array_equal(new.theta, other.theta) and new.aux is other.aux
             assert new.batch_state is old.batch_state and new.rng is old.rng
 
     def test_replica_exchange_sghmc_from_public_blocks(self):
@@ -301,6 +301,59 @@ class TestReplicaExchange:
         assert abs(x.mean()) < 4.0 / math.sqrt(ess)
         assert abs(x.var() - 1.0) < 4.0 * math.sqrt(2.0 / ess)
         assert 0.0 < result["acceptance_rate"] < 1.0  # swaps both taken and refused
+
+
+@dataclasses.dataclass(frozen=True)
+class SGNHT(AcceptAll):
+    """Stochastic-gradient Nose-Hoover thermostat (Ding et al., NeurIPS 2014), built
+    from public pieces only.  Its aux is the momentum p and the thermostat xi, which
+    stay with their chain in a replica swap (``follows_theta`` is left unset)."""
+
+    diffusion: float = 1.0  # A: the injected noise, and the thermostat's start
+
+    def start(self, solver, theta):
+        return np.zeros(len(theta)), self.diffusion
+
+    def integrate(self, state, grad, item):
+        (p, xi), h, tau = state.aux, item.step_size, item.temperature
+        p = (p - h * xi * p - h * grad
+             + normal_flat(state.rng, len(p), math.sqrt(2.0 * self.diffusion * h * tau)))
+        return state.theta + h * p, (p, xi + h * (p @ p / len(p) - tau))
+
+    def check(self, scheduler):
+        super().check(scheduler)
+        if not scheduler.temperature > 0:  # the thermostat steers p.p / d to it
+            raise ConfigurationError("SGNHT needs temperature > 0", field="temperature")
+
+
+class TestCustomBlock:
+    """A sampler that sgmc does not ship runs through the public chain driver."""
+
+    @staticmethod
+    def run(block, temperature=1.0):
+        model = get_model("std_normal", dim=3)
+        solver = Solver(block, model.density, synth_data_generate(model, RandomKey(0), 1), 1)
+        sched = init_scheduler(20000, step_size=0.2, burn_in=2000, temperature=temperature)
+        return run_mcmc(solver, sched, model.init, key=RandomKey(0))[0]
+
+    def test_sgnht_recovers_std_normal(self):
+        # criterion 1's tolerances, per coordinate: |mean|/sd <= 0.1, sd within 15%
+        x = self.run(SGNHT())["store"].variables()["theta"]
+        assert x.shape == (18000, 3)
+        assert np.all(np.abs(x.mean(axis=0)) <= 0.1)
+        assert np.all(np.abs(x.std(axis=0) - 1.0) <= 0.15)
+
+    def test_sgnht_check_refuses_zero_temperature(self):
+        with pytest.raises(ConfigurationError) as err:
+            self.run(SGNHT(), temperature=0.0)
+        assert err.value.field == "temperature"
+
+    def test_sgnht_runs_under_tempering(self):
+        result = self.run(Tempering(SGNHT(), tau_high=3.0, swap_interval=10))
+        x = result["store"].variables()["theta"]
+        assert result["status"] == "ok" and np.all(np.isfinite(x))
+        assert 0.0 < result["acceptance_rate"] < 1.0  # swaps both taken and refused
+        assert np.all(np.abs(x.std(axis=0) - 1.0) <= 0.15)  # the cold chain keeps the target
 
 
 class TestGradientOnlySteps:
@@ -609,7 +662,7 @@ class TestBuildSampler:
     def test_sgld_without_rmsprop_is_plain(self):
         bundle = build_sampler("sgld", self.config())
         state = bundle.solver.init(bundle.init_theta, RandomKey(0))
-        assert state.rms is None
+        assert state.aux is None
 
     def test_init_theta_is_used_as_given(self):
         # a length-5 array, whose truth value is ambiguous, must not be read with `or`
