@@ -21,7 +21,6 @@ def rmsprop_step(v: np.ndarray, grad: np.ndarray, alpha: float, lam: float):
     The preconditioner 1/(lam + sqrt(V)) is strictly positive and bounded by
     1/lam elementwise.
     """
-    grad = np.asarray(grad, dtype=np.float64)
     if not np.all(np.isfinite(grad)):
         raise NumericError("non-finite gradient fed to rmsprop_step")
     v = alpha * v + (1.0 - alpha) * grad * grad

@@ -17,13 +17,10 @@ import numpy as np
 Layout = tuple[tuple[str, tuple[int, ...]], ...]
 
 
-def make_layout(spec) -> Layout:
-    """Normalize ``{name: shape}`` or pair-iterable into a canonical Layout."""
-    items = spec.items() if hasattr(spec, "items") else spec
+def make_layout(spec: dict) -> Layout:
+    """Normalize ``{name: shape tuple}`` into a canonical Layout."""
     out = []
-    for name, shape in items:
-        if isinstance(shape, int):
-            shape = (shape,)
+    for name, shape in spec.items():
         out.append((str(name), tuple(int(s) for s in shape)))
     if not out:
         raise ValueError("layout must be nonempty")

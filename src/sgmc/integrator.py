@@ -1,7 +1,7 @@
 """One-step / one-trajectory simulators of the sampling dynamics.
 
-All integrators operate on flat float64 vectors with unit mass, a temperature
-``tau >= 0`` (tau = 0 switches noise off) and a generator ``rng`` to draw noise from.
+All integrators operate on flat float64 arrays from the solver, never written into, with
+unit mass, a temperature ``tau >= 0`` (tau = 0 switches noise off) and a noise generator ``rng``.
 Their step sizes and knobs are checked where they are set: by the scheduler and the blocks.
 Work accumulators (``W``) follow the amortized Metropolis convention: with
 exact gradients and no friction the acceptance exponent U0 - UL + W of the
@@ -24,7 +24,6 @@ def langevin_step(theta, grad, step_size, tau=1.0, precond=None,
 
     theta' = theta - (eps/2) P g + sqrt(eps tau) sqrt(P) xi,   xi ~ N(0, I)
     """
-    theta = np.asarray(theta, dtype=np.float64)
     drift = grad if precond is None else precond * grad
     out = theta - 0.5 * step_size * drift
     if tau > 0.0:
@@ -42,8 +41,6 @@ def sghmc_step(theta, p, grad, step_size, friction, noise_estimate=0.0, tau=1.0,
     p' = p - eps g - eps C p + xi,  xi ~ N(0, 2 (C - B) eps tau I)
     theta' = theta + eps p'
     """
-    theta = np.asarray(theta, dtype=np.float64)
-    p = np.asarray(p, dtype=np.float64)
     var = 2.0 * (friction - noise_estimate) * step_size * tau
     p_new = p - step_size * grad - step_size * friction * p
     if var > 0.0:
@@ -54,7 +51,7 @@ def sghmc_step(theta, p, grad, step_size, friction, noise_estimate=0.0, tau=1.0,
     return theta_new, p_new
 
 
-def reversible_leapfrog_trajectory(theta0, p0, n_steps, step_size, beta, grad_fn,
+def reversible_leapfrog_trajectory(theta, p, n_steps, step_size, beta, grad_fn,
                                    tau=1.0, rng: np.random.Generator = None):
     """Time-reversible noisy leapfrog over ``n_steps``; returns (theta, p, W).
 
@@ -65,12 +62,11 @@ def reversible_leapfrog_trajectory(theta0, p0, n_steps, step_size, beta, grad_fn
     beta = 0 and the gradients are exact.
     """
     eps = float(step_size)
-    theta = np.asarray(theta0, dtype=np.float64) + 0.5 * eps * np.asarray(p0, dtype=np.float64)
-    p = np.asarray(p0, dtype=np.float64)
+    theta = theta + 0.5 * eps * p
     noise_scale = math.sqrt(4.0 * beta * tau) if beta > 0 and tau > 0 else 0.0
     work = 0.0
     for t in range(n_steps):
-        g = np.asarray(grad_fn(theta), dtype=np.float64)
+        g = grad_fn(theta)
         kick = (1.0 - beta) * p - eps * g
         if noise_scale > 0.0:
             kick = kick + normal_flat(rng, p.shape[0], noise_scale)
@@ -83,7 +79,7 @@ def reversible_leapfrog_trajectory(theta0, p0, n_steps, step_size, beta, grad_fn
     return theta, p, work
 
 
-def obabo_trajectory(theta0, p0, n_steps, step_size, friction_gamma, grad_fn,
+def obabo_trajectory(theta, p, n_steps, step_size, friction_gamma, grad_fn,
                      tau=1.0, rng: np.random.Generator = None):
     """Symmetric OU / kick / drift / kick / OU splitting; returns (theta, p, W).
 
@@ -101,8 +97,6 @@ def obabo_trajectory(theta0, p0, n_steps, step_size, friction_gamma, grad_fn,
     eps = float(step_size)
     a = math.exp(-0.5 * friction_gamma * eps)
     ou_scale = math.sqrt(max(0.0, (1.0 - a * a) * tau))
-    theta = np.asarray(theta0, dtype=np.float64).copy()
-    p = np.asarray(p0, dtype=np.float64).copy()
     dim = p.shape[0]
     work = 0.0
 
@@ -115,9 +109,9 @@ def obabo_trajectory(theta0, p0, n_steps, step_size, friction_gamma, grad_fn,
     for _ in range(n_steps):
         p = ou_half(p)
         k_in = 0.5 * float(p @ p)
-        p = p - 0.5 * eps * np.asarray(grad_fn(theta), dtype=np.float64)
+        p = p - 0.5 * eps * grad_fn(theta)
         theta = theta + eps * p
-        p = p - 0.5 * eps * np.asarray(grad_fn(theta), dtype=np.float64)
+        p = p - 0.5 * eps * grad_fn(theta)
         work += k_in - 0.5 * float(p @ p)
         p = ou_half(p)
     if not (np.isfinite(theta).all() and np.isfinite(p).all()):

@@ -43,7 +43,7 @@ class BuiltinModel:
 def synth_data_generate(model: BuiltinModel, key: RandomKey, n_obs: int,
                         true_params: dict | None = None) -> Dataset:
     """Reproducible synthetic dataset from the model's generative process; each
-    true parameter must have the type of the model's default for it."""
+    true parameter must be finite numbers of the type and shape of the model's default."""
     if n_obs < 1:
         raise ConfigurationError("need at least one observation", field="n_obs")
     params = dict(model.default_params)
@@ -52,25 +52,34 @@ def synth_data_generate(model: BuiltinModel, key: RandomKey, n_obs: int,
             raise ConfigurationError(f"model {model.name!r} has no such parameter",
                                      field=name)
         check_type(name, value, (type(params[name]),))
+        arr, shape = np.asarray(value), np.shape(params[name])
+        if arr.shape != shape or arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+            raise ConfigurationError(f"need finite numbers of shape {shape}", field=name)
     params.update(true_params or {})
     return model.generate(key, n_obs, params)
+
+
+def _gaussian_prior(prior_std: float, dim: int):
+    """The N(0, prior_std^2 I) log-prior on ``dim`` coordinates and its gradient."""
+    if not prior_std > 0:
+        raise ConfigurationError("prior_std must be > 0", field="prior_std")
+    var0 = prior_std * prior_std
+
+    def log_prior(flat):
+        return float(-0.5 * (flat @ flat) / var0 - 0.5 * dim * math.log(2.0 * math.pi * var0))
+
+    def grad_log_prior(flat):
+        return -flat / var0
+
+    return log_prior, grad_log_prior
 
 
 # ---------------------------------------------------------------------------
 # gaussian_mean: y ~ N(mu, 1), prior mu ~ N(0, prior_std^2).  Conjugate.
 
 def make_gaussian_mean(prior_std: float = 10.0) -> BuiltinModel:
-    if not prior_std > 0:
-        raise ConfigurationError("prior_std must be > 0", field="prior_std")
+    log_prior, grad_log_prior = _gaussian_prior(prior_std, 1)
     layout = make_layout({"mu": ()})
-    var0 = prior_std * prior_std
-
-    def log_prior(flat):
-        mu = float(flat[0])
-        return -0.5 * mu * mu / var0 - 0.5 * math.log(2.0 * math.pi * var0)
-
-    def grad_log_prior(flat):
-        return np.array([-flat[0] / var0])
 
     def batch_log_likelihood(flat, arrays):
         r = arrays["y"] - flat[0]
@@ -85,7 +94,7 @@ def make_gaussian_mean(prior_std: float = 10.0) -> BuiltinModel:
 
     def analytic_posterior(dataset):
         y = dataset["y"]
-        var_n = 1.0 / (1.0 / var0 + y.shape[0])
+        var_n = 1.0 / (1.0 / (prior_std * prior_std) + y.shape[0])
         return {"mean": {"mu": var_n * y.sum()}, "std": {"mu": math.sqrt(var_n)}}
 
     density = LogDensityModel(layout, batch_log_likelihood, batch_score,
@@ -137,8 +146,6 @@ def make_linreg_sigma(n_weights: int = 4) -> BuiltinModel:
 
     def generate(key, n_obs, params):
         w = np.asarray(params["w"], dtype=np.float64)
-        if w.shape != (d,):
-            raise ConfigurationError(f"expected {d} true weights, got {w.shape}", field="w")
         kx, ke = key.child(0), key.child(1)
         x = kx.generator().standard_normal((n_obs, d)) * params.get("x_scale", 1.0)
         y = x @ w + params["sigma"] * ke.generator().standard_normal(n_obs)
@@ -159,16 +166,8 @@ def make_linreg_sigma(n_weights: int = 4) -> BuiltinModel:
 # logreg_2d: Bernoulli labels with logistic link, N(0, prior_std^2) prior.
 
 def make_logreg_2d(prior_std: float = 10.0) -> BuiltinModel:
-    if not prior_std > 0:
-        raise ConfigurationError("prior_std must be > 0", field="prior_std")
+    log_prior, grad_log_prior = _gaussian_prior(prior_std, 2)
     layout = make_layout({"w": (2,)})
-    var0 = prior_std * prior_std
-
-    def log_prior(flat):
-        return float(-0.5 * (flat @ flat) / var0 - math.log(2.0 * math.pi * var0))
-
-    def grad_log_prior(flat):
-        return -flat / var0
 
     def batch_log_likelihood(flat, arrays):
         # y*z - softplus(z), with softplus(z) = max(z, 0) + log(1 + exp(-|z|)):
@@ -194,8 +193,6 @@ def make_logreg_2d(prior_std: float = 10.0) -> BuiltinModel:
 
     def generate(key, n_obs, params):
         w = np.asarray(params["w"], dtype=np.float64)
-        if w.shape != (2,):
-            raise ConfigurationError(f"expected 2 true weights, got {w.shape}", field="w")
         kx, ky = key.child(0), key.child(1)
         x = kx.generator().standard_normal((n_obs, 2))
         prob = 1.0 / (1.0 + np.exp(-(x @ w)))
@@ -248,6 +245,8 @@ def make_mixture_1d(separation: float = 3.0, width: float = 1.0) -> BuiltinModel
     """Equal-weight two-Gaussian target with modes at +-separation."""
     layout = make_layout({"theta": ()})
     s, sd = float(separation), float(width)
+    if not math.isfinite(s):
+        raise ConfigurationError("separation must be finite", field="separation")
     if not sd > 0:
         raise ConfigurationError("component width must be > 0", field="width")
     inv2 = 1.0 / (sd * sd)
@@ -323,7 +322,7 @@ def rwmh_oracle(model: BuiltinModel, dataset: Dataset, theta0: np.ndarray,
             f"initial position must be a flat vector of shape ({density.dim},)",
             field="init_theta")
     scale = np.asarray(proposal_scale, dtype=np.float64)
-    if np.any(scale < 0):
+    if not np.all(scale >= 0):
         raise ValueError("proposal scale must be >= 0")
     flat = np.array(theta0, dtype=np.float64)
     dim = flat.shape[0]

@@ -113,8 +113,6 @@ def random_thinning_plan(step_sizes: np.ndarray, burn_in: int, selections: int,
             f"cannot keep {selections} of {eligible.shape[0]} eligible iterations",
             field="selections")
     weights = np.asarray(step_sizes, dtype=np.float64)[eligible]
-    if np.any(weights <= 0):
-        raise ValueError("step sizes must be positive")
     if selections == eligible.shape[0]:
         return frozenset(int(t) for t in eligible)
     rng = key.generator()
@@ -171,7 +169,6 @@ def init_scheduler(n_iterations: int, *, step_size=None, adaptive: DualAveraging
             eps = np.full(n_iterations, float(step_size))
         if not np.all(eps > 0):
             raise ConfigurationError("step sizes must be positive", field="step_size")
-    eligible = n_iterations - burn_in
     if selections is None:
         plan = frozenset(range(burn_in, n_iterations))
     else:
@@ -179,7 +176,6 @@ def init_scheduler(n_iterations: int, *, step_size=None, adaptive: DualAveraging
             raise ConfigurationError("thinning needs a random key", field="key")
         weights = eps if eps is not None else np.ones(n_iterations)
         plan = random_thinning_plan(weights, burn_in, selections, n_iterations, key)
-        assert len(plan) == min(selections, eligible)
     return SchedulerState(0, n_iterations, burn_in, temperature, eps, plan,
                           adaptive=adaptive)
 

@@ -89,16 +89,8 @@ class Solver:
     batch_size: int
     batch_strategy: str = "draw_replacement"
 
-    def __post_init__(self):
-        BatchSpec(self.batch_size, self.batch_strategy)  # the data layer's batch rules
-        _require(self.batch_size <= self.dataset.size, "batch_size",
-                 f"batch size exceeds the dataset's size {self.dataset.size}")
-
-    def init(self, theta0: np.ndarray, key: RandomKey):
-        return self.block.init(self, theta0, key)
-
-    def step(self, state, item: ScheduleItem):
-        return self.block.step(self, state, item)
+    def __post_init__(self):  # the data layer's batch rules, checked at build time
+        init_batch_state(self.dataset, BatchSpec(self.batch_size, self.batch_strategy))
 
     def potential(self, state: SolverState, flat: np.ndarray, value: bool = True):
         """The stochastic (U~, grad U~) at ``flat`` on the chain's next mini-batch;
@@ -453,7 +445,7 @@ def _chain_result(store, stats, runtime, gradient_evals, iterations, status="ok"
 
 def _run_chain(solver: Solver, scheduler: SchedulerState, init_theta: np.ndarray,
                chain_key: RandomKey, chain_id: int):
-    state = solver.init(init_theta, chain_key)
+    state = solver.block.init(solver, init_theta, chain_key)
     store = sample_io.SampleStore(solver.density.layout, chain_id)
     step = solver.block.step
     iterations = scheduler.n_iterations

@@ -107,11 +107,11 @@ def test_criterion_3_hmc_reduction():
         model = quadratic_model(rng.uniform(0.5, 2.5, 3), rng.uniform(-1, 1, 3))
         dataset = synth_data_generate(model, RandomKey(0), 1)
         solver = make_solver(name, model.density, dataset, 1, **kw)
-        state = solver.init(model.init, RandomKey(23))
+        state = solver.block.init(solver, model.init, RandomKey(23))
         sched = init_scheduler(rounds, step_size=0.12)
         for _ in range(rounds):
             item, sched = scheduler_next(sched)
-            state = solver.step(state, item)
+            state = solver.block.step(solver, state, item)
             worst = max(worst, abs(state.stats.last_exponent
                                    + state.stats.last_delta_h))
     assert worst <= 1e-10

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from sgmc.cli import DEMOS, main
+from sgmc.cli import DEMOS, load_config, main
+from sgmc.errors import ConfigurationError
 
 pytestmark = pytest.mark.filterwarnings("ignore:overflow")
 
@@ -166,7 +167,11 @@ class TestRun:
         ("temperature", {"sampler": "sgld", "temperature": math.nan}),
         ("step_size_init", {**ADAPTIVE, "step_size_init": math.nan}),
         ("step_size_init", {**ADAPTIVE, "sampler": "sggmc", "sampler_args": {"obabo_steps": 2},
-                            "step_size_init": math.nan})])
+                            "step_size_init": math.nan}),
+        # run-level and schedule settings
+        ("chains", {"chains": 0}),
+        ("format", {"format": "xml"}),
+        ("burn_in", {"burn_in": 20})])
     def test_invalid_sampler_setting_names_the_field(self, tmp_path, capsys, field, cfg):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({**cfg, "iterations": 10, "output": str(tmp_path / "x")}))
@@ -251,7 +256,14 @@ class TestRun:
         ("w", {"model": "logreg_2d", "true_params": {"w": [1.0, 2.0, 3.0]}}),
         ("prior_std", {"model_args": {"prior_std": math.nan}}),
         ("prior_std", {"model": "logreg_2d", "model_args": {"prior_std": math.nan}}),
-        ("width", {"model": "mixture_1d", "model_args": {"width": math.nan}})])
+        ("width", {"model": "mixture_1d", "model_args": {"width": math.nan}}),
+        ("separation", {"model": "mixture_1d", "model_args": {"separation": math.nan}}),
+        ("separation", {"model": "mixture_1d", "model_args": {"separation": math.inf}}),
+        # a true parameter is finite numbers of the shape of the model's default
+        ("mu", {"true_params": {"mu": math.nan}}),
+        ("sigma", {"model": "linreg_sigma", "true_params": {"sigma": math.nan}}),
+        ("w", {"model": "linreg_sigma", "true_params": {"w": ["a", "b", "c", "d"]}}),
+        ("model", {"model": "nope"})])
     def test_unknown_model_key_names_the_field(self, tmp_path, capsys, key, entry):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"model": "gaussian_mean", "iterations": 10, **entry,
@@ -386,6 +398,12 @@ class TestCompare:
 
     def test_missing_run_dir(self, tmp_path):
         assert run_cli("compare", "--run", str(tmp_path / "nope")) == 2
+
+
+def test_unknown_demo_names_the_field():
+    with pytest.raises(ConfigurationError) as err:
+        load_config("nope", None, {})
+    assert err.value.field == "demo"
 
 
 def test_demo_presets_are_valid():

@@ -140,6 +140,13 @@ class TestRWMHOracle:
         assert out["acceptance_rate"] == 1.0
         assert np.all(out["samples"] == 0.4)
 
+    @pytest.mark.parametrize("scale", [-1.0, math.nan, [math.nan]])
+    def test_negative_or_nan_proposal_scale_rejected(self, scale):
+        model = get_model("std_normal")
+        ds = synth_data_generate(model, RandomKey(0), 1)
+        with pytest.raises(ValueError):
+            rwmh_oracle(model, ds, model.init, scale, steps=100, key=RandomKey(1))
+
     @pytest.mark.parametrize("name", ["std_normal", "gaussian_mean"])
     @pytest.mark.parametrize("shape", [(3,), (1, 1), ()], ids=str)
     def test_wrong_shape_start_names_the_field(self, name, shape):

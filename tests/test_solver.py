@@ -60,10 +60,10 @@ class TestAcceptAll:
         dataset = synth_data_generate(model, RandomKey(2), 30)
         solver = make_solver("psgld", model.density, dataset, 8)
         chain_key = RandomKey(77).child(0)
-        state0 = solver.init(model.init, chain_key)
+        state0 = solver.block.init(solver, model.init, chain_key)
         sched = init_scheduler(5, step_size=0.01)
         item, _ = scheduler_next(sched)
-        state1 = solver.step(state0, item)
+        state1 = solver.block.step(solver, state0, item)
 
         spec = BatchSpec(8, "draw_replacement", chain_key.child(_STREAM_BATCH))
         batch, _ = next_batch(dataset, spec, init_batch_state(dataset, spec))
@@ -104,11 +104,11 @@ class TestMetropolisRounds:
         for name, kw in (("amagold", {"leapfrog_steps": 4, "friction": 0.0}),
                          ("sggmc", {"obabo_steps": 3, "friction": 0.0})):
             solver = make_solver(name, model.density, dataset, 1, **kw)
-            state = solver.init(model.init, RandomKey(1))
+            state = solver.block.init(solver, model.init, RandomKey(1))
             sched = init_scheduler(10, step_size=0.3)
             for _ in range(10):
                 item, sched = scheduler_next(sched)
-                state = solver.step(state, item)
+                state = solver.block.step(solver, state, item)
                 assert state.stats.last_alpha == 1.0
             assert state.stats.accepts == state.stats.proposals == 10
 
@@ -121,11 +121,11 @@ class TestMetropolisRounds:
         model = quadratic_model(rng.uniform(0.5, 2.0, 3), rng.uniform(-1, 1, 3))
         dataset = synth_data_generate(model, RandomKey(0), 1)
         solver = make_solver(name, model.density, dataset, 1, **kw)
-        state = solver.init(model.init, RandomKey(8))
+        state = solver.block.init(solver, model.init, RandomKey(8))
         sched = init_scheduler(50, step_size=0.15)
         for _ in range(50):
             item, sched = scheduler_next(sched)
-            state = solver.step(state, item)
+            state = solver.block.step(solver, state, item)
             assert abs(state.stats.last_exponent + state.stats.last_delta_h) <= 1e-10
 
     def test_rejection_keeps_theta_flips_momentum(self):
@@ -134,7 +134,7 @@ class TestMetropolisRounds:
         solver = make_solver("amagold", model.density, dataset, 1, leapfrog_steps=5,
                              friction=0.0)
         chain_key = RandomKey(5)
-        state = solver.init(model.init, chain_key)
+        state = solver.block.init(solver, model.init, chain_key)
         sched = init_scheduler(60, step_size=0.5)
         # replay the iteration stream: per round p0, then the trajectory's noise
         # (none without friction), then the accept uniform, and nothing else
@@ -143,7 +143,7 @@ class TestMetropolisRounds:
         for _ in range(60):
             item, sched = scheduler_next(sched)
             before = state
-            state = solver.step(state, item)
+            state = solver.block.step(solver, state, item)
             normal_flat(replay, 1, 1.0)
             replay.random()
             assert state.rng.bit_generator.state == replay.bit_generator.state
@@ -159,11 +159,11 @@ class TestMetropolisRounds:
         model, dataset = std_normal_setup()
         solver = make_solver("amagold", model.density, dataset, 1, leapfrog_steps=3,
                              friction=0.0)
-        state = solver.init(model.init, RandomKey(5))
+        state = solver.block.init(solver, model.init, RandomKey(5))
         sched = init_scheduler(200, step_size=0.3)
         for _ in range(200):
             item, sched = scheduler_next(sched)
-            state = solver.step(state, item)
+            state = solver.block.step(solver, state, item)
             assert state.aux == full_value(model.density, state.theta, dataset)
         assert 0.5 < state.stats.rate <= 1.0
 
@@ -478,7 +478,7 @@ class TestRunMCMC:
         res = run_mcmc(solver, sched, model.init, key=RandomKey(9), chains=2)
         assert not np.array_equal(res[0]["store"].stacked(), res[1]["store"].stacked())
 
-    @pytest.mark.parametrize("chains", [2.0, "2", True])
+    @pytest.mark.parametrize("chains", [2.0, "2", True, 0])
     def test_chains_of_the_wrong_type_names_the_field(self, chains):
         model, dataset = std_normal_setup()
         solver = make_solver("sgld", model.density, dataset, 1)
@@ -555,12 +555,13 @@ class TestRunMCMC:
                 model=model, dataset=dataset, iterations=6000, burn_in=3000,
                 batch_size=1, seed=seed, target_accept=0.65, step_size_init=0.05,
                 leapfrog_steps=5, friction=0.0))
-            state = bundle.solver.init(bundle.init_theta, bundle.run_key.child(0))
+            state = bundle.solver.block.init(bundle.solver, bundle.init_theta,
+                                             bundle.run_key.child(0))
             sched = bundle.scheduler
             for _ in range(3000):
                 item, sched = scheduler_next(sched, feedback=state.stats)
                 assert item.burn_in
-                state = bundle.solver.step(state, item)
+                state = bundle.solver.block.step(bundle.solver, state, item)
             assert abs(state.stats.rate - 0.65) < 0.02, seed
 
 
@@ -661,7 +662,7 @@ class TestBuildSampler:
 
     def test_sgld_without_rmsprop_is_plain(self):
         bundle = build_sampler("sgld", self.config())
-        state = bundle.solver.init(bundle.init_theta, RandomKey(0))
+        state = bundle.solver.block.init(bundle.solver, bundle.init_theta, RandomKey(0))
         assert state.aux is None
 
     def test_init_theta_is_used_as_given(self):
@@ -671,7 +672,7 @@ class TestBuildSampler:
         bundle = build_sampler("sgld", self.config(
             model=model, dataset=synth_data_generate(model, RandomKey(0), 20), init_theta=init,
             step_size_first=1e-3, step_size_last=5e-4))
-        state = bundle.solver.init(bundle.init_theta, RandomKey(0))
+        state = bundle.solver.block.init(bundle.solver, bundle.init_theta, RandomKey(0))
         assert np.array_equal(state.theta, init) and state.theta is not init
         assert bundle.run()[0]["status"] == "ok"
         assert np.array_equal(init, [0.5, -1.0, 2.0, 0.25, -0.7])  # copied, never moved
@@ -692,7 +693,11 @@ class TestBuildSampler:
         ("sgld", {"batch_size": 1.0}, "batch_size"),
         ("sgld", {"seed": 1.5}, "seed"),
         ("amagold", {**ADAPTIVE, "step_size_init": "0.1"}, "step_size_init"),
-        ("amagold", {**ADAPTIVE, "target_accept": "0.65"}, "target_accept")])
+        ("amagold", {**ADAPTIVE, "target_accept": "0.65"}, "target_accept"),
+        # and range-checked there
+        ("sgld", {"step_size_last": 0.0}, "step_size_last"),
+        ("sgld", {"burn_in": 60}, "burn_in"),
+        ("sgld", {"batch_size": None}, "batch_size")])
     def test_invalid_sampler_setting_names_the_field(self, name, over, field):
         with pytest.raises(ConfigurationError) as err:
             build_sampler(name, self.config(**over))
