@@ -136,9 +136,7 @@ def load_config(demo: str | None, config_path: str | None, overrides: dict) -> R
 
 
 def validate_config(cfg: RunConfig):
-    """Checks of run-level fields; the sampler, model and schedule check their own."""
-    if cfg.chains < 1:
-        raise ConfigurationError("chains must be >= 1", field="chains")
+    """Run-level checks; the sampler, model, schedule and chain driver check their own."""
     if cfg.format not in ("jsonl", "csv"):
         raise ConfigurationError(f"unknown format {cfg.format!r}", field="format")
     for key in cfg.sampler_args:
@@ -218,6 +216,9 @@ def run_command(args) -> int:
     started = time.perf_counter()
     try:
         results = bundle.run(chains=cfg.chains)
+    except ConfigurationError as exc:  # refused before any chain runs
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except ChainError as exc:
         write_outputs(cfg, exc.results, out_dir, time.perf_counter() - started,
                       error={"message": str(exc), "iteration": exc.iteration})

@@ -70,8 +70,6 @@ def effective_sample_size(samples) -> float:
 
 def diagnostics_summary(samples) -> dict:
     """{mean, std, ess} of a scalar chain."""
-    x = np.asarray(samples, dtype=np.float64)
-    if x.shape[0] < 2:
-        raise ValueError("summary needs at least two samples")
-    mean, var = weighted_moments(x)
-    return {"mean": mean, "std": float(np.sqrt(var)), "ess": effective_sample_size(x)}
+    ess = effective_sample_size(samples)  # refuses fewer than two samples
+    mean, var = weighted_moments(samples)
+    return {"mean": mean, "std": float(np.sqrt(var)), "ess": ess}

@@ -1,15 +1,15 @@
 """Sample collection and serialization.
 
-One store per chain; samples append in collection order and serialize to
-JSON Lines or CSV.  Both formats round-trip at full float64 precision
-(shortest-round-trip float formatting).
+One store per chain, allocated up front and written in place in collection
+order; it serializes to JSON Lines or CSV.  Both formats round-trip at full
+float64 precision (shortest-round-trip float formatting).
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,41 +31,43 @@ def flat_column_names(layout: Layout) -> list[str]:
 
 @dataclass
 class SampleStore:
-    """Append-only store of flattened samples for a single chain."""
+    """The flattened samples of a single chain, in a ``(capacity, dim)`` array
+    allocated up front; ``sample_count`` rows of it are written."""
 
     layout: Layout
+    capacity: int  # the number of samples the chain keeps
     chain_id: int = 0
-    _rows: list[np.ndarray] = field(default_factory=list)
-    _iterations: list[int] = field(default_factory=list)
-    width: int = field(init=False, repr=False)  # length of one flat sample
 
     def __post_init__(self):
-        self.width = layout_size(self.layout)
-
-    @property
-    def sample_count(self) -> int:
-        return len(self._rows)
+        self.sample_count = 0
+        self._rows = np.empty((self.capacity, layout_size(self.layout)))
+        self._iterations = np.empty(self.capacity, dtype=np.int64)
 
     def iterations(self) -> np.ndarray:
-        return np.asarray(self._iterations, dtype=np.int64)
+        """Read-only view of the written rows' iteration indices."""
+        return _read_only(self._iterations[:self.sample_count])
 
     def stacked(self) -> np.ndarray:
-        if not self._rows:
-            return np.empty((0, self.width))
-        return np.stack(self._rows)
+        """Read-only view of the written rows, ``(sample_count, dim)``."""
+        return _read_only(self._rows[:self.sample_count])
 
     def variables(self) -> dict[str, np.ndarray]:
         """Per-variable read-only arrays with the sample axis leading."""
         return named(self.layout, self.stacked())
 
 
+def _read_only(view: np.ndarray) -> np.ndarray:
+    view.flags.writeable = False
+    return view
+
+
 def collect_sample(store: SampleStore, flat, iteration: int) -> SampleStore:
-    """Append a copy of the flat sample; its length must match the store's layout."""
-    row = np.array(flat, dtype=np.float64)
-    if row.shape != (store.width,):
-        raise StoreError(f"sample of shape {row.shape} does not match layout {store.layout}")
-    store._rows.append(row)
-    store._iterations.append(int(iteration))
+    """Copy the flat sample into the next row; its length must match the store's layout."""
+    if np.shape(flat) != store._rows.shape[1:]:
+        raise StoreError(f"sample of shape {np.shape(flat)} does not match {store.layout}")
+    store._rows[store.sample_count] = flat
+    store._iterations[store.sample_count] = iteration
+    store.sample_count += 1
     return store
 
 
@@ -78,7 +80,7 @@ def finalize_results(store: SampleStore, format: str, path):
     slices = layout_slices(store.layout)
     if format == "jsonl":
         with open(path, "w", encoding="utf-8") as fh:
-            for it, row in zip(store._iterations, store._rows):
+            for it, row in zip(store.iterations().tolist(), store.stacked()):
                 obj = {
                     "iteration": it,
                     "variables": {name: row[sl].tolist() for name, (sl, _) in slices.items()},
@@ -89,7 +91,7 @@ def finalize_results(store: SampleStore, format: str, path):
         with open(path, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerow(["iteration"] + flat_column_names(store.layout))
             # the bytes csv.writer gives: a float repr never needs quoting
-            for it, row in zip(store._iterations, store._rows):
+            for it, row in zip(store.iterations().tolist(), store.stacked()):
                 fh.write(f"{it},{','.join(map(repr, row.tolist()))}\r\n")
         return path
     raise ValueError(f"unknown output format {format!r}")

@@ -52,7 +52,11 @@ def synth_data_generate(model: BuiltinModel, key: RandomKey, n_obs: int,
             raise ConfigurationError(f"model {model.name!r} has no such parameter",
                                      field=name)
         check_type(name, value, (type(params[name]),))
-        arr, shape = np.asarray(value), np.shape(params[name])
+        try:
+            arr = np.asarray(value)
+        except ValueError:  # a ragged nesting: an object array, refused below
+            arr = np.array(None)
+        shape = np.shape(params[name])
         if arr.shape != shape or arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
             raise ConfigurationError(f"need finite numbers of shape {shape}", field=name)
     params.update(true_params or {})

@@ -1,19 +1,19 @@
-"""Per-iteration process parameters: step size, temperature, burn-in, thinning.
+"""The plan every chain follows: step size, temperature, burn-in, thinning.
 
-Static schedules are pure functions of the iteration index; the adaptive
-(dual-averaging) schedule consumes acceptance feedback from Metropolis-based
-solvers, explores with the primal iterate during burn-in and freezes at the
-averaged iterate afterwards.  Thinning is decided up front as a random plan:
-kept iterations are drawn without replacement outside burn-in, weighted by
-the static step size (uniformly for adaptive runs, where future step sizes
-are unknown when the plan is drawn).
+:func:`init_scheduler` fixes the plan before any chain starts: a step size and
+a keep flag for each iteration, the burn-in and the temperature.  Every chain
+shares it, and :func:`scheduler_next` reads one iteration's item from it.
+Thinning is drawn up front as a random plan: kept iterations are drawn without
+replacement outside burn-in, weighted by the step size.  Dual averaging, the
+one step-size rule that needs acceptance feedback, belongs to a chain, not to
+the plan: its state and update are defined here, and the ``Adaptive`` block of
+:mod:`sgmc.solver` carries them per chain.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -120,32 +120,23 @@ def random_thinning_plan(step_sizes: np.ndarray, burn_in: int, selections: int,
     return frozenset(int(t) for t in chosen)
 
 
-@dataclass
-class SchedulerState:
-    """Scheduler position; ``scheduler_next`` never mutates it but returns the next one,
-    so one initial state serves every chain."""
+@dataclass(frozen=True)
+class Schedule:
+    """The plan, fixed before any chain starts; its arrays are read-only."""
 
-    iteration: int
-    n_iterations: int
+    step_sizes: np.ndarray  # float64, one per iteration
+    keep: np.ndarray  # bool, one per iteration; False throughout burn-in
     burn_in: int
     temperature: float
-    step_sizes: Optional[np.ndarray]  # static schedule, None when adaptive
-    plan: frozenset[int]
-    adaptive: Optional[DualAveragingState] = None
-
-    @property
-    def is_adaptive(self) -> bool:
-        return self.adaptive is not None
 
 
-def init_scheduler(n_iterations: int, *, step_size=None, adaptive: DualAveragingState = None,
-                   burn_in: int = 0, selections: int = None, temperature: float = 1.0,
-                   key: RandomKey = None) -> SchedulerState:
-    """Assemble the per-iteration schedule bundle.
+def init_scheduler(n_iterations: int, *, step_size, burn_in: int = 0, selections: int = None,
+                   temperature: float = 1.0, key: RandomKey = None) -> Schedule:
+    """Fix the plan of ``n_iterations`` iterations.
 
     ``step_size`` is a function of the iteration index (such as
-    :func:`polynomial_schedule`) or a float; pass ``adaptive`` instead for dual
-    averaging.  ``selections=None`` keeps every non-burn-in iteration.
+    :func:`polynomial_schedule`) or a float.  ``selections=None`` keeps every
+    non-burn-in iteration; otherwise ``key`` draws the kept ones.
     """
     check_type("iterations", n_iterations, (int,))
     check_type("burn_in", burn_in, (int,))
@@ -157,48 +148,25 @@ def init_scheduler(n_iterations: int, *, step_size=None, adaptive: DualAveraging
         raise ConfigurationError("burn-in outside [0, iterations]", field="burn_in")
     if not temperature >= 0:
         raise ConfigurationError("temperature must be >= 0", field="temperature")
-    if (step_size is None) == (adaptive is None):
-        raise ConfigurationError("provide exactly one of step_size / adaptive",
-                                 field="step_size")
-    eps = None
-    if step_size is not None:
-        if callable(step_size):
-            eps = np.asarray(step_size(np.arange(n_iterations)), dtype=np.float64)
-        else:
-            check_type("step_size", step_size, (float,))
-            eps = np.full(n_iterations, float(step_size))
-        if not np.all(eps > 0):
-            raise ConfigurationError("step sizes must be positive", field="step_size")
+    if callable(step_size):
+        eps = np.asarray(step_size(np.arange(n_iterations)), dtype=np.float64)
+    else:
+        check_type("step_size", step_size, (float,))
+        eps = np.full(n_iterations, float(step_size))
+    if not np.all(eps > 0):
+        raise ConfigurationError("step sizes must be positive", field="step_size")
+    keep = np.zeros(n_iterations, dtype=bool)
     if selections is None:
-        plan = frozenset(range(burn_in, n_iterations))
+        keep[burn_in:] = True
     else:
         if key is None:
             raise ConfigurationError("thinning needs a random key", field="key")
-        weights = eps if eps is not None else np.ones(n_iterations)
-        plan = random_thinning_plan(weights, burn_in, selections, n_iterations, key)
-    return SchedulerState(0, n_iterations, burn_in, temperature, eps, plan,
-                          adaptive=adaptive)
+        keep[list(random_thinning_plan(eps, burn_in, selections, n_iterations, key))] = True
+    eps.flags.writeable = keep.flags.writeable = False
+    return Schedule(eps, keep, burn_in, temperature)
 
 
-def scheduler_next(state: SchedulerState, feedback=None):
-    """Emit the next ScheduleItem; ``feedback`` carries solver acceptance stats.
-
-    Guarantees keep => not burn_in for every emitted item.  An adaptive run
-    makes one Metropolis round per iteration, so each call after the first
-    folds that round's acceptance probability in, during burn-in only.
-    """
-    t = state.iteration
-    if t >= state.n_iterations:
-        raise ValueError(f"schedule exhausted after {state.n_iterations} iterations")
-    adaptive = state.adaptive
-    if (adaptive is not None and feedback is not None and feedback.last_alpha is not None
-            and t <= state.burn_in):
-        adaptive = dual_averaging_step(adaptive, feedback.last_alpha)
-    if adaptive is not None:
-        eps = adaptive.eps if t < state.burn_in else adaptive.eps_avg
-    else:
-        eps = float(state.step_sizes[t])
-    burn = t < state.burn_in
-    item = ScheduleItem(eps, state.temperature, burn, (not burn) and (t in state.plan))
-    return item, SchedulerState(t + 1, state.n_iterations, state.burn_in, state.temperature,
-                                state.step_sizes, state.plan, adaptive)
+def scheduler_next(schedule: Schedule, t: int) -> ScheduleItem:
+    """The item of iteration ``t``; keep implies not burn_in."""
+    return ScheduleItem(float(schedule.step_sizes[t]), schedule.temperature,
+                        t < schedule.burn_in, bool(schedule.keep[t]))

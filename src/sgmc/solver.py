@@ -12,9 +12,12 @@ A sampler is one frozen block whose fields are its knobs:
   at the endpoints (the start value is cached from the last accept) and W is
   the trajectory's stochastic work.  A rejection keeps the position;
 - :class:`Tempering`, replica exchange around any accept-all move, with a
-  variance correction for the mini-batch noise in the swap test.
+  variance correction for the mini-batch noise in the swap test;
+- :class:`Adaptive`, dual averaging of the step size around a Metropolis
+  trajectory, which it runs in place of the schedule's step size.
 
 Each block owns the state ``aux`` a chain carries for it and its ``check`` of the schedule.
+Every chain follows one fixed schedule (:mod:`sgmc.scheduler`); only the blocks adapt.
 :class:`Solver` binds a block to a density, its dataset, the batch size and the
 batching strategy.  :data:`SAMPLERS` maps each name to a block constructor
 whose parameters are the sampler's knobs (:data:`KNOBS`).
@@ -28,13 +31,12 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import io as sample_io
-from .adaption import OnlineCovState, rmsprop_step, welford_finalize, welford_step
+from .adaption import rmsprop_step, welford_finalize, welford_step
 from .core import RandomKey, normal_flat
 from .data import BatchSpec, BatchState, Dataset, init_batch_state, next_batch
 from .errors import (ChainError, ConfigurationError, NumericError, check_kwargs,
@@ -43,7 +45,7 @@ from .integrator import (langevin_step, obabo_trajectory,
                          reversible_leapfrog_trajectory, sghmc_step)
 from .models import BuiltinModel
 from .potential import LogDensityModel, full_value, minibatch_value_grad
-from .scheduler import (DualAveragingState, ScheduleItem, SchedulerState,
+from .scheduler import (DualAveragingState, Schedule, ScheduleItem, dual_averaging_step,
                         init_scheduler, polynomial_schedule, scheduler_next)
 
 # fixed per-chain stream indices (see module docstring)
@@ -56,9 +58,9 @@ _STREAM_SWAP = 2
 class AcceptanceStats:
     proposals: int = 0
     accepts: int = 0
-    last_alpha: Optional[float] = None
-    last_exponent: Optional[float] = None
-    last_delta_h: Optional[float] = None  # Metropolis rounds only
+    last_alpha: float | None = None
+    last_exponent: float | None = None
+    last_delta_h: float | None = None  # Metropolis rounds only
 
     @property
     def rate(self) -> float:
@@ -83,7 +85,7 @@ class SolverState:
 class Solver:
     """A sampler block bound to a density, its data and the batching."""
 
-    block: AcceptAll | Metropolis | Tempering
+    block: AcceptAll | Metropolis | Tempering | Adaptive
     density: LogDensityModel
     dataset: Dataset
     batch_size: int
@@ -114,6 +116,9 @@ class Move:
         return SolverState(theta, key.child(_STREAM_ITER).generator(), spec,
                            init_batch_state(solver.dataset, spec), self.start(solver, theta))
 
+    def check(self, schedule: Schedule):
+        """Refuse a schedule the block cannot run, naming the field; no rule by default."""
+
 
 # ---------------------------------------------------------------------------
 # Accept-all moves
@@ -127,10 +132,6 @@ class AcceptAll(Move):
 
     def step(self, solver: Solver, state: SolverState, item: ScheduleItem) -> SolverState:
         return sgmc_update(self, solver, state, item)
-
-    def check(self, scheduler: SchedulerState):
-        _require(not scheduler.is_adaptive, "target_accept",
-                 "adaptive step sizes need a Metropolis sampler (no acceptance statistics)")
 
 
 @dataclass(frozen=True)
@@ -198,8 +199,8 @@ class Metropolis(Move):
     def start(self, solver, theta):
         return full_value(solver.density, theta, solver.dataset)
 
-    def check(self, scheduler: SchedulerState):
-        _require(scheduler.temperature > 0, "temperature",
+    def check(self, schedule: Schedule):
+        _require(schedule.temperature > 0, "temperature",
                  "Metropolis samplers need temperature > 0")
 
 
@@ -217,10 +218,9 @@ class AMAGOLD(Metropolis):
     def step(self, solver, state, item):
         return amagold_round(self, solver, state, item)
 
-    def check(self, scheduler):  # and beta below 1 at the largest, or first adapted, step
-        super().check(scheduler)
-        eps = scheduler.adaptive.eps if scheduler.is_adaptive else scheduler.step_sizes.max()
-        _require(0.5 * eps * self.friction < 1.0, "friction",
+    def check(self, schedule):  # and beta below 1 at the largest step
+        super().check(schedule)
+        _require(0.5 * schedule.step_sizes.max() * self.friction < 1.0, "friction",
                  "half-step friction beta = step size * friction / 2 must be < 1")
 
     def trajectory(self, theta, p0, grad_fn, item, rng):
@@ -287,6 +287,52 @@ def metropolis_round(traj: Metropolis, solver: Solver, state: SolverState,
 amagold_round = sggmc_round = metropolis_round
 
 
+@dataclass
+class AdaptiveChain:
+    """A Metropolis chain, which the chain loop reads, and its step size's dual averaging."""
+
+    chain: SolverState
+    da: DualAveragingState
+
+    theta = property(lambda self: self.chain.theta)
+    stats = property(lambda self: self.chain.stats)
+    gradient_evals = property(lambda self: self.chain.gradient_evals)
+
+
+@dataclass(frozen=True)
+class Adaptive:
+    """Dual averaging (Hoffman & Gelman, JMLR 2014) of the Metropolis ``move``'s step size,
+    from ``step_size_init`` toward acceptance ``target_accept``, in place of the schedule's:
+    the primal iterate in burn-in, each round's acceptance folded in after it, then the
+    averaged iterate."""
+
+    move: Metropolis
+    target_accept: float
+    step_size_init: float
+
+    def __post_init__(self):
+        DualAveragingState.init(self.step_size_init, self.target_accept)  # checks both
+        _require(isinstance(self.move, Metropolis), "target_accept",
+                 "adaptive step sizes need a Metropolis sampler (no acceptance statistics)")
+
+    def init(self, solver: Solver, theta0: np.ndarray, key: RandomKey) -> AdaptiveChain:
+        return AdaptiveChain(self.move.init(solver, theta0, key),
+                             DualAveragingState.init(self.step_size_init, self.target_accept))
+
+    def step(self, solver: Solver, state: AdaptiveChain, item: ScheduleItem) -> AdaptiveChain:
+        da = state.da
+        eps = da.eps if item.burn_in else da.eps_avg
+        chain = self.move.step(solver, state.chain,
+                               ScheduleItem(eps, item.temperature, item.burn_in, item.keep))
+        if item.burn_in:
+            da = dual_averaging_step(da, chain.stats.last_alpha)
+        return AdaptiveChain(chain, da)
+
+    def check(self, schedule: Schedule):  # the move's rules at the first step size
+        self.move.check(Schedule(np.full_like(schedule.step_sizes, self.step_size_init),
+                                 schedule.keep, schedule.burn_in, schedule.temperature))
+
+
 # ---------------------------------------------------------------------------
 # Replica exchange
 
@@ -296,7 +342,7 @@ class TemperingPair:
 
     low: SolverState
     high: SolverState
-    noise_var: OnlineCovState
+    noise_var: tuple  # Welford (count, mean, m2) of the swap test's noise
     rng: np.random.Generator  # the swap stream
     stats: AcceptanceStats = AcceptanceStats()  # of the swaps
 
@@ -331,15 +377,15 @@ class Tempering:
     def init(self, solver: Solver, theta0: np.ndarray, key: RandomKey) -> TemperingPair:
         return TemperingPair(self.move.init(solver, theta0, key.child(0)),
                              self.move.init(solver, theta0, key.child(1)),
-                             OnlineCovState.init(1),
+                             (0, 0.0, 0.0),
                              key.child(0).child(_STREAM_SWAP).generator())
 
     def step(self, solver: Solver, pair: TemperingPair, item: ScheduleItem) -> TemperingPair:
         return resgld_step(self, solver, pair, item)
 
-    def check(self, scheduler: SchedulerState):
-        self.move.check(scheduler)
-        _require(self.tau_high > scheduler.temperature, "tau_high",
+    def check(self, schedule: Schedule):
+        self.move.check(schedule)
+        _require(self.tau_high > schedule.temperature, "tau_high",
                  "tempered chain needs tau_high above the temperature")
 
 
@@ -371,7 +417,7 @@ def resgld_swap(block: Tempering, solver: Solver, pair: TemperingPair,
                                         for s in (low, low, high, high))
     nv = welford_step(pair.noise_var, (u_low - u_low_b) / math.sqrt(2.0))
     nv = welford_step(nv, (u_high - u_high_b) / math.sqrt(2.0))
-    sigma2 = float(welford_finalize(nv)[1][0]) if nv.count >= 2 else 0.0
+    sigma2 = welford_finalize(nv)[1] if nv[0] >= 2 else 0.0  # count >= 2
     exponent = swap_exponent(tau, block.tau_high, u_low, u_high, sigma2, block.correction)
     accept = math.log(pair.rng.random()) < exponent
     if accept:  # exchange the positions, and aux if it follows them; streams stay put
@@ -443,15 +489,15 @@ def _chain_result(store, stats, runtime, gradient_evals, iterations, status="ok"
             "gradient_evaluations": gradient_evals, "store": store}
 
 
-def _run_chain(solver: Solver, scheduler: SchedulerState, init_theta: np.ndarray,
+def _run_chain(solver: Solver, schedule: Schedule, init_theta: np.ndarray,
                chain_key: RandomKey, chain_id: int):
     state = solver.block.init(solver, init_theta, chain_key)
-    store = sample_io.SampleStore(solver.density.layout, chain_id)
+    store = sample_io.SampleStore(solver.density.layout, int(schedule.keep.sum()), chain_id)
     step = solver.block.step
-    iterations = scheduler.n_iterations
+    iterations = len(schedule.keep)
     started = time.perf_counter()
     for t in range(iterations):
-        item, scheduler = scheduler_next(scheduler, feedback=state.stats)
+        item = scheduler_next(schedule, t)
         try:
             state = step(solver, state, item)
         except ArithmeticError as exc:  # NumericError, or overflow in model code
@@ -464,11 +510,11 @@ def _run_chain(solver: Solver, scheduler: SchedulerState, init_theta: np.ndarray
                          state.gradient_evals, iterations)
 
 
-def run_mcmc(solver: Solver, scheduler: SchedulerState, init_theta: np.ndarray, *,
+def run_mcmc(solver: Solver, schedule: Schedule, init_theta: np.ndarray, *,
              key: RandomKey, chains: int = 1) -> list[dict]:
-    """Run ``chains`` independent chains of ``scheduler.n_iterations`` iterations in
-    turn, each from a copy of the flat start ``init_theta`` of shape ``(dim,)``;
-    returns one result per chain, its samples in ``result["store"]``.
+    """Run ``chains`` independent chains of the schedule's iterations in turn, each
+    from a copy of the flat start ``init_theta`` of shape ``(dim,)``; returns one
+    result per chain, its samples in ``result["store"]``.
 
     Chain c draws every stream from ``key.child(c)``, so each chain is a pure
     function of its key.  Each result's ``status`` is "ok" or "failed".  A
@@ -477,16 +523,15 @@ def run_mcmc(solver: Solver, scheduler: SchedulerState, init_theta: np.ndarray, 
     collected samples and ``.results`` every chain's result.
     """
     check_type("chains", chains, (int,))
-    if chains < 1:
-        raise ConfigurationError("need at least one chain", field="chains")
-    solver.block.check(scheduler)
+    _require(chains >= 1, "chains", "need at least one chain")
+    solver.block.check(schedule)
     dim = solver.density.dim
     _require(np.shape(init_theta) == (dim,), "init_theta",
              f"initial position must be a flat vector of shape ({dim},)")
     results, failure = [], None
     for c in range(chains):
         try:
-            results.append(_run_chain(solver, scheduler, init_theta, key.child(c), c))
+            results.append(_run_chain(solver, schedule, init_theta, key.child(c), c))
         except ChainError as exc:
             results.append(exc.partial)
             failure = failure or exc
@@ -504,12 +549,12 @@ class SamplerBundle:
     """Everything run_mcmc needs, assembled from one configuration."""
 
     solver: Solver
-    scheduler: SchedulerState
+    schedule: Schedule
     init_theta: np.ndarray
     run_key: RandomKey
 
     def run(self, chains: int = 1) -> list[dict]:
-        return run_mcmc(self.solver, self.scheduler, self.init_theta, key=self.run_key,
+        return run_mcmc(self.solver, self.schedule, self.init_theta, key=self.run_key,
                         chains=chains)
 
 
@@ -525,7 +570,8 @@ def build_sampler(name: str, config: dict) -> SamplerBundle:
 
     Required for every sampler: model (BuiltinModel), dataset, iterations,
     batch_size, seed, and a step-size block (step_size_first/step_size_last/
-    step_size_decay, or target_accept/step_size_init for adaptive runs).
+    step_size_decay, or target_accept/step_size_init for adaptive runs, whose
+    block :class:`Adaptive` wraps).
     The sampler's knobs come from the same mapping (:data:`KNOBS`); another
     sampler's knob is ignored, and a key that is neither a knob nor in
     :data:`SETTINGS` is a ConfigurationError.  A None value counts as unset.
@@ -550,20 +596,18 @@ def build_sampler(name: str, config: dict) -> SamplerBundle:
     check_type("seed", need("seed"), (int,))
     root = RandomKey(cfg["seed"])
 
-    adaptive = None
-    step_sizes = None
     if cfg.get("target_accept") is not None:
-        adaptive = DualAveragingState.init(cfg.get("step_size_init", 0.1),
-                                           cfg["target_accept"])
+        solver = replace(solver, block=Adaptive(solver.block, cfg["target_accept"],
+                                                cfg.get("step_size_init", 0.1)))
+        step_sizes = 1.0  # unused by Adaptive; unit weights thin every iteration alike
     else:
         step_sizes = polynomial_schedule(need("step_size_first"),
                                          need("step_size_last"),
                                          cfg.get("step_size_decay", 0.33), iterations)
 
-    scheduler = init_scheduler(iterations, step_size=step_sizes, adaptive=adaptive,
-                               burn_in=cfg.get("burn_in", 0),
-                               selections=cfg.get("selections"),
-                               temperature=cfg.get("temperature", 1.0),
-                               key=root.child(1))
-    solver.block.check(scheduler)
-    return SamplerBundle(solver, scheduler, cfg.get("init_theta", model.init), root.child(2))
+    schedule = init_scheduler(iterations, step_size=step_sizes,
+                              burn_in=cfg.get("burn_in", 0),
+                              selections=cfg.get("selections"),
+                              temperature=cfg.get("temperature", 1.0),
+                              key=root.child(1))
+    return SamplerBundle(solver, schedule, cfg.get("init_theta", model.init), root.child(2))

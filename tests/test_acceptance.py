@@ -109,8 +109,8 @@ def test_criterion_3_hmc_reduction():
         solver = make_solver(name, model.density, dataset, 1, **kw)
         state = solver.block.init(solver, model.init, RandomKey(23))
         sched = init_scheduler(rounds, step_size=0.12)
-        for _ in range(rounds):
-            item, sched = scheduler_next(sched)
+        for t in range(rounds):
+            item = scheduler_next(sched, t)
             state = solver.block.step(solver, state, item)
             worst = max(worst, abs(state.stats.last_exponent
                                    + state.stats.last_delta_h))

@@ -56,6 +56,11 @@ class TestRun:
     def test_zero_iterations_is_config_error(self, tmp_path):
         assert run_cli(*small_run_args(tmp_path, **{"--iterations": "0"})) == 2
 
+    def test_zero_chains_is_config_error_before_any_output(self, tmp_path, capsys):
+        assert run_cli(*small_run_args(tmp_path, **{"--chains": "0"})) == 2
+        assert "(field: chains)" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_selections_overflow_is_config_error(self, tmp_path):
         code = run_cli(*small_run_args(tmp_path, **{"--selections": "500"}))
         assert code == 2
@@ -263,7 +268,9 @@ class TestRun:
         ("mu", {"true_params": {"mu": math.nan}}),
         ("sigma", {"model": "linreg_sigma", "true_params": {"sigma": math.nan}}),
         ("w", {"model": "linreg_sigma", "true_params": {"w": ["a", "b", "c", "d"]}}),
-        ("model", {"model": "nope"})])
+        ("model", {"model": "nope"}),
+        # a ragged nesting has no array form
+        ("w", {"model": "linreg_sigma", "true_params": {"w": [[1], [1, 2], 3, 4]}})])
     def test_unknown_model_key_names_the_field(self, tmp_path, capsys, key, entry):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"model": "gaussian_mean", "iterations": 10, **entry,

@@ -7,7 +7,8 @@ refactor that claims byte-identical samples must pass this test unchanged.
 ``ONE_ROW_GOLDEN`` pins the same for one-row (data-free) targets, whose every
 mini-batch is the dataset's only row.  ``TEMPERED_GOLDEN`` pins replica exchange
 around SGHMC, which no sampler name builds: the one swap that keeps the move's
-state (the momentum) with its chain.
+state (the momentum) with its chain.  ``THINNED_ADAPTIVE_GOLDEN`` pins an
+adaptive run with random thinning, whose plan weights every iteration alike.
 ``FILE_GOLDEN`` pins the bytes of the sample files that one ``sgmc run``
 writes in each output format.
 
@@ -98,6 +99,17 @@ TEMPERED_GOLDEN = {
 }
 
 
+# dual averaging and random thinning in one run: the plan's weights are uniform
+THINNED_ADAPTIVE_CASES = {
+    "amagold_target_accept_thinned": ("amagold", {"leapfrog_steps": 3, "target_accept": 0.65,
+                                                  "step_size_init": 0.05, "selections": 50}),
+}
+
+THINNED_ADAPTIVE_GOLDEN = {
+    'amagold_target_accept_thinned': ('b3f9f87a24eeefe5504259d8870498523d4539db8ced2af5793574b72ddca0d9', 0.67, 900),
+}
+
+
 # a small 2-chain run of the 2-parameter logistic regression
 FILE_RUN = {"model": "logreg_2d", "n_obs": 60, "sampler": "sgld", "iterations": 200,
             "burn_in": 50, "batch_size": 8, "seed": 11, "chains": 2,
@@ -133,7 +145,7 @@ def run_case(name):
     if name in ONE_ROW_CASES:
         model, model_args, sampler, over = ONE_ROW_CASES[name]
         return _run(get_model(model, **model_args), 1, sampler, dict(over, batch_size=1))
-    sampler, over = CASES[name]
+    sampler, over = {**CASES, **THINNED_ADAPTIVE_CASES}[name]
     return _run(get_model("logreg_2d"), 60, sampler, over)
 
 
@@ -149,6 +161,11 @@ def test_one_row_golden_digest(name):
 
 def test_tempered_sghmc_golden_digest():
     assert run_case("tempered_sghmc") == TEMPERED_GOLDEN["tempered_sghmc"]
+
+
+def test_thinned_adaptive_golden_digest():
+    name = "amagold_target_accept_thinned"
+    assert run_case(name) == THINNED_ADAPTIVE_GOLDEN[name]
 
 
 def file_digests(tmp: Path) -> dict:
@@ -172,10 +189,12 @@ if __name__ == "__main__":
         sys.exit("usage: python tests/test_golden.py [--check]")
     check = sys.argv[1:] == ["--check"]
     current = {case: run_case(case)
-               for case in sorted(CASES) + sorted(ONE_ROW_CASES) + sorted(TEMPERED_GOLDEN)}
+               for case in sorted(CASES) + sorted(ONE_ROW_CASES) + sorted(TEMPERED_GOLDEN)
+               + sorted(THINNED_ADAPTIVE_CASES)}
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         current.update(file_digests(Path(tmp)))
-    pinned = {**GOLDEN, **ONE_ROW_GOLDEN, **TEMPERED_GOLDEN, **FILE_GOLDEN}
+    pinned = {**GOLDEN, **ONE_ROW_GOLDEN, **TEMPERED_GOLDEN, **THINNED_ADAPTIVE_GOLDEN,
+              **FILE_GOLDEN}
     moved = {name: value for name, value in current.items() if value != pinned.get(name)}
     for name, value in (moved if check else current).items():
         print(f"    {name!r}: {value!r},")

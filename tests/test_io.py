@@ -19,7 +19,7 @@ LAYOUT = make_layout({"w": (2,), "log_sigma": ()})
 
 
 def store_with(n, seed=5):
-    store = SampleStore(LAYOUT, chain_id=0)
+    store = SampleStore(LAYOUT, n, chain_id=0)
     rng = RandomKey(seed).generator()
     for i in range(n):
         collect_sample(store, rng.standard_normal(3), 10 * i)
@@ -28,13 +28,13 @@ def store_with(n, seed=5):
 
 class TestCollect:
     def test_counts(self):
-        store = SampleStore(LAYOUT)
+        store = SampleStore(LAYOUT, 1)
         assert store.sample_count == 0
         collect_sample(store, np.arange(3.0), 7)
         assert store.sample_count == 1
 
     def test_stores_a_copy(self):
-        store, flat = SampleStore(LAYOUT), np.arange(3.0)
+        store, flat = SampleStore(LAYOUT, 1), np.arange(3.0)
         collect_sample(store, flat, 0)
         flat[:] = -1.0
         assert np.array_equal(store.stacked()[0], [0.0, 1.0, 2.0])
@@ -82,7 +82,7 @@ class TestFinalize:
 
     def test_csv_bytes_are_what_csv_writer_writes(self, tmp_path):
         layout = make_layout({"w": (2, 2), "s": ()})
-        store = SampleStore(layout)
+        store = SampleStore(layout, 2)
         values = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, 0.1, -2.5, 1.0 / 3.0, 7.0]
         for i in range(2):
             collect_sample(store, np.array(values[5 * i : 5 * i + 5]), i)
@@ -100,7 +100,7 @@ class TestFinalize:
         assert np.signbit(flat[0, 3])
 
     def test_empty_csv_has_header_only(self, tmp_path):
-        store = SampleStore(LAYOUT)
+        store = SampleStore(LAYOUT, 0)
         path = finalize_results(store, "csv", tmp_path / "s.csv")
         lines = path.read_text().splitlines()
         assert lines == ["iteration,w[0],w[1],log_sigma"]
@@ -120,7 +120,7 @@ class TestFinalize:
 @settings(max_examples=25, deadline=None)
 def test_jsonl_roundtrip_property(seed, n_samples, layout):
     rng = RandomKey(seed).generator()
-    store = SampleStore(layout)
+    store = SampleStore(layout, n_samples)
     dim = layout_size(layout)
     for i in range(n_samples):
         collect_sample(store, rng.standard_normal(dim), i)

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from sgmc.errors import ConfigurationError
 from sgmc.scheduler import (DualAveragingState, dual_averaging_step,
                             init_scheduler, polynomial_schedule,
                             random_thinning_plan, scheduler_next)
+from sgmc.solver import AcceptanceStats, Adaptive, Metropolis
 
 
 
@@ -116,51 +118,48 @@ class TestSchedulerNext:
         state = init_scheduler(10, step_size=polynomial_schedule(0.1, 0.01, 0.5, 10),
                                burn_in=3, selections=4, temperature=2.0,
                                key=RandomKey(0))
-        items = []
-        for _ in range(10):
-            item, state = scheduler_next(state)
-            items.append(item)
+        items = [scheduler_next(state, t) for t in range(10)]
         assert all(i.temperature == 2.0 for i in items)
         assert all(not (i.keep and i.burn_in) for i in items)
         assert sum(i.keep for i in items) == 4
         assert [i.burn_in for i in items[:3]] == [True] * 3
-        with pytest.raises(ValueError, match="exhausted"):
-            scheduler_next(state)
+        with pytest.raises(IndexError):  # the plan holds 10 iterations
+            scheduler_next(state, 10)
 
     def test_burn_in_blocks_keep(self):
         state = init_scheduler(5, step_size=0.1, burn_in=5, key=RandomKey(1))
-        for _ in range(5):
-            item, state = scheduler_next(state)
+        for t in range(5):
+            item = scheduler_next(state, t)
             assert item.burn_in and not item.keep
 
     def test_replay_is_identical(self):
         def run():
             state = init_scheduler(50, step_size=polynomial_schedule(0.1, 0.01, 0.5, 50),
                                    burn_in=10, selections=20, key=RandomKey(7))
-            out = []
-            for _ in range(50):
-                item, state = scheduler_next(state)
-                out.append(item)
-            return out
+            return [scheduler_next(state, t) for t in range(50)]
 
         assert run() == run()
 
     def test_adaptive_uses_feedback_then_freezes(self):
-        class Feedback:
-            def __init__(self, proposals, alpha):
-                self.proposals = proposals
-                self.last_alpha = alpha
+        # the Adaptive block around a move whose every round has acceptance 0
+        sizes = []
 
-        adaptive = DualAveragingState.init(0.1, delta=0.65)
-        state = init_scheduler(100, adaptive=adaptive, burn_in=50)
-        item0, state = scheduler_next(state, Feedback(0, None))
-        assert item0.step_size == pytest.approx(0.1)
-        for t in range(1, 50):
-            item, state = scheduler_next(state, Feedback(t, 0.0))
-        assert item.step_size < 0.1  # persistent rejects shrink epsilon
-        frozen, state = scheduler_next(state, Feedback(50, 0.0))
-        follow, state = scheduler_next(state, Feedback(51, 0.0))
-        assert frozen.step_size == follow.step_size  # averaged iterate after burn-in
+        class Rejecting(Metropolis):
+            def init(self, solver, theta0, key):
+                return None
+
+            def step(self, solver, state, item):
+                sizes.append(item.step_size)
+                return SimpleNamespace(stats=AcceptanceStats(1, 0, 0.0))
+
+        block = Adaptive(Rejecting(), 0.65, 0.1)
+        schedule = init_scheduler(100, step_size=1.0, burn_in=50)
+        state = block.init(None, None, None)
+        for t in range(52):
+            state = block.step(None, state, scheduler_next(schedule, t))
+        assert sizes[0] == pytest.approx(0.1)
+        assert sizes[49] < 0.1  # persistent rejects shrink epsilon
+        assert sizes[50] == sizes[51]  # averaged iterate after burn-in
 
     def test_selections_need_key(self):
         with pytest.raises(ConfigurationError):

@@ -11,15 +11,15 @@ from sgmc.adaption import rmsprop_step
 from sgmc.core import RandomKey, make_layout, normal_flat
 from sgmc.data import BatchSpec, init_batch_state, next_batch
 from sgmc.diagnostics import effective_sample_size
-from sgmc.errors import ChainError, ConfigurationError
+from sgmc.errors import ChainError, ConfigurationError, NumericError
 from sgmc.integrator import langevin_step
 from sgmc.models import get_model, surrogate_from_logdensity, synth_data_generate
 from sgmc.potential import full_value, minibatch_value_grad
-from sgmc.scheduler import DualAveragingState, init_scheduler, scheduler_next
+from sgmc.scheduler import init_scheduler, scheduler_next
 from sgmc.solver import (_STREAM_BATCH, _STREAM_ITER, AMAGOLD, KNOBS, SAMPLER_NAMES,
-                         SAMPLERS, SGGMC, SGHMC, AcceptAll, Langevin, SamplerBundle, Solver,
-                         Tempering, TemperingPair, build_sampler, make_solver, resgld_swap,
-                         run_mcmc, swap_exponent)
+                         SAMPLERS, SGGMC, SGHMC, AcceptAll, Adaptive, Langevin, SamplerBundle,
+                         Solver, Tempering, TemperingPair, build_sampler, make_solver,
+                         resgld_swap, run_mcmc, swap_exponent)
 
 from conftest import quadratic_model
 
@@ -62,7 +62,7 @@ class TestAcceptAll:
         chain_key = RandomKey(77).child(0)
         state0 = solver.block.init(solver, model.init, chain_key)
         sched = init_scheduler(5, step_size=0.01)
-        item, _ = scheduler_next(sched)
+        item = scheduler_next(sched, 0)
         state1 = solver.block.step(solver, state0, item)
 
         spec = BatchSpec(8, "draw_replacement", chain_key.child(_STREAM_BATCH))
@@ -106,8 +106,8 @@ class TestMetropolisRounds:
             solver = make_solver(name, model.density, dataset, 1, **kw)
             state = solver.block.init(solver, model.init, RandomKey(1))
             sched = init_scheduler(10, step_size=0.3)
-            for _ in range(10):
-                item, sched = scheduler_next(sched)
+            for t in range(10):
+                item = scheduler_next(sched, t)
                 state = solver.block.step(solver, state, item)
                 assert state.stats.last_alpha == 1.0
             assert state.stats.accepts == state.stats.proposals == 10
@@ -123,8 +123,8 @@ class TestMetropolisRounds:
         solver = make_solver(name, model.density, dataset, 1, **kw)
         state = solver.block.init(solver, model.init, RandomKey(8))
         sched = init_scheduler(50, step_size=0.15)
-        for _ in range(50):
-            item, sched = scheduler_next(sched)
+        for t in range(50):
+            item = scheduler_next(sched, t)
             state = solver.block.step(solver, state, item)
             assert abs(state.stats.last_exponent + state.stats.last_delta_h) <= 1e-10
 
@@ -140,8 +140,8 @@ class TestMetropolisRounds:
         # (none without friction), then the accept uniform, and nothing else
         replay = chain_key.child(_STREAM_ITER).generator()
         saw_reject = False
-        for _ in range(60):
-            item, sched = scheduler_next(sched)
+        for t in range(60):
+            item = scheduler_next(sched, t)
             before = state
             state = solver.block.step(solver, state, item)
             normal_flat(replay, 1, 1.0)
@@ -161,8 +161,8 @@ class TestMetropolisRounds:
                              friction=0.0)
         state = solver.block.init(solver, model.init, RandomKey(5))
         sched = init_scheduler(200, step_size=0.3)
-        for _ in range(200):
-            item, sched = scheduler_next(sched)
+        for t in range(200):
+            item = scheduler_next(sched, t)
             state = solver.block.step(solver, state, item)
             assert state.aux == full_value(model.density, state.theta, dataset)
         assert 0.5 < state.stats.rate <= 1.0
@@ -426,6 +426,8 @@ class TestRunMCMC:
     def test_loop_builds_no_record_with_replace(self, monkeypatch, name, kw, adaptive):
         model, dataset = std_normal_setup()
         solver = make_solver(name, model.density, dataset, 1, **kw)
+        if adaptive:
+            solver = Solver(Adaptive(solver.block, 0.65, 0.1), model.density, dataset, 1)
         calls = []
         replace = dataclasses.replace
 
@@ -438,8 +440,7 @@ class TestRunMCMC:
         for module_name, module in list(sys.modules.items()):
             if module_name.startswith("sgmc") and getattr(module, "replace", None) is replace:
                 monkeypatch.setattr(module, "replace", counting)
-        sched = (init_scheduler(200, adaptive=DualAveragingState.init(0.1, 0.65), burn_in=100)
-                 if adaptive else init_scheduler(200, step_size=0.1))
+        sched = init_scheduler(200, step_size=0.1, burn_in=100 if adaptive else 0)
         results = run_mcmc(solver, sched, model.init, key=RandomKey(3), chains=2)
         assert [r["status"] for r in results] == ["ok", "ok"]
         assert calls == []
@@ -500,13 +501,37 @@ class TestRunMCMC:
         assert err.value.partial["sample_count"] >= 0
         assert err.value.results == [err.value.partial]
 
+    def test_failed_chain_keeps_exactly_the_rows_kept_before_it_failed(self):
+        @dataclasses.dataclass(frozen=True)
+        class FailsAt(AcceptAll):  # moves theta by +1 per step; fails at step ``at``
+            at: int
+
+            def start(self, solver, theta):
+                return None
+
+            def integrate(self, state, grad, item):
+                if state.stats.proposals == self.at:
+                    raise NumericError("planned failure")
+                return state.theta + 1.0, None
+
+        model = get_model("std_normal", dim=2)
+        dataset = synth_data_generate(model, RandomKey(0), 1)
+        solver = Solver(FailsAt(25), model.density, dataset, 1)
+        sched = init_scheduler(40, step_size=0.1, burn_in=5, selections=15, key=RandomKey(2))
+        with pytest.raises(ChainError) as err:
+            run_mcmc(solver, sched, model.init, key=RandomKey(5))
+        assert err.value.iteration == 25
+        store = err.value.partial["store"]
+        kept = np.flatnonzero(sched.keep[:25])
+        assert 0 < len(kept) < 15 and err.value.partial["sample_count"] == len(kept)
+        assert np.array_equal(store.iterations(), kept)
+        assert store.stacked().shape == (len(kept), 2)
+        assert np.array_equal(store.stacked(), np.repeat(kept[:, None] + 1.0, 2, axis=1))
+
     def test_adaptive_rejected_for_accept_all(self):
-        model, dataset = std_normal_setup()
-        solver = make_solver("sgld", model.density, dataset, 1)
-        from sgmc.scheduler import DualAveragingState
-        sched = init_scheduler(10, adaptive=DualAveragingState.init(0.1))
-        with pytest.raises(ConfigurationError):
-            run_mcmc(solver, sched, model.init, key=RandomKey(1))
+        with pytest.raises(ConfigurationError) as err:
+            Adaptive(Langevin(), 0.65, 0.1)
+        assert err.value.field == "target_accept"
 
     @pytest.mark.parametrize("block", [AMAGOLD(leapfrog_steps=2), SGGMC(obabo_steps=2)])
     def test_metropolis_at_zero_temperature_fails_before_any_chain(self, monkeypatch, block):
@@ -557,9 +582,8 @@ class TestRunMCMC:
                 leapfrog_steps=5, friction=0.0))
             state = bundle.solver.block.init(bundle.solver, bundle.init_theta,
                                              bundle.run_key.child(0))
-            sched = bundle.scheduler
-            for _ in range(3000):
-                item, sched = scheduler_next(sched, feedback=state.stats)
+            for t in range(3000):
+                item = scheduler_next(bundle.schedule, t)
                 assert item.burn_in
                 state = bundle.solver.block.step(bundle.solver, state, item)
             assert abs(state.stats.rate - 0.65) < 0.02, seed
