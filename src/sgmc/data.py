@@ -10,8 +10,8 @@ place and never copied.  A one-row dataset's one batch is built once, read-only,
 returned without a draw; full batches share one read-only mask per size.
 A breach of a batch rule is a ConfigurationError naming its field.
 Consumers must honour the mask; pad rows are zeros and carry no information.
-Whole-dataset quantities (the exact potential) read ``Dataset.arrays``
-directly, with no batching.
+The exact potential reads ``Dataset.arrays`` in fixed row blocks (views), with
+no draw and no mask.
 """
 
 from __future__ import annotations

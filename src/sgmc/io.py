@@ -2,12 +2,14 @@
 
 One store per chain, allocated up front and written in place in collection
 order; it serializes to JSON Lines or CSV.  Both formats round-trip at full
-float64 precision (shortest-round-trip float formatting).
+float64 precision (shortest-round-trip float formatting), and reads back in
+about twice the memory of the arrays it returns (JSON Lines in row chunks).
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -15,6 +17,8 @@ import numpy as np
 
 from .core import Layout, layout_size, layout_slices, named
 from .errors import StoreError
+
+READ_CHUNK_ROWS = 64  # parsed rows read_jsonl holds before converting them to float64
 
 
 def flat_column_names(layout: Layout) -> list[str]:
@@ -63,6 +67,8 @@ def _read_only(view: np.ndarray) -> np.ndarray:
 
 def collect_sample(store: SampleStore, flat, iteration: int) -> SampleStore:
     """Copy the flat sample into the next row; its length must match the store's layout."""
+    if store.sample_count == store.capacity:
+        raise StoreError(f"store is full: it holds {store.capacity} samples")
     if np.shape(flat) != store._rows.shape[1:]:
         raise StoreError(f"sample of shape {np.shape(flat)} does not match {store.layout}")
     store._rows[store.sample_count] = flat
@@ -99,30 +105,29 @@ def finalize_results(store: SampleStore, format: str, path):
 
 def read_jsonl(path) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Parse a samples.jsonl file back into (iterations, {name: flat matrix})."""
-    iterations, columns = [], {}
+    iterations, chunks = [], {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            obj = json.loads(line)
-            iterations.append(obj["iteration"])
-            for name, vals in obj["variables"].items():
-                columns.setdefault(name, []).append(vals)
+        while rows := [json.loads(line) for line in itertools.islice(fh, READ_CHUNK_ROWS)]:
+            iterations.extend(obj["iteration"] for obj in rows)
+            for name in rows[0]["variables"]:
+                chunks.setdefault(name, []).append(
+                    np.asarray([obj["variables"][name] for obj in rows], dtype=np.float64))
     return (
         np.asarray(iterations, dtype=np.int64),
-        {name: np.asarray(vals, dtype=np.float64) for name, vals in columns.items()},
+        {name: np.concatenate(parts) for name, parts in chunks.items()},
     )
 
 
 def read_csv_samples(path) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Parse a samples.csv file back into (iterations, {name: flat matrix})."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [np.array(row, dtype=np.float64) for row in reader]
-    table = np.asarray(rows, dtype=np.float64) if rows else np.empty((0, len(header)))
+        header = next(csv.reader(fh))
+        first = next(fh, None)  # np.loadtxt warns on a header-only file
+        table = (np.empty((0, len(header))) if first is None else
+                 np.loadtxt(itertools.chain([first], fh), delimiter=",", ndmin=2))
     # group flattened columns "name[...]" back under "name", preserving order
     groups: dict[str, list[int]] = {}
     for j, col in enumerate(header[1:], start=1):
         base = col.split("[", 1)[0]
         groups.setdefault(base, []).append(j)
-    iterations = table[:, 0].astype(np.int64) if rows else np.empty(0, dtype=np.int64)
-    return iterations, {name: table[:, cols] for name, cols in groups.items()}
+    return table[:, 0].astype(np.int64), {name: table[:, cols] for name, cols in groups.items()}

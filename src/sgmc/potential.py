@@ -6,8 +6,8 @@ vector and in log space.  There is one evaluator per quantity:
 :func:`minibatch_value_grad` gives the stochastic (U~, grad U~), scaling the
 mini-batch sums by N/n_eff, where n_eff counts unmasked rows, so padded epoch
 tails stay unbiased; with ``value=False`` it gives only grad U~ and evaluates no
-log-likelihood or log-prior.  :func:`full_value` gives the exact U from one
-vectorized call on the whole dataset.  :func:`per_observation` lifts
+log-likelihood or log-prior.  :func:`full_value` gives the exact U from calls on
+row blocks, holding one (N,) vector.  :func:`per_observation` lifts
 per-observation functions of the named parameters to this contract.
 """
 
@@ -21,6 +21,8 @@ import numpy as np
 from .core import Layout, layout_size, named
 from .data import Dataset, MiniBatch
 
+FULL_BLOCK_ROWS = 8192  # rows per batch_log_likelihood call of full_value
+
 
 @dataclass(frozen=True)
 class LogDensityModel:
@@ -29,7 +31,8 @@ class LogDensityModel:
     ``batch_log_likelihood(flat, arrays)`` and ``batch_score(flat, arrays)``
     take the flat parameter vector and a mapping name -> (n, ...) array and
     return shape (n,) and (n, dim); ``log_prior(flat)`` returns a float and
-    ``grad_log_prior(flat)`` a (dim,) array.
+    ``grad_log_prior(flat)`` a (dim,) array.  The batch evaluators may get row
+    blocks (views) of the dataset and must not keep the arrays they are given.
     """
 
     layout: Layout
@@ -92,6 +95,13 @@ def minibatch_value_grad(model: LogDensityModel, flat: np.ndarray, batch: MiniBa
 
 def full_value(model: LogDensityModel, flat: np.ndarray, dataset: Dataset) -> float:
     """Exact potential U = -sum_i log p(y_i | x_i, theta) - log p(theta)."""
-    ll = np.asarray(model.batch_log_likelihood(flat, dataset.arrays), dtype=np.float64)
+    if dataset.size <= FULL_BLOCK_ROWS:
+        ll = np.asarray(model.batch_log_likelihood(flat, dataset.arrays), dtype=np.float64)
+    else:
+        ll = np.empty(dataset.size)
+        for start in range(0, dataset.size, FULL_BLOCK_ROWS):
+            rows = slice(start, start + FULL_BLOCK_ROWS)
+            ll[rows] = model.batch_log_likelihood(
+                flat, {name: arr[rows] for name, arr in dataset.arrays.items()})
     return -float(ll.sum()) - float(model.log_prior(flat))
 

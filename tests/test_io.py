@@ -1,6 +1,8 @@
 import csv
 import json
 import tempfile
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +46,12 @@ class TestCollect:
         for other in (np.zeros(4), np.zeros((1, 3))):
             with pytest.raises(StoreError):
                 collect_sample(store, other, 8)
+        assert store.sample_count == 1
+
+    def test_full_store_names_itself(self):
+        store = store_with(1)
+        with pytest.raises(StoreError, match="full"):
+            collect_sample(store, np.zeros(3), 10)
         assert store.sample_count == 1
 
     def test_thousand_collects_consistent_lengths(self):
@@ -114,6 +122,57 @@ class TestFinalize:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
             finalize_results(store_with(1), "parquet", tmp_path / "x")
+
+
+READERS = {"jsonl": read_jsonl, "csv": read_csv_samples}
+
+
+class TestReadBack:
+    @pytest.mark.parametrize("fmt", sorted(READERS))
+    def test_values_come_back_as_their_shortest_repr_parses(self, tmp_path, fmt):
+        special = [np.nan, -np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324,
+                   1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.0 / 3.0]
+        patterns = RandomKey(9).generator().integers(0, 2**64, 3000, dtype=np.uint64)
+        values = np.concatenate([special, patterns.view(np.float64)]).reshape(-1, 3)
+        store = SampleStore(LAYOUT, values.shape[0])
+        for i, row in enumerate(values):
+            collect_sample(store, row, i)
+        path = finalize_results(store, fmt, tmp_path / f"s.{fmt}")
+        iterations, variables = READERS[fmt](path)
+        flat = np.column_stack([variables["w"], variables["log_sigma"]])
+        # every NaN payload and sign is written as "nan" and read as the canonical NaN
+        expected = np.array([[float(repr(v)) for v in row] for row in values.tolist()])
+        assert np.array_equal(iterations, np.arange(values.shape[0]))
+        assert np.array_equal(flat.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("fmt", sorted(READERS))
+    def test_no_samples_read_back_empty_without_warning(self, tmp_path, fmt):
+        path = finalize_results(SampleStore(LAYOUT, 0), fmt, tmp_path / f"s.{fmt}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            iterations, variables = READERS[fmt](path)
+        assert iterations.dtype == np.int64 and iterations.shape == (0,)
+        assert all(v.shape[0] == 0 for v in variables.values())
+        if fmt == "csv":  # the header still names the columns
+            assert {k: v.shape for k, v in variables.items()} == {"w": (0, 2), "log_sigma": (0, 1)}
+
+    @pytest.mark.parametrize("fmt", sorted(READERS))
+    def test_peak_memory_is_at_most_two_and_a_half_returned_sizes(self, tmp_path, fmt):
+        layout = make_layout({"x": (100,)})
+        store = SampleStore(layout, 2000)
+        rng = RandomKey(11).generator()
+        for i in range(2000):
+            collect_sample(store, rng.standard_normal(100), i)
+        path = finalize_results(store, fmt, tmp_path / f"s.{fmt}")
+        tracemalloc.start()
+        try:
+            iterations, variables = READERS[fmt](path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        returned = iterations.nbytes + sum(v.nbytes for v in variables.values())
+        assert np.array_equal(variables["x"], store.stacked())
+        assert peak <= 2.5 * returned
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 12), layouts())

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from sgmc.core import RandomKey, make_layout
 from sgmc.data import BatchSpec, MiniBatch, init_batch_state, load_in_memory, next_batch
 from sgmc.models import builtin_names, get_model, synth_data_generate
-from sgmc.potential import full_value, minibatch_value_grad, per_observation
+from sgmc.potential import FULL_BLOCK_ROWS, full_value, minibatch_value_grad, per_observation
 
 from conftest import fd_gradient
 
@@ -143,6 +144,70 @@ class TestFullPotential:
             draws[i], _ = minibatch_value_grad(model.density, flat, batch)
         se = draws.std(ddof=1) / math.sqrt(draws.shape[0])
         assert abs(draws.mean() - exact) < 3 * se
+
+
+def whole_dataset_value(density, flat, ds):
+    """U from one whole-array log-likelihood call, summed as full_value sums it."""
+    ll = np.asarray(density.batch_log_likelihood(flat, ds.arrays), dtype=np.float64)
+    return -float(ll.sum()) - float(density.log_prior(flat))
+
+
+class TestBlockedFullPotential:
+    N = 2 * FULL_BLOCK_ROWS + 3  # two full row blocks and a three-row tail
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_blocks_give_the_bits_of_one_whole_call(self, name):
+        model = get_model(name)
+        ds = synth_data_generate(model, RandomKey(21), self.N)
+        for key in [RandomKey(22).child(i) for i in range(5)]:
+            flat = key.generator().standard_normal(model.density.dim) * 0.5
+            assert full_value(model.density, flat, ds) == whole_dataset_value(
+                model.density, flat, ds)
+
+    def test_per_observation_model_blocks_give_the_bits_of_one_whole_call(self):
+        density = per_observation(make_layout({"mu": ()}), *gaussian_mean_rows(),
+                                  lambda theta: -0.5 * float(theta["mu"]) ** 2,
+                                  lambda theta: -theta["mu"].reshape(1))
+        y = RandomKey(23).generator().standard_normal(self.N) + 0.3
+        ds = load_in_memory(arrays={"y": y})
+        flat = np.array([0.4])
+        assert full_value(density, flat, ds) == whole_dataset_value(density, flat, ds)
+
+    @staticmethod
+    def called_arrays(n):
+        model = get_model("logreg_2d")
+        ds = synth_data_generate(model, RandomKey(24), n)
+        seen = []
+
+        def log_likelihood(flat, arrays):
+            seen.append(arrays)
+            return model.density.batch_log_likelihood(flat, arrays)
+
+        counting = dataclasses.replace(model.density, batch_log_likelihood=log_likelihood)
+        full_value(counting, np.array([0.5, -1.0]), ds)
+        return ds, seen
+
+    def test_one_block_dataset_is_one_call_on_its_arrays(self):
+        for n in (1, FULL_BLOCK_ROWS):
+            ds, seen = self.called_arrays(n)
+            assert len(seen) == 1 and seen[0] is ds.arrays
+
+    def test_larger_dataset_is_called_on_row_blocks(self):
+        ds, seen = self.called_arrays(self.N)
+        assert [arrays["y"].shape[0] for arrays in seen] == [FULL_BLOCK_ROWS, FULL_BLOCK_ROWS, 3]
+        assert np.array_equal(np.concatenate([arrays["x"] for arrays in seen]), ds["x"])
+
+    def test_one_call_peaks_at_most_one_and_a_half_vectors(self):
+        n = 100_000
+        model = get_model("logreg_2d")
+        ds = synth_data_generate(model, RandomKey(25), n)
+        tracemalloc.start()
+        try:
+            full_value(model.density, np.array([0.5, -1.0]), ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * n  # a whole-array call peaks at 3 (N,) float vectors
 
 
 class TestFiniteDifferences:
