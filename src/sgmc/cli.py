@@ -9,6 +9,7 @@ and/or a JSON config file; any same-named flag overrides both.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -158,8 +159,7 @@ def _chain_summary(result) -> dict:
     variables = {}
     store = result["store"]
     flat = store.stacked()
-    names = sample_io.flat_column_names(store.layout)
-    for j, name in enumerate(names):
+    for j, name in enumerate(sample_io.flat_column_names(store.layout)):
         col = flat[:, j]
         # partial stores from failed chains can hold absurd magnitudes
         usable = col.shape[0] >= 2 and np.all(np.isfinite(col)) \
@@ -239,15 +239,20 @@ def _load_run(run_dir: Path):
     cfg = RunConfig(**{k: v for k, v in summary["config"].items()
                        if k in RunConfig.__dataclass_fields__})
     reader = sample_io.read_jsonl if cfg.format == "jsonl" else sample_io.read_csv_samples
-    names, blocks = [], []
-    for chain in summary["chains"]:
-        if chain.get("status", "ok") != "ok":
-            continue
-        _, variables = reader(run_dir / f"samples_chain{chain['chain_id']}.{cfg.format}")
+    chains = [c for c in summary["chains"] if c.get("status", "ok") == "ok"]
+    names, flat, start = [], np.empty((0, 0)), 0
+    for chain in chains:
+        cid, count = chain["chain_id"], chain["sample_count"]
+        iterations, variables = reader(run_dir / f"samples_chain{cid}.{cfg.format}")
+        if len(iterations) != count:
+            raise ValueError(f"chain {cid} has {len(iterations)} rows in its file, not {count}")
         if variables:  # an empty JSON Lines file names no variables
+            if not names:  # the pooled matrix, sized from summary.json
+                flat = np.empty((sum(c["sample_count"] for c in chains),
+                                 sum(v.shape[1] for v in variables.values())))
             names = list(variables)
-            blocks.append(np.column_stack(list(variables.values())))
-    flat = np.concatenate(blocks) if blocks else np.empty((0, 0))
+            np.concatenate(list(variables.values()), axis=1, out=flat[start:start + count])
+            start += count
     return cfg, names, flat
 
 
@@ -264,7 +269,7 @@ def compare_command(args) -> int:
     run_dir = Path(args.run)
     try:
         cfg, names, flat = _load_run(run_dir)
-    except (FileNotFoundError, json.JSONDecodeError, TypeError) as exc:
+    except (FileNotFoundError, TypeError, ValueError) as exc:  # ValueError: unreadable samples
         print(f"cannot load run artifacts: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if flat.shape[0] < 2:
@@ -321,7 +326,9 @@ def compare_command(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process, so the subcommand functions are bound at the first call."""
     parser = argparse.ArgumentParser(prog="sgmc",
                                      description="stochastic-gradient MCMC harness")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -2,8 +2,8 @@
 
 One store per chain, allocated up front and written in place in collection
 order; it serializes to JSON Lines or CSV.  Both formats round-trip at full
-float64 precision (shortest-round-trip float formatting), and reads back in
-about twice the memory of the arrays it returns (JSON Lines in row chunks).
+float64 precision (shortest-round-trip float formatting).  Reading back holds
+one copy of the returned arrays plus one chunk of 64 parsed rows.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .core import Layout, layout_size, layout_slices, named
 from .errors import StoreError
 
 READ_CHUNK_ROWS = 64  # parsed rows read_jsonl holds before converting them to float64
+SCAN_BUFFER_BYTES = 1 << 16  # read size of read_jsonl's row count
 
 
 def flat_column_names(layout: Layout) -> list[str]:
@@ -105,17 +106,25 @@ def finalize_results(store: SampleStore, format: str, path):
 
 def read_jsonl(path) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Parse a samples.jsonl file back into (iterations, {name: flat matrix})."""
-    iterations, chunks = [], {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:  # count the lines, an unended last one too, in one pass
+        count, last = 0, b"\n"
+        while block := fh.read(SCAN_BUFFER_BYTES):
+            count, last = count + block.count(b"\n"), block[-1:]
+    iterations, variables, start = np.empty(count + (last != b"\n"), dtype=np.int64), {}, 0
+    with open(path, encoding="utf-8", newline="\n") as fh:  # lines end where counted
         while rows := [json.loads(line) for line in itertools.islice(fh, READ_CHUNK_ROWS)]:
-            iterations.extend(obj["iteration"] for obj in rows)
-            for name in rows[0]["variables"]:
-                chunks.setdefault(name, []).append(
-                    np.asarray([obj["variables"][name] for obj in rows], dtype=np.float64))
-    return (
-        np.asarray(iterations, dtype=np.int64),
-        {name: np.concatenate(parts) for name, parts in chunks.items()},
-    )
+            if start == 0:
+                widths = {name: len(v) for name, v in rows[0]["variables"].items()}
+                variables = {name: np.empty((len(iterations), w)) for name, w in widths.items()}
+            for line, obj in enumerate(rows, start + 1):
+                if (got := {k: len(v) for k, v in obj["variables"].items()}) != widths:
+                    name = next(k for k in [*widths, *got] if got.get(k) != widths.get(k))
+                    raise ValueError(f"{path}:{line}: variable {name!r} differs from line 1")
+            iterations[start:start + len(rows)] = [obj["iteration"] for obj in rows]
+            for name, out in variables.items():
+                out[start:start + len(rows)] = [obj["variables"][name] for obj in rows]
+            start += len(rows)
+    return iterations, variables
 
 
 def read_csv_samples(path) -> tuple[np.ndarray, dict[str, np.ndarray]]:
@@ -128,6 +137,7 @@ def read_csv_samples(path) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     # group flattened columns "name[...]" back under "name", preserving order
     groups: dict[str, list[int]] = {}
     for j, col in enumerate(header[1:], start=1):
-        base = col.split("[", 1)[0]
-        groups.setdefault(base, []).append(j)
-    return table[:, 0].astype(np.int64), {name: table[:, cols] for name, cols in groups.items()}
+        groups.setdefault(col.split("[", 1)[0], []).append(j)
+    return table[:, 0].astype(np.int64), {  # adjacent columns: views of the one table
+        name: table[:, cols[0]:cols[-1] + 1] if cols[-1] - cols[0] == len(cols) - 1
+        else table[:, cols] for name, cols in groups.items()}

@@ -314,12 +314,12 @@ def rwmh_oracle(model: BuiltinModel, dataset: Dataset, theta0: np.ndarray,
 
     ``theta0`` is the flat start of shape ``(dim,)``.  ``proposal_scale`` is
     a scalar or per-coordinate vector of Gaussian jump widths.  Returns
-    post-burn-in samples plus the overall acceptance rate.
+    post-burn-in samples plus the overall acceptance rate; each kept draw is
+    written into one ``(steps - burn_in, dim)`` array allocated up front.
     """
     if steps < 1:
         raise ValueError("need at least one step")
-    if burn_in is None:
-        burn_in = steps // 5
+    burn_in = steps // 5 if burn_in is None else max(burn_in, 0)
     density = model.density
     if np.shape(theta0) != (density.dim,):
         raise ConfigurationError(
@@ -329,19 +329,17 @@ def rwmh_oracle(model: BuiltinModel, dataset: Dataset, theta0: np.ndarray,
     if not np.all(scale >= 0):
         raise ValueError("proposal scale must be >= 0")
     flat = np.array(theta0, dtype=np.float64)
-    dim = flat.shape[0]
     u = full_value(density, flat, dataset)
     rng = key.generator()
-    kept = []
+    samples = np.empty((max(steps - burn_in, 0), *flat.shape))
     accepts = 0
     for t in range(steps):
-        prop = flat + scale * rng.standard_normal(dim)
+        prop = flat + scale * rng.standard_normal(flat.shape)
         u_prop = full_value(density, prop, dataset)
         if math.log(rng.random()) < u - u_prop:
             flat, u = prop, u_prop
             accepts += 1
         if t >= burn_in:
-            kept.append(flat.copy())
-    samples = np.stack(kept) if kept else np.empty((0, dim))
+            samples[t - burn_in] = flat
     return {"samples": samples, "acceptance_rate": accepts / steps}
 

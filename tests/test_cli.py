@@ -1,10 +1,13 @@
+import argparse
+import hashlib
 import inspect
 import json
 import math
 
+import numpy as np
 import pytest
 
-from sgmc.cli import DEMOS, load_config, main
+from sgmc.cli import DEMOS, _load_run, build_parser, load_config, main
 from sgmc.errors import ConfigurationError
 
 pytestmark = pytest.mark.filterwarnings("ignore:overflow")
@@ -124,6 +127,18 @@ class TestRun:
                             lambda *args, **kwargs: calls.append(args) or parse(*args, **kwargs))
         assert run_cli(*small_run_args(tmp_path, **{"--output": str(tmp_path / "b")})) == 0
         assert calls == []
+
+    def test_two_calls_build_one_parser(self, tmp_path, monkeypatch):
+        built, init = [], argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", lambda self, *args, **kwargs:
+                            built.append(kwargs.get("prog")) or init(self, *args, **kwargs))
+        build_parser.cache_clear()
+        try:
+            for _ in range(2):
+                assert run_cli("compare", "--run", str(tmp_path / "nope")) == 2
+        finally:
+            build_parser.cache_clear()  # no later call gets the counting parser
+        assert built.count("sgmc") == 1
 
     @pytest.mark.parametrize("key", ["frcition", "seed"])
     def test_bad_sampler_args_key_names_the_field(self, tmp_path, capsys, key):
@@ -394,6 +409,49 @@ class TestCompare:
         assert (code, [c["status"] for c in summary["chains"]]) == (3, ["failed"])
         assert run_cli("compare", "--run", str(tmp_path / "run")) == 2
         assert "status ok" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:divide by zero")
+    def test_loads_the_recorded_pool_of_a_jsonl_run_with_a_failed_chain(self, tmp_path):
+        # pinned names and pooled bits: how the pool is built must not change them
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**FAILING_CHAIN, "output": str(tmp_path / "run")}))
+        assert run_cli("run", "--config", str(path)) == 3
+        _, names, flat = _load_run(tmp_path / "run")
+        assert (names, flat.shape) == (["w", "log_sigma"], (300, 2))
+        assert hashlib.sha256(flat.tobytes()).hexdigest() == (
+            "6ab443834d1dc989932d55e0271d6d490ad7ecfbe3cfc09c8f69b62f048faf7d")
+
+    def test_loads_the_recorded_pool_of_a_two_chain_csv_run(self, tmp_path):
+        argv = ["run", "--demo", "regression", "--iterations", "400", "--burn-in", "100",
+                "--selections", "60", "--chains", "2", "--format", "csv", "--seed", "5",
+                "--output", str(tmp_path / "run")]
+        assert run_cli(*argv) == 0
+        _, names, flat = _load_run(tmp_path / "run")
+        assert (names, flat.shape) == (["w", "log_sigma"], (120, 5))
+        assert hashlib.sha256(np.ascontiguousarray(flat).tobytes()).hexdigest() == (
+            "97e7bf62a0de87e9aa4fbcc1befb2746b0265ca10ab778b7832b279e760d410b")
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("change", ["drop", "add"])
+    def test_file_rows_unlike_sample_count_is_refused_naming_the_chain(
+            self, tmp_path, capsys, fmt, change):
+        argv = small_run_args(tmp_path, **{"--chains": "2", "--format": fmt})
+        assert run_cli(*argv) == 0
+        path = tmp_path / "run" / f"samples_chain1.{fmt}"
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:-1] if change == "drop" else lines + lines[-1:]))
+        assert run_cli("compare", "--run", str(tmp_path / "run"), "--reference",
+                       "analytic") == 2
+        assert "chain 1 has" in capsys.readouterr().err
+
+    def test_jsonl_rows_of_other_variables_are_refused(self, tmp_path, capsys):
+        run_dir = self.run_gaussian(tmp_path)
+        path = run_dir / "samples_chain0.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[5] = lines[5].replace('"mu"', '"nu"')
+        path.write_text("".join(lines))
+        assert run_cli("compare", "--run", str(run_dir), "--reference", "analytic") == 2
+        assert ":6: variable 'mu' differs from line 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("steps", ["1", "0"])
     def test_too_few_oracle_steps_names_the_field(self, tmp_path, capsys, steps):

@@ -174,6 +174,77 @@ class TestReadBack:
         assert np.array_equal(variables["x"], store.stacked())
         assert peak <= 2.5 * returned
 
+    @pytest.mark.parametrize("fmt", sorted(READERS))
+    @pytest.mark.parametrize("n, dim", [(2000, 100), (2700, 200)])
+    def test_peak_memory_is_at_most_one_and_a_half_returned_sizes(self, tmp_path, fmt, n, dim):
+        iterations, variables, peak, store = _traced_read_back(tmp_path, fmt, n, dim)
+        assert np.array_equal(variables["x"], store.stacked())
+        assert peak <= 1.5 * _nbytes(iterations, variables)
+
+    @pytest.mark.parametrize("fmt", sorted(READERS))
+    def test_one_column_peaks_at_most_the_returned_bytes_and_256_kib(self, tmp_path, fmt):
+        iterations, variables, peak, store = _traced_read_back(tmp_path, fmt, 5000, 1)
+        assert np.array_equal(variables["x"], store.stacked())
+        assert peak <= _nbytes(iterations, variables) + 256 * 1024
+
+    def test_csv_variables_are_views_of_one_table(self, tmp_path):
+        path = finalize_results(store_with(40), "csv", tmp_path / "s.csv")
+        _, variables = read_csv_samples(path)
+        w, log_sigma = variables["w"], variables["log_sigma"]
+        assert w.base is not None and w.base is log_sigma.base
+        assert np.shares_memory(w, w.base) and np.shares_memory(log_sigma, w.base)
+
+    def test_csv_variable_with_split_columns_reads_back(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("iteration,a[0],b,a[1]\r\n0,1.0,2.0,3.0\r\n5,4.0,5.0,6.0\r\n")
+        iterations, variables = read_csv_samples(path)
+        assert np.array_equal(iterations, [0, 5])
+        assert np.array_equal(variables["a"], [[1.0, 3.0], [4.0, 6.0]])
+        assert np.array_equal(variables["b"], [[2.0], [5.0]])
+
+    def test_jsonl_last_line_without_newline_is_read(self, tmp_path):
+        path = finalize_results(store_with(3), "jsonl", tmp_path / "s.jsonl")
+        path.write_text(path.read_text().rstrip("\n"))
+        iterations, variables = read_jsonl(path)
+        assert np.array_equal(iterations, [0, 10, 20])
+        assert np.array_equal(variables["w"], store_with(3).variables()["w"])
+
+    def test_jsonl_variable_added_midway_is_refused_naming_line_and_variable(self, tmp_path):
+        path = _jsonl(tmp_path, [{"a": [1.0]}] * 64 + [{"a": [1.0], "b": [2.0, 3.0]}] * 10)
+        with pytest.raises(ValueError, match=r":65: variable 'b' differs from line 1"):
+            read_jsonl(path)
+
+    def test_jsonl_row_of_another_width_is_refused_naming_line_and_variable(self, tmp_path):
+        path = _jsonl(tmp_path, [{"a": [1.0, 2.0], "b": [0.5]}] * 3 + [{"a": [1.0], "b": [0.5]}])
+        with pytest.raises(ValueError, match=r":4: variable 'a' differs from line 1"):
+            read_jsonl(path)
+
+
+def _jsonl(tmp_path, rows):
+    path = tmp_path / "s.jsonl"
+    path.write_text("".join(json.dumps({"iteration": i, "variables": row}) + "\n"
+                            for i, row in enumerate(rows)))
+    return path
+
+
+def _traced_read_back(tmp_path, fmt, n, dim):
+    store = SampleStore(make_layout({"x": (dim,)}), n)
+    rng = RandomKey(11).generator()
+    for i in range(n):
+        collect_sample(store, rng.standard_normal(dim), i)
+    path = finalize_results(store, fmt, tmp_path / f"s.{fmt}")
+    tracemalloc.start()
+    try:
+        iterations, variables = READERS[fmt](path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return iterations, variables, peak, store
+
+
+def _nbytes(iterations, variables):
+    return iterations.nbytes + sum(v.nbytes for v in variables.values())
+
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 12), layouts())
 @settings(max_examples=25, deadline=None)

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,6 +157,36 @@ class TestRWMHOracle:
         with pytest.raises(ConfigurationError) as err:
             rwmh_oracle(model, ds, np.zeros(shape), 1.0, steps=100, key=RandomKey(1))
         assert err.value.field == "init_theta"
+
+    def test_fixed_key_gives_the_recorded_samples_and_acceptance(self):
+        # pinned draws: how the kept samples are stored must not change them
+        model = get_model("linreg_sigma", n_weights=3)
+        ds = synth_data_generate(model, RandomKey(4), 50)
+        out = rwmh_oracle(model, ds, model.init, 0.05, steps=3000, key=RandomKey(17))
+        assert out["samples"].shape == (2400, 4) and out["samples"].flags.c_contiguous
+        assert hashlib.sha256(out["samples"].tobytes()).hexdigest() == (
+            "9bda551be34340394b760577b0abd4f1b69860e39c8b49d4f75a05f51926eabd")
+        assert out["acceptance_rate"] == 0.5926666666666667
+
+    def test_peak_memory_is_at_most_one_and_a_half_samples(self):
+        model = get_model("linreg_sigma", n_weights=3)
+        ds = synth_data_generate(model, RandomKey(4), 50)
+        tracemalloc.start()
+        try:
+            out = rwmh_oracle(model, ds, model.init, 0.05, steps=20000, key=RandomKey(17))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out["samples"].shape == (16000, 4)
+        assert peak <= 1.5 * out["samples"].nbytes + 256 * 1024
+
+    @pytest.mark.parametrize("burn_in, kept", [(-5, 10), (0, 10), (10, 0), (15, 0)])
+    def test_burn_in_outside_the_steps_keeps_what_it_can(self, burn_in, kept):
+        model = get_model("std_normal")
+        ds = synth_data_generate(model, RandomKey(0), 1)
+        out = rwmh_oracle(model, ds, model.init, 1.0, steps=10, key=RandomKey(2),
+                          burn_in=burn_in)
+        assert out["samples"].shape == (kept, 1)
 
     def test_detailed_balance_three_bins(self):
         model = get_model("std_normal")
