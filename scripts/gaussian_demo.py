@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Conjugate-recovery experiment: SGLD on the normal-location model.
 
-Runs the ``gaussian`` preset, then compares the step-size-weighted moments of
-the chain against the closed-form posterior.
+Runs the ``gaussian`` preset, then compares the mean and standard deviation
+(ddof=1) of the kept samples, pooled unweighted over the chains whose status
+is "ok", against the closed-form posterior (``sgmc compare --reference analytic``).
 """
 
 import argparse

@@ -146,13 +146,11 @@ def validate_config(cfg: RunConfig):
                                      field=key)
 
 
-def _assemble(cfg: RunConfig):
+def _model_and_data(cfg: RunConfig):
+    """The run's model and dataset: ``compare`` scores the data that ``run`` sampled."""
     model = get_model(cfg.model, **cfg.model_args)
-    dataset = synth_data_generate(model, RandomKey(cfg.seed).child(0), cfg.n_obs,
-                                  cfg.true_params or None)
-    settings = {k: v for k, v in vars(cfg).items() if k in SETTINGS}
-    bundle_cfg = {**settings, **cfg.sampler_args, "model": model, "dataset": dataset}
-    return model, dataset, build_sampler(cfg.sampler, bundle_cfg)
+    return model, synth_data_generate(model, RandomKey(cfg.seed).child(0), cfg.n_obs,
+                                      cfg.true_params or None)
 
 
 def _chain_summary(result) -> dict:
@@ -161,14 +159,13 @@ def _chain_summary(result) -> dict:
     flat = store.stacked()
     for j, name in enumerate(sample_io.flat_column_names(store.layout)):
         col = flat[:, j]
-        # partial stores from failed chains can hold absurd magnitudes
+        # partial stores from failed chains can hold absurd magnitudes: no figures then
         usable = col.shape[0] >= 2 and np.all(np.isfinite(col)) \
             and np.abs(col).max() < 1e100
         if usable:
             variables[name] = diagnostics_summary(col)
         else:
-            finite = float(col[0]) if col.size and np.isfinite(col[0]) else None
-            variables[name] = {"mean": finite, "std": None, "ess": None}
+            variables[name] = {"mean": None, "std": None, "ess": None}
     return {
         "chain_id": result["chain_id"],
         "status": result["status"],
@@ -208,17 +205,16 @@ def run_command(args) -> int:
     overrides = {k: v for k, v in vars(args).items() if k in RunConfig.__dataclass_fields__}
     try:
         cfg = load_config(args.demo, args.config, overrides)
-        model, dataset, bundle = _assemble(cfg)
-    except (ConfigurationError, FileNotFoundError, ValueError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        model, dataset = _model_and_data(cfg)
+        settings = {k: v for k, v in vars(cfg).items() if k in SETTINGS}
+        bundle_cfg = {**settings, **cfg.sampler_args, "model": model, "dataset": dataset}
+        bundle = build_sampler(cfg.sampler, bundle_cfg)
+    except (OSError, ValueError) as exc:  # a ConfigurationError keeps its field
+        raise exc if isinstance(exc, ConfigurationError) else ConfigurationError(str(exc))
     out_dir = Path(cfg.output)
     started = time.perf_counter()
-    try:
+    try:  # a ConfigurationError here refuses the run before any chain runs
         results = bundle.run(chains=cfg.chains)
-    except ConfigurationError as exc:  # refused before any chain runs
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except ChainError as exc:
         write_outputs(cfg, exc.results, out_dir, time.perf_counter() - started,
                       error={"message": str(exc), "iteration": exc.iteration})
@@ -263,33 +259,25 @@ def _column_stats(columns: list[str], mat: np.ndarray) -> dict[str, tuple[float,
 
 def compare_command(args) -> int:
     if args.oracle_steps < 2:  # the oracle's std needs two kept samples
-        print("configuration error: need at least two oracle steps (field: oracle_steps)",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigurationError("need at least two oracle steps", field="oracle_steps")
     run_dir = Path(args.run)
     try:
         cfg, names, flat = _load_run(run_dir)
-    except (FileNotFoundError, TypeError, ValueError) as exc:  # ValueError: unreadable samples
-        print(f"cannot load run artifacts: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except (OSError, TypeError, ValueError) as exc:  # ValueError: unreadable samples
+        raise ConfigurationError(f"cannot load run artifacts: {exc}") from exc
     if flat.shape[0] < 2:
-        print("need at least two samples from chains with status ok", file=sys.stderr)
-        return EXIT_CONFIG
-    model = get_model(cfg.model, **cfg.model_args)
+        raise ConfigurationError("need at least two samples from chains with status ok")
+    model, dataset = _model_and_data(cfg)
     model_names = [name for name, _ in model.layout]
     columns = sample_io.flat_column_names(model.layout)
     if names != model_names or flat.shape[1] != len(columns):
-        print(f"variable mismatch: run has {names}, model has {model_names}",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigurationError(f"variable mismatch: run has {names}, model has {model_names}")
     sampler_stats = _column_stats(columns, flat)
 
-    dataset = synth_data_generate(model, RandomKey(cfg.seed).child(0), cfg.n_obs,
-                                  cfg.true_params or None)
     if args.reference == "analytic":
         if model.analytic_posterior is None:
-            print(f"model {cfg.model!r} has no analytic posterior", file=sys.stderr)
-            return EXIT_CONFIG
+            raise ConfigurationError(f"model {cfg.model!r} has no analytic posterior",
+                                     field="reference")
         ref = model.analytic_posterior(dataset)
         mean, std = (np.concatenate([np.ravel(ref[key][name]) for name in model_names])
                      for key in ("mean", "std"))
@@ -359,7 +347,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ConfigurationError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

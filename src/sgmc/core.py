@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigurationError, check_type
+
 # layout: ordered ((name, shape), ...) pairs; shape () denotes a scalar slot
 Layout = tuple[tuple[str, tuple[int, ...]], ...]
 
@@ -61,13 +63,13 @@ class RandomKey:
     independent streams.  Same ``(seed, path)`` -> same draws, always.
     """
 
-    seed: int
+    seed: int  # an int >= 0, never converted; else a ConfigurationError naming it
     path: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if int(self.seed) < 0:
-            raise ValueError("seed must be nonnegative")
-        object.__setattr__(self, "seed", int(self.seed))
+        check_type("seed", self.seed, (int,))
+        if self.seed < 0:
+            raise ConfigurationError("seed must be nonnegative", field="seed")
         object.__setattr__(self, "path", tuple(int(p) for p in self.path))
 
     def child(self, index: int) -> "RandomKey":

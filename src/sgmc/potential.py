@@ -94,14 +94,11 @@ def minibatch_value_grad(model: LogDensityModel, flat: np.ndarray, batch: MiniBa
 
 
 def full_value(model: LogDensityModel, flat: np.ndarray, dataset: Dataset) -> float:
-    """Exact potential U = -sum_i log p(y_i | x_i, theta) - log p(theta)."""
-    if dataset.size <= FULL_BLOCK_ROWS:
-        ll = np.asarray(model.batch_log_likelihood(flat, dataset.arrays), dtype=np.float64)
-    else:
-        ll = np.empty(dataset.size)
-        for start in range(0, dataset.size, FULL_BLOCK_ROWS):
-            rows = slice(start, start + FULL_BLOCK_ROWS)
-            ll[rows] = model.batch_log_likelihood(
-                flat, {name: arr[rows] for name, arr in dataset.arrays.items()})
+    """Exact potential U = -sum_i log p(y_i | x_i, theta) - log p(theta), by row blocks."""
+    ll = np.empty(dataset.size)
+    for start in range(0, dataset.size, FULL_BLOCK_ROWS):
+        rows = slice(start, start + FULL_BLOCK_ROWS)
+        ll[rows] = model.batch_log_likelihood(
+            flat, {name: arr[rows] for name, arr in dataset.arrays.items()})
     return -float(ll.sum()) - float(model.log_prior(flat))
 

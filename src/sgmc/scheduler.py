@@ -88,9 +88,7 @@ class DualAveragingState:
 
 
 def dual_averaging_step(state: DualAveragingState, accept_prob: float) -> DualAveragingState:
-    """Fold one observed acceptance probability into the adaptation."""
-    if not 0.0 <= accept_prob <= 1.0:
-        raise ValueError("acceptance probability must lie in [0, 1]")
+    """Fold one observed acceptance probability, which lies in [0, 1], into the adaptation."""
     m = state.iteration + 1
     eta = 1.0 / (m + _DA_T0)
     h_bar = (1.0 - eta) * state.h_bar + eta * (state.delta - accept_prob)

@@ -571,7 +571,8 @@ def build_sampler(name: str, config: dict) -> SamplerBundle:
     Required for every sampler: model (BuiltinModel), dataset, iterations,
     batch_size, seed, and a step-size block (step_size_first/step_size_last/
     step_size_decay, or target_accept/step_size_init for adaptive runs, whose
-    block :class:`Adaptive` wraps).
+    block :class:`Adaptive` wraps).  Unset batch_strategy, burn_in, selections
+    and temperature take the defaults of :func:`make_solver` and :func:`init_scheduler`.
     The sampler's knobs come from the same mapping (:data:`KNOBS`); another
     sampler's knob is ignored, and a key that is neither a knob nor in
     :data:`SETTINGS` is a ConfigurationError.  A None value counts as unset.
@@ -587,14 +588,15 @@ def build_sampler(name: str, config: dict) -> SamplerBundle:
                                      field=field_name)
         return cfg[field_name]
 
+    def given(*names):
+        return {key: cfg[key] for key in names if key in cfg}
+
     model: BuiltinModel = need("model")
     dataset: Dataset = need("dataset")
     iterations = need("iterations")
     solver = make_solver(name, model.density, dataset, need("batch_size"),
-                         cfg.get("batch_strategy", "draw_replacement"),
-                         **{knob: cfg[knob] for knob in KNOBS.get(name, ()) if knob in cfg})
-    check_type("seed", need("seed"), (int,))
-    root = RandomKey(cfg["seed"])
+                         **given("batch_strategy", *KNOBS.get(name, ())))
+    root = RandomKey(need("seed"))
 
     if cfg.get("target_accept") is not None:
         solver = replace(solver, block=Adaptive(solver.block, cfg["target_accept"],
@@ -605,9 +607,6 @@ def build_sampler(name: str, config: dict) -> SamplerBundle:
                                          need("step_size_last"),
                                          cfg.get("step_size_decay", 0.33), iterations)
 
-    schedule = init_scheduler(iterations, step_size=step_sizes,
-                              burn_in=cfg.get("burn_in", 0),
-                              selections=cfg.get("selections"),
-                              temperature=cfg.get("temperature", 1.0),
-                              key=root.child(1))
+    schedule = init_scheduler(iterations, step_size=step_sizes, key=root.child(1),
+                              **given("burn_in", "selections", "temperature"))
     return SamplerBundle(solver, schedule, cfg.get("init_theta", model.init), root.child(2))

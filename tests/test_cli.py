@@ -107,6 +107,26 @@ class TestRun:
         assert summary["config"]["seed"] == 9
         assert summary["config"]["iterations"] == 300
 
+    def test_negative_seed_flag_names_the_field(self, tmp_path, capsys):
+        assert run_cli(*small_run_args(tmp_path, **{"--seed": "-1"})) == 2
+        assert "(field: seed)" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_missing_config_file_is_a_config_error(self, tmp_path, capsys):
+        assert run_cli("run", "--config", str(tmp_path / "nope.json")) == 2
+        assert capsys.readouterr().err.startswith("configuration error: ")
+
+    @pytest.mark.parametrize("argv, field", [
+        (["--seed", "-1"], "seed"),  # raised as a ConfigurationError: kept with its field
+        (["--config", "nope.json"], None),  # a FileNotFoundError: converted
+        (["--config", "."], None)])  # an IsADirectoryError: converted
+    def test_commands_raise_their_refusals_for_main(self, tmp_path, monkeypatch, argv, field):
+        monkeypatch.chdir(tmp_path)  # where nope.json is missing
+        args = build_parser().parse_args(["run", "--output", "x", *argv])
+        with pytest.raises(ConfigurationError) as err:
+            args.fn(args)
+        assert err.value.field == field
+
     def test_unknown_config_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"iterations": 10, "bogus_knob": 1}))
@@ -191,7 +211,8 @@ class TestRun:
         # run-level and schedule settings
         ("chains", {"chains": 0}),
         ("format", {"format": "xml"}),
-        ("burn_in", {"burn_in": 20})])
+        ("burn_in", {"burn_in": 20}),
+        ("seed", {"seed": -1})])
     def test_invalid_sampler_setting_names_the_field(self, tmp_path, capsys, field, cfg):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({**cfg, "iterations": 10, "output": str(tmp_path / "x")}))
@@ -306,6 +327,18 @@ class TestRun:
         assert chains == [(0, "ok", 300), (1, "failed", 19)]
         assert summary["error"]["iteration"] == 19
 
+    def test_unsummarisable_column_of_a_failed_chain_gets_nulls(self, tmp_path):
+        # the samples climb from about 183 to 1.4e306 before the chain fails at 126
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"model": "gaussian_mean", "step_size_first": 3.0,
+                                    "step_size_last": 2.0, "iterations": 400, "burn_in": 0,
+                                    "output": str(tmp_path / "run")}))
+        assert run_cli("run", "--config", str(path)) == 3
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        chain = summary["chains"][0]
+        assert (chain["status"], chain["sample_count"]) == ("failed", 126)
+        assert chain["variables"] == {"mu": {"mean": None, "std": None, "ess": None}}
+
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:divide by zero")
     def test_overflow_in_the_model_is_a_chain_failure(self, tmp_path):
         # log-sigma diverges until exp(log-sigma) overflows inside linreg_sigma
@@ -376,6 +409,16 @@ class TestCompare:
         assert run_cli(*argv) == 0
         assert run_cli("compare", "--run", str(tmp_path / "mix"),
                        "--reference", "analytic") == 2
+
+    def test_missing_analytic_posterior_names_the_reference(self, tmp_path, capsys):
+        argv = ["run", "--demo", "mixture", "--iterations", "300", "--burn-in", "50",
+                "--selections", "50", "--output", str(tmp_path / "mix")]
+        assert run_cli(*argv) == 0
+        capsys.readouterr()
+        assert run_cli("compare", "--run", str(tmp_path / "mix"),
+                       "--reference", "analytic") == 2
+        assert "(field: reference)" in capsys.readouterr().err
+        assert not (tmp_path / "mix" / "compare_report.json").exists()
 
     def test_reads_run_written_with_cache_count(self, tmp_path):
         # runs written before the no-op knob was removed still compare
@@ -463,6 +506,11 @@ class TestCompare:
 
     def test_missing_run_dir(self, tmp_path):
         assert run_cli("compare", "--run", str(tmp_path / "nope")) == 2
+
+    def test_run_path_of_a_file_is_a_config_error(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        assert run_cli("compare", "--run", str(tmp_path / "file")) == 2
+        assert "cannot load run artifacts" in capsys.readouterr().err
 
 
 def test_unknown_demo_names_the_field():

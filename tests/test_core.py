@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgmc.core import RandomKey, layout_size, make_layout, named, normal_flat
+from sgmc.errors import ConfigurationError
 
 from conftest import CHI2_99
 
@@ -86,6 +87,13 @@ class TestSplit:
         a = children(RandomKey(9, (1,)), 2)
         b = children(RandomKey(9, (1,)), 2)
         assert a == b
+
+    @pytest.mark.parametrize("seed", [2.5, 2.0, -1, True, "3", None])
+    def test_seed_other_than_a_nonnegative_int_names_the_field(self, seed):
+        # never converted: RandomKey(2.7) is not RandomKey(2)
+        with pytest.raises(ConfigurationError) as err:
+            RandomKey(seed)
+        assert err.value.field == "seed"
 
     def test_consuming_does_not_mutate(self):
         key = RandomKey(5)

@@ -182,6 +182,17 @@ class TestOBABO:
         assert abs(work - (kinetic(p0) - kinetic(p_end))) < 1e-10
 
 
+@pytest.mark.parametrize("run", [
+    lambda grad_fn: sghmc_step(np.zeros(2), np.ones(2), grad_fn(None), 0.1, 0.5, tau=0.0),
+    lambda grad_fn: reversible_leapfrog_trajectory(np.zeros(2), np.ones(2), 2, 0.1, 0.0,
+                                                   grad_fn, tau=0.0),
+    lambda grad_fn: obabo_trajectory(np.zeros(2), np.ones(2), 2, 0.1, 0.0, grad_fn, tau=0.0)],
+    ids=["sghmc_step", "reversible_leapfrog_trajectory", "obabo_trajectory"])
+def test_diverging_input_raises(run):
+    with pytest.raises(NumericError):
+        run(lambda theta: np.array([np.inf, 1.0]))
+
+
 def test_zero_noise_zero_gradient_pure_drift():
     theta0, p0 = np.array([1.0, -2.0]), np.array([0.5, 0.25])
     zero = lambda th: np.zeros(2)

@@ -42,9 +42,10 @@ class TestCollect:
         assert np.array_equal(store.stacked()[0], [0.0, 1.0, 2.0])
 
     def test_layout_drift_rejected(self):
-        store = store_with(1)
+        store = SampleStore(LAYOUT, 2, chain_id=0)  # room left: only the shape rule refuses
+        collect_sample(store, np.arange(3.0), 7)
         for other in (np.zeros(4), np.zeros((1, 3))):
-            with pytest.raises(StoreError):
+            with pytest.raises(StoreError, match="does not match"):
                 collect_sample(store, other, 8)
         assert store.sample_count == 1
 

@@ -190,7 +190,10 @@ class TestBlockedFullPotential:
     def test_one_block_dataset_is_one_call_on_its_arrays(self):
         for n in (1, FULL_BLOCK_ROWS):
             ds, seen = self.called_arrays(n)
-            assert len(seen) == 1 and seen[0] is ds.arrays
+            assert len(seen) == 1 and list(seen[0]) == list(ds.arrays)
+            for name, arr in seen[0].items():  # every row, as a view of the dataset's array
+                assert arr.shape == ds[name].shape and np.shares_memory(arr, ds[name])
+                assert np.array_equal(arr, ds[name])
 
     def test_larger_dataset_is_called_on_row_blocks(self):
         ds, seen = self.called_arrays(self.N)

@@ -54,11 +54,6 @@ class TestDualAveraging:
             sizes.append(state.eps)
         assert all(b < a for a, b in zip(sizes, sizes[1:]))
 
-    def test_probability_domain(self):
-        state = DualAveragingState.init(0.1)
-        with pytest.raises(ValueError):
-            dual_averaging_step(state, 1.2)
-
     def test_averaged_iterate_settles(self):
         # i.i.d. feedback around the target: averaged step size goes Cauchy
         state = DualAveragingState.init(1e-3, delta=0.65)

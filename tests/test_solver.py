@@ -15,7 +15,7 @@ from sgmc.errors import ChainError, ConfigurationError, NumericError
 from sgmc.integrator import langevin_step
 from sgmc.models import get_model, surrogate_from_logdensity, synth_data_generate
 from sgmc.potential import full_value, minibatch_value_grad
-from sgmc.scheduler import init_scheduler, scheduler_next
+from sgmc.scheduler import Schedule, init_scheduler, scheduler_next
 from sgmc.solver import (_STREAM_BATCH, _STREAM_ITER, AMAGOLD, KNOBS, SAMPLER_NAMES,
                          SAMPLERS, SGGMC, SGHMC, AcceptAll, Adaptive, Langevin, SamplerBundle,
                          Solver, Tempering, TemperingPair, build_sampler, make_solver,
@@ -365,7 +365,7 @@ class TestGradientOnlySteps:
         density, calls = model.density, {"batch": 0, "full": 0, "prior": 0}
 
         def log_likelihood(flat, arrays):
-            calls["full" if arrays is dataset.arrays else "batch"] += 1
+            calls["full" if len(arrays["y"]) == dataset.size else "batch"] += 1
             return density.batch_log_likelihood(flat, arrays)
 
         def log_prior(flat):
@@ -527,6 +527,28 @@ class TestRunMCMC:
         assert np.array_equal(store.iterations(), kept)
         assert store.stacked().shape == (len(kept), 2)
         assert np.array_equal(store.stacked(), np.repeat(kept[:, None] + 1.0, 2, axis=1))
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("name, kw", [("sghmc", {"friction": 1.0}),
+                                          ("sggmc", {"obabo_steps": 1})])
+    def test_diverging_integrator_fails_the_chains_keeping_their_rows(self, name, kw):
+        # the step size jumps to 1e160 at iteration 20, whose step overflows the position
+        model = quadratic_model([1.0])
+        dataset = synth_data_generate(model, RandomKey(0), 1)
+        solver = make_solver(name, model.density, dataset, 1, **kw)
+        sched = init_scheduler(40, step_size=lambda t: np.where(t < 20, 0.1, 1e160),
+                               burn_in=5)
+        with pytest.raises(ChainError) as err:
+            run_mcmc(solver, sched, model.init, key=RandomKey(5), chains=2)
+        failed = err.value.results
+        assert [(r["status"], r["iterations"]) for r in failed] == [("failed", 20)] * 2
+        # the same chains stopped just before the jump keep the same rows
+        head = Schedule(sched.step_sizes[:20], sched.keep[:20], 5, sched.temperature)
+        for result, ok in zip(failed, run_mcmc(solver, head, model.init, key=RandomKey(5),
+                                               chains=2)):
+            assert result["sample_count"] == ok["sample_count"] == 15
+            assert np.array_equal(result["store"].iterations(), ok["store"].iterations())
+            assert np.array_equal(result["store"].stacked(), ok["store"].stacked())
 
     def test_adaptive_rejected_for_accept_all(self):
         with pytest.raises(ConfigurationError) as err:
@@ -721,7 +743,8 @@ class TestBuildSampler:
         # and range-checked there
         ("sgld", {"step_size_last": 0.0}, "step_size_last"),
         ("sgld", {"burn_in": 60}, "burn_in"),
-        ("sgld", {"batch_size": None}, "batch_size")])
+        ("sgld", {"batch_size": None}, "batch_size"),
+        ("sgld", {"seed": -1}, "seed")])
     def test_invalid_sampler_setting_names_the_field(self, name, over, field):
         with pytest.raises(ConfigurationError) as err:
             build_sampler(name, self.config(**over))
