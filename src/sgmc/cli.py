@@ -22,9 +22,10 @@ import numpy as np
 from . import io as sample_io
 from .core import RandomKey
 from .diagnostics import diagnostics_summary
-from .errors import ChainError, ConfigurationError, check_kwargs, check_type
+from .errors import ChainError, ConfigurationError, check_kwargs, check_type, parameters
 from .models import get_model, rwmh_oracle, synth_data_generate
-from .solver import SAMPLER_NAMES, SETTINGS, build_sampler
+from .scheduler import init_scheduler
+from .solver import SAMPLER_NAMES, SETTINGS, STEP_SIZE_DECAY, build_sampler, make_solver
 
 SCHEMA_VERSION = 1
 
@@ -45,15 +46,15 @@ class RunConfig:
     sampler_args: dict = field(default_factory=dict)    # per-sampler knobs
     step_size_first: float | None = 0.01
     step_size_last: float | None = 0.0005
-    step_size_decay: float = 0.33
+    step_size_decay: float = STEP_SIZE_DECAY
     target_accept: float | None = None
     step_size_init: float | None = None
     iterations: int = 10000
-    burn_in: int = 0
+    burn_in: int = parameters(init_scheduler)["burn_in"].default
     selections: int | None = None
     batch_size: int = 32
-    batch_strategy: str = "draw_replacement"
-    temperature: float = 1.0
+    batch_strategy: str = parameters(make_solver)["batch_strategy"].default
+    temperature: float = parameters(init_scheduler)["temperature"].default
     seed: int = 0
     chains: int = 1
     output: str = "runs/latest"

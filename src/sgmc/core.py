@@ -64,18 +64,17 @@ class RandomKey:
     """
 
     seed: int  # an int >= 0, never converted; else a ConfigurationError naming it
-    path: tuple[int, ...] = ()
+    path: tuple[int, ...] = ()  # a tuple of split indices, each under the seed's rule
 
     def __post_init__(self):
-        check_type("seed", self.seed, (int,))
-        if self.seed < 0:
-            raise ConfigurationError("seed must be nonnegative", field="seed")
-        object.__setattr__(self, "path", tuple(int(p) for p in self.path))
+        check_type("path", self.path, (tuple,))
+        for field, value in (("seed", self.seed), *(("path", index) for index in self.path)):
+            check_type(field, value, (int,))
+            if value < 0:
+                raise ConfigurationError(f"{field} must be nonnegative", field=field)
 
     def child(self, index: int) -> "RandomKey":
-        if index < 0:
-            raise ValueError("split index must be nonnegative")
-        return RandomKey(self.seed, self.path + (int(index),))
+        return RandomKey(self.seed, self.path + (index,))
 
     def generator(self) -> np.random.Generator:
         # hash-based stream derivation: SeedSequence mixes (entropy, spawn_key)

@@ -6,8 +6,7 @@ shuffling (tail batch padded and masked out), and continuous shuffling (the
 stream runs on into the next epoch, so every batch is full).  A stream draws in
 order from one generator built from ``spec.key`` (shufflings: a permutation per epoch);
 its cursor, a :class:`BatchState`, is a stream like that generator, advanced in
-place and never copied.  A one-row dataset's one batch is built once, read-only, and
-returned without a draw; full batches share one read-only mask per size.
+place and never copied.  Full batches share one read-only mask per size.
 A breach of a batch rule is a ConfigurationError naming its field.
 Consumers must honour the mask; pad rows are zeros and carry no information.
 The exact potential reads ``Dataset.arrays`` in fixed row blocks (views), with
@@ -85,7 +84,6 @@ class BatchState:
     rng: np.random.Generator
     position: int = 0
     perm: np.ndarray | None = None  # drawn at the epoch's first batch
-    only: MiniBatch | None = None  # a one-row dataset's one batch: row 0, unmasked
 
 
 def load_in_memory(arrays) -> Dataset:
@@ -107,10 +105,7 @@ def init_batch_state(dataset: Dataset, spec: BatchSpec) -> BatchState:
     if spec.size > dataset.size:
         raise ConfigurationError(f"batch size {spec.size} exceeds dataset size {dataset.size}",
                                  field="batch_size")
-    only = _take(dataset, np.zeros(1, dtype=np.int64), 1) if dataset.size == 1 else None
-    for arr in (*only.arrays.values(), only.indices) if only else ():
-        arr.flags.writeable = False  # every call returns this one batch
-    return BatchState(spec.key.generator(), only=only)
+    return BatchState(spec.key.generator())
 
 
 @functools.lru_cache(maxsize=None)
@@ -143,8 +138,6 @@ def next_batch(dataset: Dataset, spec: BatchSpec, state: BatchState):
     n, big_n = spec.size, dataset.size
     if n > big_n:
         raise ValueError(f"batch size {n} exceeds dataset size {big_n}")
-    if state.only is not None:
-        return state.only, state
 
     if spec.strategy == "draw_replacement":
         return _take(dataset, state.rng.integers(0, big_n, size=n), n), state

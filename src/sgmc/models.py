@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Layout, RandomKey, layout_size, make_layout
+from .core import Layout, RandomKey, make_layout
 from .data import Dataset, load_in_memory
 from .errors import ConfigurationError, check_kwargs, check_type
 from .potential import LogDensityModel, full_value
@@ -214,26 +214,23 @@ def make_logreg_2d(prior_std: float = 10.0) -> BuiltinModel:
 
 
 # ---------------------------------------------------------------------------
-# Prior-only surrogates: the potential is the (negative) log-density itself,
-# served through a single dummy observation so the data plumbing stays uniform.
+# Prior-only surrogates: a density without a likelihood, whose potential is the
+# (negative) log-density itself.
 
 def surrogate_from_logdensity(name: str, layout: Layout, log_density,
                               grad_log_density) -> BuiltinModel:
     """Wrap a closed-form target density as a data-free builtin model.
 
-    ``log_density``/``grad_log_density`` act on the flat parameter vector; the
-    likelihood is identically zero so U(theta) = -log_density(theta) for any
-    batch, making stochastic and exact potentials coincide.
+    ``log_density``/``grad_log_density`` act on the flat parameter vector and are
+    the prior of a density without a likelihood: U(theta) = -log_density(theta),
+    exactly and on every mini-batch.  Its dataset, ``n_obs`` zeros, is never read.
     """
-    dim = layout_size(layout)
 
     def generate(key, n_obs, params):
         return load_in_memory(arrays={"y": np.zeros(n_obs)})
 
     density = LogDensityModel(
-        layout,
-        lambda flat, arrays: np.zeros(arrays["y"].shape[0]),
-        lambda flat, arrays: np.zeros((arrays["y"].shape[0], dim)),
+        layout, None, None,
         lambda flat: float(log_density(flat)),
         lambda flat: np.asarray(grad_log_density(flat), dtype=np.float64),
     )

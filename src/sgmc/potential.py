@@ -7,7 +7,8 @@ vector and in log space.  There is one evaluator per quantity:
 mini-batch sums by N/n_eff, where n_eff counts unmasked rows, so padded epoch
 tails stay unbiased; with ``value=False`` it gives only grad U~ and evaluates no
 log-likelihood or log-prior.  :func:`full_value` gives the exact U from calls on
-row blocks, holding one (N,) vector.  :func:`per_observation` lifts
+row blocks, holding one (N,) vector.  Without a likelihood, neither reads a
+batch or the dataset.  :func:`per_observation` lifts
 per-observation functions of the named parameters to this contract.
 """
 
@@ -33,11 +34,12 @@ class LogDensityModel:
     return shape (n,) and (n, dim); ``log_prior(flat)`` returns a float and
     ``grad_log_prior(flat)`` a (dim,) array.  The batch evaluators may get row
     blocks (views) of the dataset and must not keep the arrays they are given.
+    With both batch evaluators None, a density has no likelihood: U is its prior's.
     """
 
     layout: Layout
-    batch_log_likelihood: Callable
-    batch_score: Callable
+    batch_log_likelihood: Callable | None
+    batch_score: Callable | None
     log_prior: Callable
     grad_log_prior: Callable
 
@@ -79,6 +81,8 @@ def per_observation(layout: Layout, log_likelihood, grad_log_likelihood,
 def minibatch_value_grad(model: LogDensityModel, flat: np.ndarray, batch: MiniBatch,
                          value: bool = True):
     """Flat-vector stochastic potential: (U~, grad U~), or (None, grad U~) without ``value``."""
+    if model.batch_score is None:
+        return (-float(model.log_prior(flat)) if value else None), -model.grad_log_prior(flat)
     n_eff = batch.n_effective
     if n_eff == 0:
         raise ValueError("mini-batch is fully masked")
@@ -95,6 +99,8 @@ def minibatch_value_grad(model: LogDensityModel, flat: np.ndarray, batch: MiniBa
 
 def full_value(model: LogDensityModel, flat: np.ndarray, dataset: Dataset) -> float:
     """Exact potential U = -sum_i log p(y_i | x_i, theta) - log p(theta), by row blocks."""
+    if model.batch_log_likelihood is None:  # no likelihood: no pass over the dataset
+        return -float(model.log_prior(flat))
     ll = np.empty(dataset.size)
     for start in range(0, dataset.size, FULL_BLOCK_ROWS):
         rows = slice(start, start + FULL_BLOCK_ROWS)

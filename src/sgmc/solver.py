@@ -95,9 +95,11 @@ class Solver:
         init_batch_state(self.dataset, BatchSpec(self.batch_size, self.batch_strategy))
 
     def potential(self, state: SolverState, flat: np.ndarray, value: bool = True):
-        """The stochastic (U~, grad U~) at ``flat`` on the chain's next mini-batch;
-        without ``value``, U~ is None and not computed."""
-        batch, _ = next_batch(self.dataset, state.batch_spec, state.batch_state)
+        """The stochastic (U~, grad U~) at ``flat`` on the chain's next mini-batch, drawn
+        only for a density with a likelihood; without ``value``, U~ is None and not computed."""
+        batch = None
+        if self.density.batch_score is not None:
+            batch, _ = next_batch(self.dataset, state.batch_spec, state.batch_state)
         return minibatch_value_grad(self.density, flat, batch, value)
 
 
@@ -563,6 +565,7 @@ SETTINGS = frozenset({
     "model", "dataset", "init_theta", "iterations", "batch_size", "batch_strategy", "seed",
     "step_size_first", "step_size_last", "step_size_decay", "target_accept",
     "step_size_init", "burn_in", "selections", "temperature"})
+STEP_SIZE_DECAY = 0.33  # build_sampler's polynomial decay exponent when none is set
 
 
 def build_sampler(name: str, config: dict) -> SamplerBundle:
@@ -605,7 +608,7 @@ def build_sampler(name: str, config: dict) -> SamplerBundle:
     else:
         step_sizes = polynomial_schedule(need("step_size_first"),
                                          need("step_size_last"),
-                                         cfg.get("step_size_decay", 0.33), iterations)
+                                         cfg.get("step_size_decay", STEP_SIZE_DECAY), iterations)
 
     schedule = init_scheduler(iterations, step_size=step_sizes, key=root.child(1),
                               **given("burn_in", "selections", "temperature"))

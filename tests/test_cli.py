@@ -524,3 +524,15 @@ def test_demo_presets_are_valid():
     for name, preset in DEMOS.items():
         cfg = RunConfig(**preset)
         validate_config(cfg)
+
+
+def test_run_config_reads_the_library_defaults_from_their_owners():
+    from sgmc.cli import RunConfig
+    from sgmc.errors import parameters
+    from sgmc.scheduler import init_scheduler
+    from sgmc.solver import STEP_SIZE_DECAY, make_solver
+    cfg = RunConfig()
+    assert cfg.burn_in == parameters(init_scheduler)["burn_in"].default
+    assert cfg.temperature == parameters(init_scheduler)["temperature"].default
+    assert cfg.batch_strategy == parameters(make_solver)["batch_strategy"].default
+    assert cfg.step_size_decay == STEP_SIZE_DECAY

@@ -95,6 +95,19 @@ class TestSplit:
             RandomKey(seed)
         assert err.value.field == "seed"
 
+    @pytest.mark.parametrize("path", [(2.7,), (1, -1), (True,), ("3",), [2], 2])
+    def test_path_other_than_a_tuple_of_nonnegative_ints_names_the_field(self, path):
+        # never converted: RandomKey(1, (2.7,)) is not RandomKey(1, (2,))
+        with pytest.raises(ConfigurationError) as err:
+            RandomKey(1, path)
+        assert err.value.field == "path"
+
+    def test_negative_split_index_names_the_path(self):
+        with pytest.raises(ConfigurationError) as err:
+            RandomKey(1, (3,)).child(-1)
+        assert err.value.field == "path"
+        assert RandomKey(1, (3,)).child(0) == RandomKey(1, (3, 0))
+
     def test_consuming_does_not_mutate(self):
         key = RandomKey(5)
         before = (key.seed, key.path)

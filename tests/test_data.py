@@ -67,24 +67,20 @@ class TestNextBatch:
         assert got == expected
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_one_row_dataset_has_one_read_only_batch(self, strategy):
-        # N = 1: every batch is row 0, unmasked, built once and handed out without a draw
+    def test_one_row_dataset_batches_like_any_dataset(self, strategy):
+        # N = 1: each batch is gathered afresh like any other, and it is row 0, unmasked
         ds = load_in_memory(arrays={"x": np.array([[1.0, 2.0]]), "y": np.array([3.0])})
         spec = BatchSpec(1, strategy, RandomKey(2))
         state = init_batch_state(ds, spec)
-        drawn = state.rng.bit_generator.state
-        first, _ = next_batch(ds, spec, state)
         for _ in range(5):
             batch, returned = next_batch(ds, spec, state)
-            assert batch is first and returned is state
-        assert state.rng.bit_generator.state == drawn
-        assert first.indices.tolist() == [0] and first.mask.tolist() == [True]
-        assert first.n_effective == 1 and first.full_size == 1
-        assert first.arrays["x"].tolist() == [[1.0, 2.0]] and first.arrays["y"].tolist() == [3.0]
-        for arr in (*first.arrays.values(), first.mask, first.indices):
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0] = 0
-        assert ds["y"].flags.writeable  # the dataset itself stays as it was
+            assert returned is state
+            assert batch.indices.tolist() == [0] and batch.mask.tolist() == [True]
+            assert batch.n_effective == 1 and batch.full_size == 1
+            assert batch.arrays["x"].tolist() == [[1.0, 2.0]]
+            assert batch.arrays["y"].tolist() == [3.0]
+            batch.arrays["y"][0] = -1.0  # a gathered copy: the dataset keeps its row
+        assert ds["y"].tolist() == [3.0]
 
     def test_full_batches_share_one_read_only_mask(self):
         ds = load_in_memory(arrays={"y": np.arange(7.0)})

@@ -4,11 +4,14 @@ Each case runs ``build_sampler`` briefly and compares the SHA-256 of the
 collected samples (``store.stacked().tobytes()``), the acceptance rate and the
 gradient-evaluation count with constants recorded from an earlier commit.  A
 refactor that claims byte-identical samples must pass this test unchanged.
-``ONE_ROW_GOLDEN`` pins the same for one-row (data-free) targets, whose every
-mini-batch is the dataset's only row.  ``TEMPERED_GOLDEN`` pins replica exchange
-around SGHMC, which no sampler name builds: the one swap that keeps the move's
-state (the momentum) with its chain.  ``THINNED_ADAPTIVE_GOLDEN`` pins an
+``ONE_ROW_GOLDEN`` pins the same for data-free targets at N = 1 under each
+batching strategy; their chains draw no mini-batch.  ``TEMPERED_GOLDEN`` pins
+replica exchange around SGHMC, which no sampler name builds: the one swap that
+keeps the move's state (the momentum) with its chain.  ``THINNED_ADAPTIVE_GOLDEN`` pins an
 adaptive run with random thinning, whose plan weights every iteration alike.
+``DATA_PATH_GOLDEN`` pins a real one-row dataset (``gaussian_mean`` at N = 1),
+which draws its batch stream like any dataset, and the Metropolis samplers on a
+data-free target with N > 1, whose exact potential is the prior alone.
 ``FILE_GOLDEN`` pins the bytes of the sample files that one ``sgmc run``
 writes in each output format.
 
@@ -76,7 +79,7 @@ GOLDEN = {
 }
 
 
-# one-row (data-free) targets, N = 1 and batch_size 1: every batch is the only row
+# data-free targets at N = 1 and batch_size 1, which draw no batch under any strategy
 ONE_ROW_CASES = {
     **{f"std_normal_sgld_{strategy}": ("std_normal", {"dim": 3}, "sgld",
                                        {"batch_strategy": strategy})
@@ -107,6 +110,30 @@ THINNED_ADAPTIVE_CASES = {
 
 THINNED_ADAPTIVE_GOLDEN = {
     'amagold_target_accept_thinned': ('b3f9f87a24eeefe5504259d8870498523d4539db8ced2af5793574b72ddca0d9', 0.67, 900),
+}
+
+
+# (model, model args, N, sampler, settings): one-row gaussian_mean under each
+# strategy, and data-free std_normal rounds whose dataset has more than one row
+DATA_PATH_CASES = {
+    **{f"gaussian_mean_one_row_sgld_{strategy}": ("gaussian_mean", {}, 1, "sgld",
+                                                  {"batch_strategy": strategy,
+                                                   "batch_size": 1})
+       for strategy in STRATEGIES},
+    "std_normal_amagold": ("std_normal", {"dim": 3}, 5, "amagold",
+                           {"leapfrog_steps": 3, "batch_size": 2, "step_size_first": 0.9,
+                            "step_size_last": 0.6}),
+    "std_normal_sggmc": ("std_normal", {"dim": 3}, 5, "sggmc",
+                         {"obabo_steps": 2, "friction": 1.0, "batch_size": 2,
+                          "step_size_first": 0.9, "step_size_last": 0.6}),
+}
+
+DATA_PATH_GOLDEN = {
+    'gaussian_mean_one_row_sgld_draw_replacement': ('30d549cc6d29ec23983441b039ba79d947e2a643e836f5e691d911c24e40c1c6', 1.0, 300),
+    'gaussian_mean_one_row_sgld_shuffle': ('30d549cc6d29ec23983441b039ba79d947e2a643e836f5e691d911c24e40c1c6', 1.0, 300),
+    'gaussian_mean_one_row_sgld_shuffle_in_epochs': ('30d549cc6d29ec23983441b039ba79d947e2a643e836f5e691d911c24e40c1c6', 1.0, 300),
+    'std_normal_amagold': ('0a6093057454f4b6a5848eaa9f53079c27854d55d4ff012e57f0e3fe343c77f5', 0.9366666666666666, 900),
+    'std_normal_sggmc': ('d8effb73ca67c3d0323d1aa6404daba730fb4d394c86af601d4ca169dba71cbd', 0.9133333333333333, 1200),
 }
 
 
@@ -142,6 +169,9 @@ def run_case(name):
         solver = Solver(block, model.density, synth_data_generate(model, RandomKey(0), 50), 8)
         return _digest(run_mcmc(solver, init_scheduler(600, step_size=0.01), model.init,
                                 key=RandomKey(3))[0])
+    if name in DATA_PATH_CASES:
+        model, model_args, n_obs, sampler, over = DATA_PATH_CASES[name]
+        return _run(get_model(model, **model_args), n_obs, sampler, over)
     if name in ONE_ROW_CASES:
         model, model_args, sampler, over = ONE_ROW_CASES[name]
         return _run(get_model(model, **model_args), 1, sampler, dict(over, batch_size=1))
@@ -168,6 +198,11 @@ def test_thinned_adaptive_golden_digest():
     assert run_case(name) == THINNED_ADAPTIVE_GOLDEN[name]
 
 
+@pytest.mark.parametrize("name", sorted(DATA_PATH_CASES))
+def test_data_path_golden_digest(name):
+    assert run_case(name) == DATA_PATH_GOLDEN[name]
+
+
 def file_digests(tmp: Path) -> dict:
     digests = {}
     for fmt in ("jsonl", "csv"):
@@ -190,11 +225,11 @@ if __name__ == "__main__":
     check = sys.argv[1:] == ["--check"]
     current = {case: run_case(case)
                for case in sorted(CASES) + sorted(ONE_ROW_CASES) + sorted(TEMPERED_GOLDEN)
-               + sorted(THINNED_ADAPTIVE_CASES)}
+               + sorted(THINNED_ADAPTIVE_CASES) + sorted(DATA_PATH_CASES)}
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         current.update(file_digests(Path(tmp)))
     pinned = {**GOLDEN, **ONE_ROW_GOLDEN, **TEMPERED_GOLDEN, **THINNED_ADAPTIVE_GOLDEN,
-              **FILE_GOLDEN}
+              **DATA_PATH_GOLDEN, **FILE_GOLDEN}
     moved = {name: value for name, value in current.items() if value != pinned.get(name)}
     for name, value in (moved if check else current).items():
         print(f"    {name!r}: {value!r},")

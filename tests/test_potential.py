@@ -7,7 +7,7 @@ import pytest
 
 from sgmc.core import RandomKey, make_layout
 from sgmc.data import BatchSpec, MiniBatch, init_batch_state, load_in_memory, next_batch
-from sgmc.models import builtin_names, get_model, synth_data_generate
+from sgmc.models import builtin_names, get_model, surrogate_from_logdensity, synth_data_generate
 from sgmc.potential import FULL_BLOCK_ROWS, full_value, minibatch_value_grad, per_observation
 
 from conftest import fd_gradient
@@ -155,7 +155,8 @@ def whole_dataset_value(density, flat, ds):
 class TestBlockedFullPotential:
     N = 2 * FULL_BLOCK_ROWS + 3  # two full row blocks and a three-row tail
 
-    @pytest.mark.parametrize("name", builtin_names())
+    @pytest.mark.parametrize("name", [name for name in builtin_names()
+                                      if get_model(name).density.batch_log_likelihood])
     def test_blocks_give_the_bits_of_one_whole_call(self, name):
         model = get_model(name)
         ds = synth_data_generate(model, RandomKey(21), self.N)
@@ -211,6 +212,46 @@ class TestBlockedFullPotential:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * 8 * n  # a whole-array call peaks at 3 (N,) float vectors
+
+
+class TestWithoutLikelihood:
+    """Data-free targets: both batch evaluators are None, and U is the prior's."""
+
+    @staticmethod
+    def bits(x):
+        return np.asarray(x, dtype=np.float64).tobytes()
+
+    @pytest.mark.parametrize("name, kwargs", [("mixture_1d", {}), ("std_normal", {"dim": 3})])
+    def test_potentials_are_the_negated_log_density_bit_for_bit(self, name, kwargs):
+        model = get_model(name, **kwargs)
+        density = model.density
+        assert density.batch_log_likelihood is None and density.batch_score is None
+        ds = synth_data_generate(model, RandomKey(26), 4)
+        batch, _ = next_batch(ds, BatchSpec(2), init_batch_state(ds, BatchSpec(2)))
+        rng = RandomKey(27).generator()
+        points = [np.zeros(density.dim), np.full(density.dim, -0.0),
+                  *(rng.standard_normal(density.dim) * 3.0 for _ in range(20))]
+        for flat in points:
+            u, g = -density.log_prior(flat), -density.grad_log_prior(flat)
+            assert self.bits(full_value(density, flat, ds)) == self.bits(u)
+            for given in (batch, None):  # a batch, if given, is not read
+                value, grad = minibatch_value_grad(density, flat, given)
+                assert self.bits(value) == self.bits(u) and self.bits(grad) == self.bits(g)
+                none, grad = minibatch_value_grad(density, flat, given, value=False)
+                assert none is None and self.bits(grad) == self.bits(g)
+
+    @pytest.mark.parametrize("x", [0.0, -0.0, 5e-324, -5e-324, 1.5, -1e300, np.inf, -np.inf])
+    def test_signed_zeros_and_extremes_keep_their_bits(self, x):
+        # log-density and gradient both x: each potential is -x, bit for bit the
+        # (-0.0) - x that a likelihood of zeros would add up to
+        model = surrogate_from_logdensity("identity", make_layout({"t": ()}),
+                                          lambda flat: flat[0], lambda flat: flat.copy())
+        flat = np.array([x])
+        ds = synth_data_generate(model, RandomKey(28), 1)
+        assert self.bits(full_value(model.density, flat, ds)) == self.bits(-0.0 - x)
+        value, grad = minibatch_value_grad(model.density, flat, None)
+        assert self.bits(value) == self.bits(-0.0 - x) == self.bits(-x)
+        assert self.bits(grad) == self.bits(-0.0 - flat) == self.bits(-flat)
 
 
 class TestFiniteDifferences:

@@ -392,6 +392,27 @@ class TestGradientOnlySteps:
         assert calls == {"batch": 4 * 8, "full": 0, "prior": 4 * 8}  # 40 steps / 5
 
 
+class TestWithoutLikelihood:
+    @pytest.mark.parametrize("name, kw", [
+        ("sgld", {}), ("sghmc", {"friction": 1.0}), ("amagold", {"leapfrog_steps": 3}),
+        ("sggmc", {"obabo_steps": 2}), ("resgld", {"tau_high": 3.0, "swap_interval": 4})])
+    def test_a_chain_leaves_its_batch_stream_undrawn(self, name, kw):
+        model = get_model("std_normal", dim=2)
+        dataset = synth_data_generate(model, RandomKey(0), 5)
+        solver = make_solver(name, model.density, dataset, 2, **kw)
+        state = solver.block.init(solver, model.init, RandomKey(8))
+        sched = init_scheduler(30, step_size=0.1)
+        for t in range(30):
+            state = solver.block.step(solver, state, scheduler_next(sched, t))
+        if isinstance(state, TemperingPair):
+            assert state.stats.proposals > 0  # its swaps evaluate U~ too
+        chains = (state.low, state.high) if isinstance(state, TemperingPair) else (state,)
+        for chain in chains:  # each stream is as fresh as the key that builds it
+            fresh = chain.batch_spec.key.generator().bit_generator.state
+            assert chain.batch_state.rng.bit_generator.state == fresh
+            assert chain.batch_state.position == 0 and chain.batch_state.perm is None
+
+
 class TestRunMCMC:
     # generators per chain: batch and iteration streams per state, and for
     # replica exchange two states plus the swap stream
