@@ -262,7 +262,8 @@ def make_mixture_1d(separation: float = 3.0, width: float = 1.0) -> BuiltinModel
     def grad_log_density(flat):
         t = flat[0]
         a, b = -0.5 * (t + s) ** 2 * inv2, -0.5 * (t - s) ** 2 * inv2
-        w_lo = 1.0 / (1.0 + math.exp(b - a))  # responsibility of the -s mode
+        # responsibility of the -s mode; 0 where exp(b - a) would overflow
+        w_lo = 0.0 if b - a >= 709.0 else 1.0 / (1.0 + math.exp(b - a))
         return np.array([-(w_lo * (t + s) + (1.0 - w_lo) * (t - s)) * inv2])
 
     return surrogate_from_logdensity("mixture_1d", layout, log_density, grad_log_density)
@@ -318,10 +319,7 @@ def rwmh_oracle(model: BuiltinModel, dataset: Dataset, theta0: np.ndarray,
         raise ValueError("need at least one step")
     burn_in = steps // 5 if burn_in is None else max(burn_in, 0)
     density = model.density
-    if np.shape(theta0) != (density.dim,):
-        raise ConfigurationError(
-            f"initial position must be a flat vector of shape ({density.dim},)",
-            field="init_theta")
+    density.check_start(theta0)
     scale = np.asarray(proposal_scale, dtype=np.float64)
     if not np.all(scale >= 0):
         raise ValueError("proposal scale must be >= 0")

@@ -21,6 +21,7 @@ import numpy as np
 
 from .core import Layout, layout_size, named
 from .data import Dataset, MiniBatch
+from .errors import ConfigurationError
 
 FULL_BLOCK_ROWS = 8192  # rows per batch_log_likelihood call of full_value
 
@@ -46,6 +47,13 @@ class LogDensityModel:
     @property
     def dim(self) -> int:
         return layout_size(self.layout)
+
+    def check_start(self, theta):
+        """Refuse, naming ``init_theta``, a chain start that is not of shape ``(dim,)``."""
+        if np.shape(theta) != (self.dim,):
+            raise ConfigurationError(
+                f"initial position must be a flat vector of shape ({self.dim},)",
+                field="init_theta")
 
 
 def per_observation(layout: Layout, log_likelihood, grad_log_likelihood,

@@ -4,15 +4,14 @@
 a keep flag for each iteration, the burn-in and the temperature.  Every chain
 shares it, and :func:`scheduler_next` reads one iteration's item from it.
 Thinning is drawn up front as a random plan: kept iterations are drawn without
-replacement outside burn-in, weighted by the step size.  Dual averaging, the
-one step-size rule that needs acceptance feedback, belongs to a chain, not to
-the plan: its state and update are defined here, and the ``Adaptive`` block of
-:mod:`sgmc.solver` carries them per chain.
+replacement outside burn-in, weighted by the step size.  Only the blocks
+adapt: dual averaging, the one step-size rule that needs acceptance feedback,
+belongs to a chain, not to the plan, and the ``Adaptive`` block of
+:mod:`sgmc.solver` owns it whole.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,55 +46,6 @@ def polynomial_schedule(first: float, last: float, gamma: float, n_iterations: i
     b = n_iterations / ((first / last) ** (1.0 / gamma) - 1.0)
     a = first * b**gamma
     return lambda t: a * (b + np.asarray(t, dtype=np.float64)) ** (-gamma)
-
-
-# dual-averaging constants: shrinkage, iteration offset, averaging decay
-_DA_GAMMA = 0.05
-_DA_T0 = 10.0
-_DA_KAPPA = 0.75
-
-
-@dataclass(frozen=True)
-class DualAveragingState:
-    """Step-size adaptation toward a target acceptance probability ``delta``."""
-
-    iteration: int
-    h_bar: float
-    log_eps: float
-    log_eps_avg: float
-    delta: float
-    mu: float
-
-    @classmethod
-    def init(cls, eps_init: float, delta: float = 0.65) -> "DualAveragingState":
-        check_type("step_size_init", eps_init, (float,))
-        check_type("target_accept", delta, (float,))
-        if not eps_init > 0:
-            raise ConfigurationError("initial step size must be > 0", field="step_size_init")
-        if not 0 < delta < 1:
-            raise ConfigurationError("target acceptance must lie in (0, 1)",
-                                     field="target_accept")
-        return cls(0, 0.0, math.log(eps_init), math.log(eps_init), delta,
-                   math.log(10.0 * eps_init))
-
-    @property
-    def eps(self) -> float:
-        return math.exp(self.log_eps)
-
-    @property
-    def eps_avg(self) -> float:
-        return math.exp(self.log_eps_avg)
-
-
-def dual_averaging_step(state: DualAveragingState, accept_prob: float) -> DualAveragingState:
-    """Fold one observed acceptance probability, which lies in [0, 1], into the adaptation."""
-    m = state.iteration + 1
-    eta = 1.0 / (m + _DA_T0)
-    h_bar = (1.0 - eta) * state.h_bar + eta * (state.delta - accept_prob)
-    log_eps = state.mu - math.sqrt(m) * h_bar / _DA_GAMMA
-    w = m ** (-_DA_KAPPA)
-    log_eps_avg = w * log_eps + (1.0 - w) * state.log_eps_avg
-    return DualAveragingState(m, h_bar, log_eps, log_eps_avg, state.delta, state.mu)
 
 
 def random_thinning_plan(step_sizes: np.ndarray, burn_in: int, selections: int,

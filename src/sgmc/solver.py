@@ -14,7 +14,8 @@ A sampler is one frozen block whose fields are its knobs:
 - :class:`Tempering`, replica exchange around any accept-all move, with a
   variance correction for the mini-batch noise in the swap test;
 - :class:`Adaptive`, dual averaging of the step size around a Metropolis
-  trajectory, which it runs in place of the schedule's step size.
+  trajectory, which it runs in place of the schedule's step size; the block
+  checks its two knobs and folds each burn-in round into its chain's averages.
 
 Each block owns the state ``aux`` a chain carries for it and its ``check`` of the schedule.
 Every chain follows one fixed schedule (:mod:`sgmc.scheduler`); only the blocks adapt.
@@ -45,8 +46,8 @@ from .integrator import (langevin_step, obabo_trajectory,
                          reversible_leapfrog_trajectory, sghmc_step)
 from .models import BuiltinModel
 from .potential import LogDensityModel, full_value, minibatch_value_grad
-from .scheduler import (DualAveragingState, Schedule, ScheduleItem, dual_averaging_step,
-                        init_scheduler, polynomial_schedule, scheduler_next)
+from .scheduler import (Schedule, ScheduleItem, init_scheduler, polynomial_schedule,
+                        scheduler_next)
 
 # fixed per-chain stream indices (see module docstring)
 _STREAM_BATCH = 0
@@ -289,12 +290,22 @@ def metropolis_round(traj: Metropolis, solver: Solver, state: SolverState,
 amagold_round = sggmc_round = metropolis_round
 
 
+# dual-averaging constants: shrinkage, iteration offset, averaging decay
+_DA_GAMMA = 0.05
+_DA_T0 = 10.0
+_DA_KAPPA = 0.75
+
+
 @dataclass
 class AdaptiveChain:
-    """A Metropolis chain, which the chain loop reads, and its step size's dual averaging."""
+    """A Metropolis chain, which the chain loop reads, and its step size's dual averaging:
+    the rounds folded in, h_bar, and the logs of the primal and the averaged iterate."""
 
     chain: SolverState
-    da: DualAveragingState
+    rounds: int
+    h_bar: float
+    log_eps: float
+    log_eps_avg: float
 
     theta = property(lambda self: self.chain.theta)
     stats = property(lambda self: self.chain.stats)
@@ -313,22 +324,32 @@ class Adaptive:
     step_size_init: float
 
     def __post_init__(self):
-        DualAveragingState.init(self.step_size_init, self.target_accept)  # checks both
+        check_type("step_size_init", self.step_size_init, (float,))
+        check_type("target_accept", self.target_accept, (float,))
+        _require(self.step_size_init > 0, "step_size_init", "initial step size must be > 0")
+        _require(0 < self.target_accept < 1, "target_accept",
+                 "target acceptance must lie in (0, 1)")
         _require(isinstance(self.move, Metropolis), "target_accept",
                  "adaptive step sizes need a Metropolis sampler (no acceptance statistics)")
 
     def init(self, solver: Solver, theta0: np.ndarray, key: RandomKey) -> AdaptiveChain:
-        return AdaptiveChain(self.move.init(solver, theta0, key),
-                             DualAveragingState.init(self.step_size_init, self.target_accept))
+        log_eps = math.log(self.step_size_init)
+        return AdaptiveChain(self.move.init(solver, theta0, key), 0, 0.0, log_eps, log_eps)
 
     def step(self, solver: Solver, state: AdaptiveChain, item: ScheduleItem) -> AdaptiveChain:
-        da = state.da
-        eps = da.eps if item.burn_in else da.eps_avg
+        eps = math.exp(state.log_eps if item.burn_in else state.log_eps_avg)
         chain = self.move.step(solver, state.chain,
                                ScheduleItem(eps, item.temperature, item.burn_in, item.keep))
-        if item.burn_in:
-            da = dual_averaging_step(da, chain.stats.last_alpha)
-        return AdaptiveChain(chain, da)
+        if not item.burn_in:
+            return AdaptiveChain(chain, state.rounds, state.h_bar, state.log_eps,
+                                 state.log_eps_avg)
+        # fold the round's acceptance probability, which lies in [0, 1], into the averages
+        m = state.rounds + 1
+        eta = 1.0 / (m + _DA_T0)
+        h_bar = (1.0 - eta) * state.h_bar + eta * (self.target_accept - chain.stats.last_alpha)
+        log_eps = math.log(10.0 * self.step_size_init) - math.sqrt(m) * h_bar / _DA_GAMMA
+        w = m ** (-_DA_KAPPA)
+        return AdaptiveChain(chain, m, h_bar, log_eps, w * log_eps + (1.0 - w) * state.log_eps_avg)
 
     def check(self, schedule: Schedule):  # the move's rules at the first step size
         self.move.check(Schedule(np.full_like(schedule.step_sizes, self.step_size_init),
@@ -527,9 +548,7 @@ def run_mcmc(solver: Solver, schedule: Schedule, init_theta: np.ndarray, *,
     check_type("chains", chains, (int,))
     _require(chains >= 1, "chains", "need at least one chain")
     solver.block.check(schedule)
-    dim = solver.density.dim
-    _require(np.shape(init_theta) == (dim,), "init_theta",
-             f"initial position must be a flat vector of shape ({dim},)")
+    solver.density.check_start(init_theta)
     results, failure = [], None
     for c in range(chains):
         try:

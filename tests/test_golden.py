@@ -9,6 +9,7 @@ batching strategy; their chains draw no mini-batch.  ``TEMPERED_GOLDEN`` pins
 replica exchange around SGHMC, which no sampler name builds: the one swap that
 keeps the move's state (the momentum) with its chain.  ``THINNED_ADAPTIVE_GOLDEN`` pins an
 adaptive run with random thinning, whose plan weights every iteration alike.
+``ADAPTIVE_SGGMC_GOLDEN`` pins dual averaging around the OBABO trajectory.
 ``DATA_PATH_GOLDEN`` pins a real one-row dataset (``gaussian_mean`` at N = 1),
 which draws its batch stream like any dataset, and the Metropolis samplers on a
 data-free target with N > 1, whose exact potential is the prior alone.
@@ -113,6 +114,17 @@ THINNED_ADAPTIVE_GOLDEN = {
 }
 
 
+# dual averaging around the OBABO trajectory, through burn-in
+ADAPTIVE_SGGMC_CASES = {
+    "sggmc_target_accept": ("sggmc", {"obabo_steps": 2, "friction": 1.0, "target_accept": 0.65,
+                                      "step_size_init": 0.05}),
+}
+
+ADAPTIVE_SGGMC_GOLDEN = {
+    'sggmc_target_accept': ('4d9b4b946894eededdb247877ddaa993036b496e7049e0490eaedb98c33009ab', 0.6866666666666666, 1200),
+}
+
+
 # (model, model args, N, sampler, settings): one-row gaussian_mean under each
 # strategy, and data-free std_normal rounds whose dataset has more than one row
 DATA_PATH_CASES = {
@@ -175,7 +187,7 @@ def run_case(name):
     if name in ONE_ROW_CASES:
         model, model_args, sampler, over = ONE_ROW_CASES[name]
         return _run(get_model(model, **model_args), 1, sampler, dict(over, batch_size=1))
-    sampler, over = {**CASES, **THINNED_ADAPTIVE_CASES}[name]
+    sampler, over = {**CASES, **THINNED_ADAPTIVE_CASES, **ADAPTIVE_SGGMC_CASES}[name]
     return _run(get_model("logreg_2d"), 60, sampler, over)
 
 
@@ -196,6 +208,11 @@ def test_tempered_sghmc_golden_digest():
 def test_thinned_adaptive_golden_digest():
     name = "amagold_target_accept_thinned"
     assert run_case(name) == THINNED_ADAPTIVE_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(ADAPTIVE_SGGMC_CASES))
+def test_adaptive_sggmc_golden_digest(name):
+    assert run_case(name) == ADAPTIVE_SGGMC_GOLDEN[name]
 
 
 @pytest.mark.parametrize("name", sorted(DATA_PATH_CASES))
@@ -225,11 +242,12 @@ if __name__ == "__main__":
     check = sys.argv[1:] == ["--check"]
     current = {case: run_case(case)
                for case in sorted(CASES) + sorted(ONE_ROW_CASES) + sorted(TEMPERED_GOLDEN)
-               + sorted(THINNED_ADAPTIVE_CASES) + sorted(DATA_PATH_CASES)}
+               + sorted(THINNED_ADAPTIVE_CASES) + sorted(ADAPTIVE_SGGMC_CASES)
+               + sorted(DATA_PATH_CASES)}
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         current.update(file_digests(Path(tmp)))
     pinned = {**GOLDEN, **ONE_ROW_GOLDEN, **TEMPERED_GOLDEN, **THINNED_ADAPTIVE_GOLDEN,
-              **DATA_PATH_GOLDEN, **FILE_GOLDEN}
+              **ADAPTIVE_SGGMC_GOLDEN, **DATA_PATH_GOLDEN, **FILE_GOLDEN}
     moved = {name: value for name, value in current.items() if value != pinned.get(name)}
     for name, value in (moved if check else current).items():
         print(f"    {name!r}: {value!r},")

@@ -50,6 +50,34 @@ class TestLogDensities:
         assert at(3.0) == pytest.approx(at(-3.0), rel=1e-12)
         assert at(0.0) < at(3.0)
 
+    @pytest.mark.parametrize("separation, width", [(3.0, 1.0), (2.0, 0.5)])
+    @pytest.mark.parametrize("theta", [119.0, -119.0, 1e3, -1e3, 1e6, -1e6])
+    def test_mixture_gradient_far_out_is_the_near_modes(self, theta, separation, width):
+        # beyond b - a = 709.78 the far mode's weight exp(a - b) underflows to 0
+        density = get_model("mixture_1d", separation=separation, width=width).density
+        grad = density.grad_log_prior(np.array([theta]))
+        assert np.isfinite(grad).all()
+        assert grad[0] == -(theta - math.copysign(separation, theta)) / width**2
+
+    @pytest.mark.parametrize("separation, width", [(3.0, 1.0), (2.0, 0.5), (0.5, 3.0)])
+    def test_mixture_gradient_keeps_its_bits_below_the_overflow(self, separation, width):
+        # the formula without a guard, wherever exp(b - a) is finite
+        density = get_model("mixture_1d", separation=separation, width=width).density
+        s, inv2 = separation, 1.0 / (width * width)
+        edge = 709.78 / (2.0 * s * inv2)  # b - a = 2 s theta / width^2
+        near_edge = 0
+        for t in np.linspace(-2.0 * edge, 1.01 * edge, 20001):
+            a, b = -0.5 * (t + s) ** 2 * inv2, -0.5 * (t - s) ** 2 * inv2
+            try:
+                w_lo = 1.0 / (1.0 + math.exp(b - a))
+            except OverflowError:
+                continue
+            near_edge += b - a >= 709.0
+            expected = -(w_lo * (t + s) + (1.0 - w_lo) * (t - s)) * inv2
+            got = density.grad_log_prior(np.array([t]))
+            assert got.tobytes() == np.array([expected]).tobytes()
+        assert near_edge > 0
+
 
 class TestLogregFullValue:
     @pytest.fixture(scope="class")

@@ -6,11 +6,38 @@ import pytest
 
 from sgmc.core import RandomKey
 from sgmc.errors import ConfigurationError
-from sgmc.scheduler import (DualAveragingState, dual_averaging_step,
-                            init_scheduler, polynomial_schedule,
+from sgmc.scheduler import (ScheduleItem, init_scheduler, polynomial_schedule,
                             random_thinning_plan, scheduler_next)
 from sgmc.solver import AcceptanceStats, Adaptive, Metropolis
 
+
+class Reporting(Metropolis):
+    """A Metropolis move whose rounds report the acceptance probabilities ``alphas`` in
+    turn; it records the step size each round is given and carries no chain state."""
+
+    def __init__(self, alphas):
+        self.alphas = iter(alphas)
+        self.sizes = []
+
+    def init(self, solver, theta0, key):
+        return None
+
+    def step(self, solver, state, item):
+        self.sizes.append(item.step_size)
+        return SimpleNamespace(stats=AcceptanceStats(1, 0, next(self.alphas)))
+
+
+BURN_IN = ScheduleItem(1.0, 1.0, True, False)  # a burn-in round; its step size is unused
+SAMPLING = ScheduleItem(1.0, 1.0, False, True)
+
+
+def adapt(alphas, step_size_init):
+    """The Adaptive block's chain state after one burn-in round per alpha, in turn."""
+    block = Adaptive(Reporting(alphas), 0.65, step_size_init)
+    state = block.init(None, None, None)
+    for _ in alphas:
+        state = block.step(None, state, BURN_IN)
+        yield state
 
 
 class TestPolynomialSchedule:
@@ -39,33 +66,52 @@ class TestPolynomialSchedule:
 
 
 class TestDualAveraging:
+    # the Adaptive block folding in the acceptance its move reports each burn-in round
     def test_on_target_is_fixed_point(self):
-        state = DualAveragingState.init(0.1, delta=0.65)
-        for _ in range(50):
-            state = dual_averaging_step(state, 0.65)
+        *_, state = adapt([0.65] * 50, step_size_init=0.1)
         assert state.h_bar == 0.0
-        assert state.eps == pytest.approx(math.exp(state.mu))
+        assert math.exp(state.log_eps) == pytest.approx(10.0 * 0.1)
 
     def test_zero_acceptance_shrinks_step(self):
-        state = DualAveragingState.init(0.1, delta=0.65)
-        sizes = []
-        for _ in range(30):
-            state = dual_averaging_step(state, 0.0)
-            sizes.append(state.eps)
+        sizes = [math.exp(state.log_eps) for state in adapt([0.0] * 30, step_size_init=0.1)]
         assert all(b < a for a, b in zip(sizes, sizes[1:]))
 
     def test_averaged_iterate_settles(self):
         # i.i.d. feedback around the target: averaged step size goes Cauchy
-        state = DualAveragingState.init(1e-3, delta=0.65)
         rng = RandomKey(40).generator()
         tail = []
         n = 20000
-        for m in range(n):
-            state = dual_averaging_step(state, float(rng.beta(65, 35)))
+        for m, state in enumerate(adapt([float(rng.beta(65, 35)) for _ in range(n)],
+                                        step_size_init=1e-3)):
             if m >= int(0.9 * n):
-                tail.append(state.eps_avg)
+                tail.append(math.exp(state.log_eps_avg))
         assert max(tail) - min(tail) < 1e-3
-        assert (max(tail) - min(tail)) / state.eps_avg < 0.2
+        assert (max(tail) - min(tail)) / math.exp(state.log_eps_avg) < 0.2
+
+    def test_block_follows_the_recurrence_bit_for_bit(self):
+        # the dual-averaging recurrence of Hoffman & Gelman (2014) with gamma 0.05, t0 10,
+        # kappa 0.75 and mu = log(10 eps0); rounds run the primal, then the averaged iterate
+        alphas = [0.0, 1.0] + [float(a) for a in RandomKey(7).generator().random(40)]
+        eps0, delta = 0.05, 0.7
+        move = Reporting(alphas + [0.5, 0.5])
+        block = Adaptive(move, delta, eps0)
+        state = block.init(None, None, None)
+        h_bar, log_eps, log_eps_avg = 0.0, math.log(eps0), math.log(eps0)
+        for m, alpha in enumerate(alphas, start=1):
+            state = block.step(None, state, BURN_IN)
+            assert move.sizes[-1] == math.exp(log_eps)
+            eta = 1.0 / (m + 10.0)
+            h_bar = (1.0 - eta) * h_bar + eta * (delta - alpha)
+            log_eps = math.log(10.0 * eps0) - math.sqrt(m) * h_bar / 0.05
+            w = m ** (-0.75)
+            log_eps_avg = w * log_eps + (1.0 - w) * log_eps_avg
+            assert (state.rounds, state.h_bar, state.log_eps, state.log_eps_avg) == (
+                m, h_bar, log_eps, log_eps_avg)
+        for _ in range(2):  # sampling rounds fold in nothing
+            state = block.step(None, state, SAMPLING)
+            assert move.sizes[-1] == math.exp(log_eps_avg)
+            assert (state.rounds, state.h_bar, state.log_eps, state.log_eps_avg) == (
+                len(alphas), h_bar, log_eps, log_eps_avg)
 
 
 class TestThinningPlan:
@@ -137,17 +183,9 @@ class TestSchedulerNext:
 
     def test_adaptive_uses_feedback_then_freezes(self):
         # the Adaptive block around a move whose every round has acceptance 0
-        sizes = []
-
-        class Rejecting(Metropolis):
-            def init(self, solver, theta0, key):
-                return None
-
-            def step(self, solver, state, item):
-                sizes.append(item.step_size)
-                return SimpleNamespace(stats=AcceptanceStats(1, 0, 0.0))
-
-        block = Adaptive(Rejecting(), 0.65, 0.1)
+        move = Reporting([0.0] * 52)
+        sizes = move.sizes
+        block = Adaptive(move, 0.65, 0.1)
         schedule = init_scheduler(100, step_size=1.0, burn_in=50)
         state = block.init(None, None, None)
         for t in range(52):
@@ -164,7 +202,7 @@ class TestSchedulerNext:
         ("step_size", lambda: init_scheduler(10, step_size=math.nan)),
         ("step_size", lambda: init_scheduler(10, step_size=lambda t: np.full(len(t), math.nan))),
         ("temperature", lambda: init_scheduler(10, step_size=0.1, temperature=math.nan)),
-        ("step_size_init", lambda: DualAveragingState.init(math.nan))],
+        ("step_size_init", lambda: Adaptive(Reporting([]), 0.65, math.nan))],
         ids=["float", "function", "temperature", "step_size_init"])
     def test_nan_is_refused(self, field, build):
         # each range check holds in the positive form (not x > 0), which NaN fails
