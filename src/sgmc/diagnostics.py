@@ -51,7 +51,7 @@ def effective_sample_size(samples) -> float:
     n = x.shape[0]
     if n < 2:
         raise ValueError("ESS needs at least two samples")
-    if np.allclose(x, x[0]) or not np.all(np.isfinite(x)):
+    if (x == x[0]).all() or not np.all(np.isfinite(x)):
         return 1.0
     rho = autocorrelation(x)
     if not rho.any():

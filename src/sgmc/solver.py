@@ -18,6 +18,7 @@ A sampler is one frozen block whose fields are its knobs:
   checks its two knobs and folds each burn-in round into its chain's averages.
 
 Each block owns the state ``aux`` a chain carries for it and its ``check`` of the schedule.
+A chain's state record is built by the block's ``init``; each ``step`` advances it in place.
 Every chain follows one fixed schedule (:mod:`sgmc.scheduler`); only the blocks adapt.
 :class:`Solver` binds a block to a density, its dataset, the batch size and the
 batching strategy.  :data:`SAMPLERS` maps each name to a block constructor
@@ -70,8 +71,8 @@ class AcceptanceStats:
 
 @dataclass
 class SolverState:
-    """Per-chain state; only the block reads ``aux``.  A step never mutates it but builds
-    a new one, which shares the streams ``rng`` and ``batch_state``, moved on in place."""
+    """Per-chain state; only the block reads ``aux``.  A step advances it in place and
+    returns it; ``theta`` is rebound to a new array, never written into."""
 
     theta: np.ndarray
     rng: np.random.Generator
@@ -185,10 +186,10 @@ def sgmc_update(move: AcceptAll, solver: Solver, state: SolverState,
                 item: ScheduleItem) -> SolverState:
     """One accept-all transition: a mini-batch gradient, then one step of ``move``."""
     _, grad = solver.potential(state, state.theta, value=False)
-    theta, aux = move.integrate(state, grad, item)
-    stats = AcceptanceStats(state.stats.proposals + 1, state.stats.accepts + 1)
-    return SolverState(theta, state.rng, state.batch_spec, state.batch_state, aux, stats,
-                       state.gradient_evals + 1)
+    state.gradient_evals += 1
+    state.theta, state.aux = move.integrate(state, grad, item)
+    state.stats = AcceptanceStats(state.stats.proposals + 1, state.stats.accepts + 1)
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +259,9 @@ def metropolis_round(traj: Metropolis, solver: Solver, state: SolverState,
     """One amortized MH round around the trajectory of ``traj``."""
     tau = item.temperature
     p0 = normal_flat(state.rng, state.theta.shape[0], math.sqrt(tau))
-    evals = [0]
 
     def grad_fn(flat):
-        evals[0] += 1
+        state.gradient_evals += 1
         return solver.potential(state, flat, value=False)[1]
 
     theta_new, p_new, work = traj.trajectory(state.theta, p0, grad_fn, item, state.rng)
@@ -277,13 +277,11 @@ def metropolis_round(traj: Metropolis, solver: Solver, state: SolverState,
 
     k0, k_new = 0.5 * float(p0 @ p0), 0.5 * float(p_new @ p_new)
     delta_h = (u_new + k_new - u0 - k0) / tau
-    stats = AcceptanceStats(state.stats.proposals + 1,
-                            state.stats.accepts + (1 if accept else 0),
-                            alpha, exponent, delta_h)
-    if not accept:
-        theta_new, u_new = state.theta, u0
-    return SolverState(theta_new, state.rng, state.batch_spec, state.batch_state, u_new,
-                       stats, state.gradient_evals + evals[0])
+    state.stats = AcceptanceStats(state.stats.proposals + 1, state.stats.accepts + accept,
+                                  alpha, exponent, delta_h)
+    if accept:
+        state.theta, state.aux = theta_new, u_new
+    return state
 
 
 # the round under each built-in trajectory's name, so that traces tell them apart
@@ -338,18 +336,18 @@ class Adaptive:
 
     def step(self, solver: Solver, state: AdaptiveChain, item: ScheduleItem) -> AdaptiveChain:
         eps = math.exp(state.log_eps if item.burn_in else state.log_eps_avg)
-        chain = self.move.step(solver, state.chain,
-                               ScheduleItem(eps, item.temperature, item.burn_in, item.keep))
-        if not item.burn_in:
-            return AdaptiveChain(chain, state.rounds, state.h_bar, state.log_eps,
-                                 state.log_eps_avg)
-        # fold the round's acceptance probability, which lies in [0, 1], into the averages
-        m = state.rounds + 1
-        eta = 1.0 / (m + _DA_T0)
-        h_bar = (1.0 - eta) * state.h_bar + eta * (self.target_accept - chain.stats.last_alpha)
-        log_eps = math.log(10.0 * self.step_size_init) - math.sqrt(m) * h_bar / _DA_GAMMA
-        w = m ** (-_DA_KAPPA)
-        return AdaptiveChain(chain, m, h_bar, log_eps, w * log_eps + (1.0 - w) * state.log_eps_avg)
+        state.chain = self.move.step(solver, state.chain,
+                                     ScheduleItem(eps, item.temperature, item.burn_in, item.keep))
+        if item.burn_in:  # fold the round's acceptance probability, in [0, 1], into the averages
+            m = state.rounds = state.rounds + 1
+            eta = 1.0 / (m + _DA_T0)
+            state.h_bar = ((1.0 - eta) * state.h_bar
+                           + eta * (self.target_accept - state.chain.stats.last_alpha))
+            state.log_eps = (math.log(10.0 * self.step_size_init)
+                             - math.sqrt(m) * state.h_bar / _DA_GAMMA)
+            w = m ** (-_DA_KAPPA)
+            state.log_eps_avg = w * state.log_eps + (1.0 - w) * state.log_eps_avg
+        return state
 
     def check(self, schedule: Schedule):  # the move's rules at the first step size
         self.move.check(Schedule(np.full_like(schedule.step_sizes, self.step_size_init),
@@ -396,6 +394,8 @@ class Tempering:
         _require(self.swap_interval >= 1, "swap_interval", "swap interval must be >= 1")
         _require(self.correction > 0, "correction", "correction factor must be > 0")
         _require(self.hot_step_factor > 0, "hot_step_factor", "hot step factor must be > 0")
+        _require(isinstance(self.move, AcceptAll), "move",
+                 "replica exchange needs an accept-all move (no Metropolis rounds)")
 
     def init(self, solver: Solver, theta0: np.ndarray, key: RandomKey) -> TemperingPair:
         return TemperingPair(self.move.init(solver, theta0, key.child(0)),
@@ -439,21 +439,17 @@ def resgld_swap(block: Tempering, solver: Solver, pair: TemperingPair,
     u_low, u_low_b, u_high, u_high_b = (solver.potential(s, s.theta)[0]
                                         for s in (low, low, high, high))
     nv = welford_step(pair.noise_var, (u_low - u_low_b) / math.sqrt(2.0))
-    nv = welford_step(nv, (u_high - u_high_b) / math.sqrt(2.0))
+    nv = pair.noise_var = welford_step(nv, (u_high - u_high_b) / math.sqrt(2.0))
     sigma2 = welford_finalize(nv)[1] if nv[0] >= 2 else 0.0  # count >= 2
     exponent = swap_exponent(tau, block.tau_high, u_low, u_high, sigma2, block.correction)
     accept = math.log(pair.rng.random()) < exponent
     if accept:  # exchange the positions, and aux if it follows them; streams stay put
-        follows = block.move.follows_theta
-        low, high = (
-            SolverState(high.theta.copy(), low.rng, low.batch_spec, low.batch_state,
-                        high.aux if follows else low.aux, low.stats, low.gradient_evals),
-            SolverState(low.theta.copy(), high.rng, high.batch_spec, high.batch_state,
-                        low.aux if follows else high.aux, high.stats, high.gradient_evals))
-    stats = AcceptanceStats(pair.stats.proposals + 1,
-                            pair.stats.accepts + (1 if accept else 0),
-                            math.exp(min(exponent, 0.0)), exponent)
-    return TemperingPair(low, high, nv, pair.rng, stats)
+        low.theta, high.theta = high.theta, low.theta
+        if block.move.follows_theta:
+            low.aux, high.aux = high.aux, low.aux
+    pair.stats = AcceptanceStats(pair.stats.proposals + 1, pair.stats.accepts + accept,
+                                 math.exp(min(exponent, 0.0)), exponent)
+    return pair
 
 
 def resgld_step(block: Tempering, solver: Solver, pair: TemperingPair,
@@ -461,9 +457,8 @@ def resgld_step(block: Tempering, solver: Solver, pair: TemperingPair,
     """Advance both chains one step of ``block.move``; swap every ``swap_interval`` steps."""
     hot_item = ScheduleItem(item.step_size * block.hot_step_factor, block.tau_high,
                             item.burn_in, item.keep)
-    pair = TemperingPair(block.move.step(solver, pair.low, item),
-                         block.move.step(solver, pair.high, hot_item),
-                         pair.noise_var, pair.rng, pair.stats)
+    pair.low = block.move.step(solver, pair.low, item)
+    pair.high = block.move.step(solver, pair.high, hot_item)
     if pair.low.stats.proposals % block.swap_interval == 0:
         pair = resgld_swap(block, solver, pair, item.temperature)
     return pair

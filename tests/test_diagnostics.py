@@ -38,6 +38,12 @@ class TestESS:
     def test_constant_chain_floor(self):
         assert effective_sample_size(np.full(100, 3.7)) == 1.0
 
+    def test_chain_far_from_zero_is_not_constant(self):
+        # a varying chain is not constant, however large its values
+        x = RandomKey(5).generator().standard_normal(2000)
+        assert effective_sample_size(1e6 + x) == pytest.approx(effective_sample_size(x),
+                                                               rel=1e-3)
+
     def test_correlated_chain_shrinks(self):
         rng = RandomKey(6).generator()
         x = np.empty(20000)

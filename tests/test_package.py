@@ -4,7 +4,7 @@ import sgmc
 
 # Lines of src/sgmc/*.py, counted as `cat src/sgmc/*.py | wc -l` counts them.  A change
 # that grows src/ raises this constant and says why in CHANGES.md.
-SRC_LINE_BUDGET = 2283
+SRC_LINE_BUDGET = 2278
 
 
 def test_every_export_resolves():

@@ -17,9 +17,9 @@ from sgmc.models import get_model, surrogate_from_logdensity, synth_data_generat
 from sgmc.potential import full_value, minibatch_value_grad
 from sgmc.scheduler import Schedule, init_scheduler, scheduler_next
 from sgmc.solver import (_STREAM_BATCH, _STREAM_ITER, AMAGOLD, KNOBS, SAMPLER_NAMES,
-                         SAMPLERS, SGGMC, SGHMC, AcceptAll, Adaptive, Langevin, SamplerBundle,
-                         Solver, Tempering, TemperingPair, build_sampler, make_solver,
-                         resgld_swap, run_mcmc, swap_exponent)
+                         SAMPLERS, SGGMC, SGHMC, AcceptAll, Adaptive, AdaptiveChain, Langevin,
+                         SamplerBundle, Solver, SolverState, Tempering, TemperingPair,
+                         build_sampler, make_solver, resgld_swap, run_mcmc, swap_exponent)
 
 from conftest import quadratic_model
 
@@ -60,18 +60,19 @@ class TestAcceptAll:
         dataset = synth_data_generate(model, RandomKey(2), 30)
         solver = make_solver("psgld", model.density, dataset, 8)
         chain_key = RandomKey(77).child(0)
-        state0 = solver.block.init(solver, model.init, chain_key)
+        state = solver.block.init(solver, model.init, chain_key)
+        theta0 = state.theta  # the step rebinds theta, never writes into it
         sched = init_scheduler(5, step_size=0.01)
         item = scheduler_next(sched, 0)
-        state1 = solver.block.step(solver, state0, item)
+        state = solver.block.step(solver, state, item)
 
         spec = BatchSpec(8, "draw_replacement", chain_key.child(_STREAM_BATCH))
         batch, _ = next_batch(dataset, spec, init_batch_state(dataset, spec))
-        _, grad = minibatch_value_grad(model.density, state0.theta, batch)
+        _, grad = minibatch_value_grad(model.density, theta0, batch)
         _, precond = rmsprop_step(np.zeros(1), grad, 0.99, 1e-5)
-        expected = langevin_step(state0.theta, grad, 0.01, 1.0, precond,
+        expected = langevin_step(theta0, grad, 0.01, 1.0, precond,
                                  rng=chain_key.child(_STREAM_ITER).generator())
-        assert np.array_equal(state1.theta, expected)
+        assert np.array_equal(state.theta, expected)
 
     def test_sgld_zero_gradient_zero_temperature_fixed_point(self):
         model = quadratic_model([0.0, 0.0])  # constant potential
@@ -142,17 +143,17 @@ class TestMetropolisRounds:
         saw_reject = False
         for t in range(60):
             item = scheduler_next(sched, t)
-            before = state
+            accepts, theta, u = state.stats.accepts, state.theta.copy(), state.aux
             state = solver.block.step(solver, state, item)
             normal_flat(replay, 1, 1.0)
             replay.random()
             assert state.rng.bit_generator.state == replay.bit_generator.state
             assert state.stats.accepts <= state.stats.proposals
             assert 0.0 <= state.stats.last_alpha <= 1.0
-            if state.stats.accepts == before.stats.accepts:  # rejected round
+            if state.stats.accepts == accepts:  # rejected round
                 saw_reject = True
-                assert np.array_equal(state.theta, before.theta)
-                assert state.aux == before.aux  # the cached exact potential
+                assert np.array_equal(state.theta, theta)
+                assert state.aux == u  # the cached exact potential
         assert saw_reject
 
     def test_accept_refreshes_cached_potential(self):
@@ -269,23 +270,25 @@ class TestReplicaExchange:
         solver = Solver(block, model.density, dataset, 1)
         pair = block.init(solver, model.init, RandomKey(0))
         pair.high.theta, pair.high.aux = np.array([2.0]), np.array([0.5])  # RMSProp moments
-        pair = TemperingPair(pair.low, pair.high, pair.noise_var,
-                             SimpleNamespace(random=lambda: u))
-        return pair, resgld_swap(block, solver, pair, 1.0)
+        pair.rng = SimpleNamespace(random=lambda: u)
+        before = [dict(vars(state), theta=state.theta.copy()) for state in (pair.low, pair.high)]
+        return before, resgld_swap(block, solver, pair, 1.0)
 
     def test_rejected_swap_keeps_both_states(self):
-        pair, out = self.swap_with_uniform(math.inf)  # log u = inf: no exponent beats it
+        before, out = self.swap_with_uniform(math.inf)  # log u = inf: no exponent beats it
         assert out.stats.proposals == 1 and out.stats.accepts == 0
-        assert out.low is pair.low and out.high is pair.high
+        for new, old in zip((out.low, out.high), before):
+            assert np.array_equal(new.theta, old["theta"])
+            assert all(getattr(new, name) is value
+                       for name, value in old.items() if name != "theta")
 
     def test_accepted_swap_exchanges_positions_not_streams(self):
         # log u = -691, far below this pair's exponent of about -4/3
-        pair, out = self.swap_with_uniform(1e-300)
+        before, out = self.swap_with_uniform(1e-300)
         assert out.stats.accepts == 1
-        for new, old, other in ((out.low, pair.low, pair.high),
-                                (out.high, pair.high, pair.low)):
-            assert np.array_equal(new.theta, other.theta) and new.aux is other.aux
-            assert new.batch_state is old.batch_state and new.rng is old.rng
+        for new, old, other in ((out.low, *before), (out.high, *before[::-1])):
+            assert np.array_equal(new.theta, other["theta"]) and new.aux is other["aux"]
+            assert new.batch_state is old["batch_state"] and new.rng is old["rng"]
 
     def test_replica_exchange_sghmc_from_public_blocks(self):
         # reSGHMC is not in SAMPLERS: tempering around an SGHMC move
@@ -443,12 +446,32 @@ class TestRunMCMC:
         ("sgld", {}, False),
         ("sghmc", {"friction": 1.0}, False),
         ("amagold", {"leapfrog_steps": 3, "friction": 0.1}, True),
-        ("resgld", {"tau_high": 3.0, "swap_interval": 5}, False)])
+        ("resgld", {"tau_high": 3.0, "swap_interval": 5}, False),
+        ("sggmc", {"obabo_steps": 2}, False)])
     def test_loop_builds_no_record_with_replace(self, monkeypatch, name, kw, adaptive):
+        # a step advances its chain record in place: the records are built only by init
         model, dataset = std_normal_setup()
         solver = make_solver(name, model.density, dataset, 1, **kw)
         if adaptive:
             solver = Solver(Adaptive(solver.block, 0.65, 0.1), model.density, dataset, 1)
+        phase, built = ["init"], {"init": [], "loop": []}
+        block_init = type(solver.block).init
+
+        def initializing(block, *args):
+            phase[0] = "init"
+            state = block_init(block, *args)
+            phase[0] = "loop"
+            return state
+
+        def counting_init(record_init):
+            def init(record, *args, **kwargs):
+                built[phase[0]].append(type(record).__name__)
+                record_init(record, *args, **kwargs)
+            return init
+
+        monkeypatch.setattr(type(solver.block), "init", initializing)
+        for record in (SolverState, AdaptiveChain, TemperingPair):
+            monkeypatch.setattr(record, "__init__", counting_init(record.__init__))
         calls = []
         replace = dataclasses.replace
 
@@ -465,6 +488,8 @@ class TestRunMCMC:
         results = run_mcmc(solver, sched, model.init, key=RandomKey(3), chains=2)
         assert [r["status"] for r in results] == ["ok", "ok"]
         assert calls == []
+        assert len(built["init"]) == 2 * (3 if name == "resgld" else 1 + adaptive)
+        assert built["loop"] == []
 
     def test_sample_count_from_plan(self):
         model, dataset = std_normal_setup()
@@ -571,10 +596,35 @@ class TestRunMCMC:
             assert np.array_equal(result["store"].iterations(), ok["store"].iterations())
             assert np.array_equal(result["store"].stacked(), ok["store"].stacked())
 
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    @pytest.mark.parametrize("name, kw, per_iteration", [
+        ("sgld", {}, 1),
+        ("amagold", {"leapfrog_steps": 3, "friction": 0.0}, 3),
+        ("sggmc", {"obabo_steps": 3}, 6),
+        # only the tempered chain's step jumps: the cold chain completes its step
+        ("resgld", {"tau_high": 3.0, "hot_step_factor": 1e170}, 2)])
+    def test_failed_chain_counts_the_gradients_of_its_failed_iteration(self, name, kw,
+                                                                       per_iteration):
+        model = quadratic_model([1.0])
+        dataset = synth_data_generate(model, RandomKey(0), 1)
+        solver = make_solver(name, model.density, dataset, 1, **kw)
+        scale = 1e-170 if name == "resgld" else 1.0
+        sched = init_scheduler(40, step_size=lambda t: np.where(t < 20, 0.1, 1e160) * scale)
+        with pytest.raises(ChainError) as err:
+            run_mcmc(solver, sched, model.init, key=RandomKey(5))
+        assert err.value.iteration >= 20
+        assert (err.value.partial["gradient_evaluations"]
+                == per_iteration * (err.value.iteration + 1))
+
     def test_adaptive_rejected_for_accept_all(self):
         with pytest.raises(ConfigurationError) as err:
             Adaptive(Langevin(), 0.65, 0.1)
         assert err.value.field == "target_accept"
+
+    def test_tempering_rejected_for_metropolis(self):
+        with pytest.raises(ConfigurationError) as err:
+            Tempering(AMAGOLD(leapfrog_steps=2), tau_high=3.0, swap_interval=2)
+        assert err.value.field == "move"
 
     @pytest.mark.parametrize("block", [AMAGOLD(leapfrog_steps=2), SGGMC(obabo_steps=2)])
     def test_metropolis_at_zero_temperature_fails_before_any_chain(self, monkeypatch, block):
