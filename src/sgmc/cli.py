@@ -25,7 +25,8 @@ from .diagnostics import diagnostics_summary
 from .errors import ChainError, ConfigurationError, check_kwargs, check_type, parameters
 from .models import get_model, rwmh_oracle, synth_data_generate
 from .scheduler import init_scheduler
-from .solver import SAMPLER_NAMES, SETTINGS, STEP_SIZE_DECAY, build_sampler, make_solver
+from .solver import (KNOBS, SAMPLER_NAMES, SETTINGS, STEP_SIZE_DECAY, build_sampler,
+                     make_solver, run_mcmc)
 
 SCHEMA_VERSION = 1
 
@@ -56,7 +57,7 @@ class RunConfig:
     batch_strategy: str = parameters(make_solver)["batch_strategy"].default
     temperature: float = parameters(init_scheduler)["temperature"].default
     seed: int = 0
-    chains: int = 1
+    chains: int = parameters(run_mcmc)["chains"].default
     output: str = "runs/latest"
     format: str = "jsonl"
 
@@ -141,10 +142,9 @@ def validate_config(cfg: RunConfig):
     """Run-level checks; the sampler, model, schedule and chain driver check their own."""
     if cfg.format not in ("jsonl", "csv"):
         raise ConfigurationError(f"unknown format {cfg.format!r}", field="format")
-    for key in cfg.sampler_args:
-        if key in RunConfig.__dataclass_fields__:
-            raise ConfigurationError("set this top-level field outside sampler_args",
-                                     field=key)
+    for key in cfg.sampler_args:  # a setting here would bypass its own field's rules
+        if not any(key in knobs for knobs in KNOBS.values()):
+            raise ConfigurationError("no sampler takes this knob", field=key)
 
 
 def _model_and_data(cfg: RunConfig):

@@ -1,8 +1,8 @@
-"""One-step / one-trajectory simulators of the sampling dynamics.
+"""One-step / one-trajectory simulators of the sampling dynamics: pure arithmetic.
 
-All integrators operate on flat float64 arrays from the solver, never written into, with
-unit mass, a temperature ``tau >= 0`` (tau = 0 switches noise off) and a noise generator ``rng``.
-Their step sizes and knobs are checked where they are set: by the scheduler and the blocks.
+They read flat float64 arrays from the solver, never written into, with unit mass, a temperature
+``tau >= 0`` (tau = 0 switches noise off) and a noise generator ``rng``.  The scheduler and the
+blocks check step sizes and knobs; the solver's step functions refuse a non-finite state.
 Work accumulators (``W``) follow the amortized Metropolis convention: with
 exact gradients and no friction the acceptance exponent U0 - UL + W of the
 wrapping solver reduces to -dH, which the test suite enforces.
@@ -15,7 +15,6 @@ import math
 import numpy as np
 
 from .core import normal_flat
-from .errors import NumericError
 
 
 def langevin_step(theta, grad, step_size, tau=1.0, precond=None,
@@ -29,8 +28,6 @@ def langevin_step(theta, grad, step_size, tau=1.0, precond=None,
     if tau > 0.0:
         noise = normal_flat(rng, theta.shape[0], math.sqrt(step_size * tau))
         out = out + (noise if precond is None else np.sqrt(precond) * noise)
-    if not np.isfinite(out).all():
-        raise NumericError("langevin_step produced a non-finite position")
     return out
 
 
@@ -46,8 +43,6 @@ def sghmc_step(theta, p, grad, step_size, friction, noise_estimate=0.0, tau=1.0,
     if var > 0.0:
         p_new = p_new + normal_flat(rng, p.shape[0], math.sqrt(var))
     theta_new = theta + step_size * p_new
-    if not (np.isfinite(theta_new).all() and np.isfinite(p_new).all()):
-        raise NumericError("sghmc_step produced a non-finite state")
     return theta_new, p_new
 
 
@@ -74,8 +69,6 @@ def reversible_leapfrog_trajectory(theta, p, n_steps, step_size, beta, grad_fn,
         work += 0.5 * eps * float((p + p_new) @ g)
         p = p_new
         theta = theta + (eps if t < n_steps - 1 else 0.5 * eps) * p
-    if not (np.isfinite(theta).all() and np.isfinite(p).all()):
-        raise NumericError("leapfrog trajectory diverged")
     return theta, p, work
 
 
@@ -114,6 +107,4 @@ def obabo_trajectory(theta, p, n_steps, step_size, friction_gamma, grad_fn,
         p = p - 0.5 * eps * grad_fn(theta)
         work += k_in - 0.5 * float(p @ p)
         p = ou_half(p)
-    if not (np.isfinite(theta).all() and np.isfinite(p).all()):
-        raise NumericError("OBABO trajectory diverged")
     return theta, p, work

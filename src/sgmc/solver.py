@@ -91,7 +91,7 @@ class Solver:
     density: LogDensityModel
     dataset: Dataset
     batch_size: int
-    batch_strategy: str = "draw_replacement"
+    batch_strategy: str = BatchSpec.strategy
 
     def __post_init__(self):  # the data layer's batch rules, checked at build time
         init_batch_state(self.dataset, BatchSpec(self.batch_size, self.batch_strategy))
@@ -184,10 +184,13 @@ class SGHMC(AcceptAll):
 
 def sgmc_update(move: AcceptAll, solver: Solver, state: SolverState,
                 item: ScheduleItem) -> SolverState:
-    """One accept-all transition: a mini-batch gradient, then one step of ``move``."""
+    """One accept-all transition: a mini-batch gradient, then one finite step of ``move``."""
     _, grad = solver.potential(state, state.theta, value=False)
     state.gradient_evals += 1
-    state.theta, state.aux = move.integrate(state, grad, item)
+    theta, aux = move.integrate(state, grad, item)
+    if not np.isfinite(theta).all():  # a step size > 0 carries a non-finite momentum here
+        raise NumericError(f"{type(move).__name__} produced a non-finite position")
+    state.theta, state.aux = theta, aux
     state.stats = AcceptanceStats(state.stats.proposals + 1, state.stats.accepts + 1)
     return state
 
@@ -256,7 +259,7 @@ class SGGMC(Metropolis):
 
 def metropolis_round(traj: Metropolis, solver: Solver, state: SolverState,
                      item: ScheduleItem) -> SolverState:
-    """One amortized MH round around the trajectory of ``traj``."""
+    """One amortized MH round around the trajectory of ``traj``, which must end finite."""
     tau = item.temperature
     p0 = normal_flat(state.rng, state.theta.shape[0], math.sqrt(tau))
 
@@ -265,6 +268,8 @@ def metropolis_round(traj: Metropolis, solver: Solver, state: SolverState,
         return solver.potential(state, flat, value=False)[1]
 
     theta_new, p_new, work = traj.trajectory(state.theta, p0, grad_fn, item, state.rng)
+    if not (np.isfinite(theta_new).all() and np.isfinite(p_new).all()):
+        raise NumericError(f"{type(traj).__name__} trajectory diverged")
 
     u0 = state.aux
     u_new = full_value(solver.density, theta_new, solver.dataset)
@@ -319,7 +324,7 @@ class Adaptive:
 
     move: Metropolis
     target_accept: float
-    step_size_init: float
+    step_size_init: float = 0.1
 
     def __post_init__(self):
         check_type("step_size_init", self.step_size_init, (float,))
@@ -412,8 +417,10 @@ class Tempering:
                  "tempered chain needs tau_high above the temperature")
 
 
-def resgld(tau_high: float, swap_interval: int = 50, correction: float = 1.0,
-           hot_step_factor: float = 1.0, rms_prop: bool = False) -> Tempering:
+def resgld(tau_high: float, swap_interval: int = Tempering.swap_interval,
+           correction: float = Tempering.correction,
+           hot_step_factor: float = Tempering.hot_step_factor,
+           rms_prop: bool = Langevin.rms_prop) -> Tempering:
     """reSGLD: :class:`Tempering` around :class:`Langevin` (pSGLD with ``rms_prop``)."""
     return Tempering(Langevin(rms_prop), tau_high, swap_interval, correction,
                      hot_step_factor)
@@ -485,7 +492,7 @@ KNOBS = {name: {p.name: p.annotation if p.default is p.empty else p.default
 
 
 def make_solver(name: str, density: LogDensityModel, dataset: Dataset, batch_size: int,
-                batch_strategy: str = "draw_replacement", **knobs) -> Solver:
+                batch_strategy: str = BatchSpec.strategy, **knobs) -> Solver:
     """Bind sampler ``name`` to a model and a dataset.
 
     ``knobs`` are knobs of the sampler (:data:`KNOBS`); an omitted knob takes
@@ -569,7 +576,7 @@ class SamplerBundle:
     init_theta: np.ndarray
     run_key: RandomKey
 
-    def run(self, chains: int = 1) -> list[dict]:
+    def run(self, chains: int = parameters(run_mcmc)["chains"].default) -> list[dict]:
         return run_mcmc(self.solver, self.schedule, self.init_theta, key=self.run_key,
                         chains=chains)
 
@@ -617,7 +624,7 @@ def build_sampler(name: str, config: dict) -> SamplerBundle:
 
     if cfg.get("target_accept") is not None:
         solver = replace(solver, block=Adaptive(solver.block, cfg["target_accept"],
-                                                cfg.get("step_size_init", 0.1)))
+                                                **given("step_size_init")))
         step_sizes = 1.0  # unused by Adaptive; unit weights thin every iteration alike
     else:
         step_sizes = polynomial_schedule(need("step_size_first"),

@@ -56,6 +56,13 @@ class TestRun:
         assert "mu" in summary["chains"][0]["variables"]
         assert summary["config"]["seed"] == 5
 
+    def test_burn_in_of_every_iteration_keeps_no_sample(self, tmp_path):
+        argv = small_run_args(tmp_path, **{"--iterations": "100", "--burn-in": "100",
+                                           "--selections": "0"})
+        assert run_cli(*argv) == 0
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert [c["sample_count"] for c in summary["chains"]] == [0]
+
     def test_zero_iterations_is_config_error(self, tmp_path):
         assert run_cli(*small_run_args(tmp_path, **{"--iterations": "0"})) == 2
 
@@ -166,6 +173,19 @@ class TestRun:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"sampler": "sghmc", "iterations": 10,
                                     "sampler_args": {"friction": 5.0, key: 99},
+                                    "output": str(tmp_path / "x")}))
+        assert run_cli("run", "--config", str(path)) == 2
+        assert f"(field: {key})" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("key, value", [("init_theta", [50.0, -50.0]), ("dataset", 3)],
+                             ids=["init_theta", "dataset"])
+    def test_setting_in_sampler_args_is_refused(self, tmp_path, capsys, key, value):
+        # sampler_args takes knobs only: sgmc run sets neither the start nor the dataset
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"model": "std_normal", "model_args": {"dim": 2},
+                                    "sampler": "sgld", "iterations": 10,
+                                    "sampler_args": {key: value},
                                     "output": str(tmp_path / "x")}))
         assert run_cli("run", "--config", str(path)) == 2
         assert f"(field: {key})" in capsys.readouterr().err

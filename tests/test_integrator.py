@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from sgmc.core import RandomKey
-from sgmc.errors import NumericError
 from sgmc.integrator import (langevin_step, obabo_trajectory,
                              reversible_leapfrog_trajectory, sghmc_step)
 from sgmc.scheduler import init_scheduler, polynomial_schedule
@@ -24,10 +23,6 @@ class TestLangevin:
         theta = np.array([1.5, -2.0])
         out = langevin_step(theta, np.zeros(2), 0.3, tau=0.0)
         assert np.array_equal(out, theta)
-
-    def test_nonfinite_raises(self):
-        with pytest.raises(NumericError):
-            langevin_step(np.array([1.0]), np.array([np.inf]), 0.1, tau=0.0)
 
     def test_preconditioner_scales_drift_and_noise(self):
         key = RandomKey(1)
@@ -182,15 +177,16 @@ class TestOBABO:
         assert abs(work - (kinetic(p0) - kinetic(p_end))) < 1e-10
 
 
-@pytest.mark.parametrize("run", [
-    lambda grad_fn: sghmc_step(np.zeros(2), np.ones(2), grad_fn(None), 0.1, 0.5, tau=0.0),
-    lambda grad_fn: reversible_leapfrog_trajectory(np.zeros(2), np.ones(2), 2, 0.1, 0.0,
-                                                   grad_fn, tau=0.0),
-    lambda grad_fn: obabo_trajectory(np.zeros(2), np.ones(2), 2, 0.1, 0.0, grad_fn, tau=0.0)],
-    ids=["sghmc_step", "reversible_leapfrog_trajectory", "obabo_trajectory"])
-def test_diverging_input_raises(run):
-    with pytest.raises(NumericError):
-        run(lambda theta: np.array([np.inf, 1.0]))
+def test_diverging_input_is_returned_not_refused():
+    # pure arithmetic: the solver's step functions own the non-finite rule
+    g = np.array([np.inf, 1.0])
+    ends = [langevin_step(np.zeros(2), g, 0.1, tau=0.0),
+            *sghmc_step(np.zeros(2), np.ones(2), g, 0.1, 0.5, tau=0.0),
+            *reversible_leapfrog_trajectory(np.zeros(2), np.ones(2), 2, 0.1, 0.0,
+                                            lambda theta: g, tau=0.0)[:2],
+            *obabo_trajectory(np.zeros(2), np.ones(2), 2, 0.1, 0.0, lambda theta: g,
+                              tau=0.0)[:2]]
+    assert not any(np.isfinite(end).all() for end in ends)
 
 
 def test_zero_noise_zero_gradient_pure_drift():

@@ -4,7 +4,9 @@ import sgmc
 
 # Lines of src/sgmc/*.py, counted as `cat src/sgmc/*.py | wc -l` counts them.  A change
 # that grows src/ raises this constant and says why in CHANGES.md.
-SRC_LINE_BUDGET = 2278
+SRC_LINE_BUDGET = 2276
+SRC_LINE_WIDTH = 99  # columns
+SOURCES = sorted((Path(__file__).parents[1] / "src" / "sgmc").glob("*.py"))
 
 
 def test_every_export_resolves():
@@ -19,7 +21,14 @@ def test_every_export_resolves():
 
 
 def test_src_line_budget():
-    sources = sorted((Path(__file__).parents[1] / "src" / "sgmc").glob("*.py"))
-    assert sources
-    total = sum(path.read_bytes().count(b"\n") for path in sources)
+    assert SOURCES
+    total = sum(path.read_bytes().count(b"\n") for path in SOURCES)
     assert total <= SRC_LINE_BUDGET
+
+
+def test_src_line_width():
+    # so that the line budget cannot be met by merging statements into long lines
+    wide = [f"{path.name}:{number}" for path in SOURCES
+            for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if len(line) > SRC_LINE_WIDTH]
+    assert wide == []

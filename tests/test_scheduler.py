@@ -126,6 +126,10 @@ class TestThinningPlan:
         plan = random_thinning_plan(np.ones(10), 4, 6, 10, RandomKey(4))
         assert plan == frozenset(range(4, 10))
 
+    def test_no_eligible_iteration_keeps_none(self):
+        # the all-eligible shortcut serves it: NumPy's choice refuses an empty p
+        assert random_thinning_plan(np.ones(10), 10, 0, 10, RandomKey(4)) == frozenset()
+
     def test_infeasible(self):
         with pytest.raises(ValueError):
             random_thinning_plan(np.ones(10), 4, 7, 10, RandomKey(4))

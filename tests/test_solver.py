@@ -18,8 +18,9 @@ from sgmc.potential import full_value, minibatch_value_grad
 from sgmc.scheduler import Schedule, init_scheduler, scheduler_next
 from sgmc.solver import (_STREAM_BATCH, _STREAM_ITER, AMAGOLD, KNOBS, SAMPLER_NAMES,
                          SAMPLERS, SGGMC, SGHMC, AcceptAll, Adaptive, AdaptiveChain, Langevin,
-                         SamplerBundle, Solver, SolverState, Tempering, TemperingPair,
-                         build_sampler, make_solver, resgld_swap, run_mcmc, swap_exponent)
+                         Metropolis, SamplerBundle, Solver, SolverState, Tempering,
+                         TemperingPair, build_sampler, make_solver, metropolis_round,
+                         resgld_swap, run_mcmc, swap_exponent)
 
 from conftest import quadratic_model
 
@@ -203,6 +204,19 @@ class TestMetropolisRounds:
         with pytest.raises(ChainError, match="non-finite acceptance exponent"):
             half_normal_run(name, kw, outside)
 
+    def test_custom_trajectory_with_a_non_finite_end_fails_its_chain(self):
+        @dataclasses.dataclass(frozen=True)
+        class Escapes(Metropolis):  # ends every trajectory at infinity
+            def trajectory(self, theta, p0, grad_fn, item, rng):
+                return theta + math.inf, p0, 0.0
+
+            step = metropolis_round
+
+        model, dataset = std_normal_setup()
+        with pytest.raises(ChainError, match="Escapes trajectory diverged") as err:
+            run_solver(Solver(Escapes(), model.density, dataset, 1), model, 20)
+        assert err.value.iteration == 0
+
     def test_detailed_balance_three_state(self):
         # empirical reversibility of the amortized-MH chain on a 1D Gaussian
         model, dataset = std_normal_setup()
@@ -306,6 +320,23 @@ class TestReplicaExchange:
         assert 0.0 < result["acceptance_rate"] < 1.0  # swaps both taken and refused
 
 
+@pytest.mark.parametrize("name, kw, block", [
+    ("sgld", {}, "Langevin"), ("sghmc", {"friction": 0.5}, "SGHMC"),
+    ("amagold", {"leapfrog_steps": 2, "friction": 0.0}, "AMAGOLD"),
+    ("sggmc", {"obabo_steps": 2}, "SGGMC")], ids=["sgld", "sghmc", "amagold", "sggmc"])
+def test_step_refuses_a_non_finite_state(name, kw, block):
+    # the integrators only integrate: the block's step refuses the state they return
+    model = surrogate_from_logdensity("inf_gradient", make_layout({"theta": (2,)}),
+                                      lambda flat: 0.0, lambda flat: np.array([np.inf, 1.0]))
+    solver = make_solver(name, model.density, synth_data_generate(model, RandomKey(0), 1), 1,
+                         **kw)
+    state = solver.block.init(solver, np.zeros(2), RandomKey(0))
+    theta0, stats0 = state.theta, state.stats
+    with pytest.raises(NumericError, match=f"^{block} "):
+        solver.block.step(solver, state, scheduler_next(init_scheduler(1, step_size=0.1), 0))
+    assert state.theta is theta0 and state.stats is stats0  # refused before any assignment
+
+
 @dataclasses.dataclass(frozen=True)
 class SGNHT(AcceptAll):
     """Stochastic-gradient Nose-Hoover thermostat (Ding et al., NeurIPS 2014), built
@@ -333,10 +364,11 @@ class TestCustomBlock:
     """A sampler that sgmc does not ship runs through the public chain driver."""
 
     @staticmethod
-    def run(block, temperature=1.0):
+    def run(block, temperature=1.0, iterations=20000, step=0.2, burn_in=2000):
         model = get_model("std_normal", dim=3)
         solver = Solver(block, model.density, synth_data_generate(model, RandomKey(0), 1), 1)
-        sched = init_scheduler(20000, step_size=0.2, burn_in=2000, temperature=temperature)
+        sched = init_scheduler(iterations, step_size=step, burn_in=burn_in,
+                               temperature=temperature)
         return run_mcmc(solver, sched, model.init, key=RandomKey(0))[0]
 
     def test_sgnht_recovers_std_normal(self):
@@ -357,6 +389,16 @@ class TestCustomBlock:
         assert result["status"] == "ok" and np.all(np.isfinite(x))
         assert 0.0 < result["acceptance_rate"] < 1.0  # swaps both taken and refused
         assert np.all(np.abs(x.std(axis=0) - 1.0) <= 0.15)  # the cold chain keeps the target
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    @pytest.mark.parametrize("wrap", [lambda block: block,
+                                      lambda block: Tempering(block, tau_high=3.0)],
+                             ids=["alone", "tempered"])
+    def test_diverging_sgnht_fails_its_chain(self, wrap):
+        # the block checks no finiteness: sgmc_update refuses its non-finite position
+        with pytest.raises(ChainError, match="SGNHT produced a non-finite position") as err:
+            self.run(wrap(SGNHT()), iterations=200, step=5.0, burn_in=0)
+        assert err.value.iteration == 5 and err.value.partial["sample_count"] == 5
 
 
 class TestGradientOnlySteps:
