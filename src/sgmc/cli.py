@@ -67,19 +67,12 @@ class RunConfig:
         ).hexdigest()[:16]
 
 DEMOS = {
-    # conjugate normal-location target sampled with plain SGLD
+    # RunConfig's conjugate normal-location target, sampled with plain SGLD
     "gaussian": {
-        "model": "gaussian_mean",
         "true_params": {"mu": 0.5},
-        "n_obs": 200,
-        "sampler": "sgld",
-        "step_size_first": 0.01,
-        "step_size_last": 0.0005,
-        "step_size_decay": 0.33,
         "iterations": 100000,
         "burn_in": 20000,
         "selections": 8000,
-        "batch_size": 32,
         "batch_strategy": "shuffle_in_epochs",
         "seed": 42,
     },
@@ -92,8 +85,6 @@ DEMOS = {
         "sampler": "psgld",
         "step_size_first": 0.05,
         "step_size_last": 0.001,
-        "step_size_decay": 0.33,
-        "iterations": 10000,
         "burn_in": 2000,
         "selections": 1000,
         "batch_size": 128,
@@ -110,7 +101,6 @@ DEMOS = {
                          "hot_step_factor": 100.0},
         "step_size_first": 3e-4,
         "step_size_last": 1.5e-4,
-        "step_size_decay": 0.33,
         "iterations": 100000,
         "burn_in": 10000,
         "selections": 9000,
@@ -178,6 +168,14 @@ def _chain_summary(result) -> dict:
     }
 
 
+def _under_a_directory(path: Path) -> Path:
+    """``path``, refused naming ``output`` before any sampling if it lies under a file."""
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigurationError(f"{existing} is not a directory", field="output")
+    return path
+
+
 def write_outputs(cfg: RunConfig, results: list[dict], out_dir: Path,
                   wall_time: float, error: dict | None = None) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -212,7 +210,7 @@ def run_command(args) -> int:
         bundle = build_sampler(cfg.sampler, bundle_cfg)
     except (OSError, ValueError) as exc:  # a ConfigurationError keeps its field
         raise exc if isinstance(exc, ConfigurationError) else ConfigurationError(str(exc))
-    out_dir = Path(cfg.output)
+    out_dir = _under_a_directory(Path(cfg.output))
     started = time.perf_counter()
     try:  # a ConfigurationError here refuses the run before any chain runs
         results = bundle.run(chains=cfg.chains)
@@ -274,6 +272,8 @@ def compare_command(args) -> int:
     if names != model_names or flat.shape[1] != len(columns):
         raise ConfigurationError(f"variable mismatch: run has {names}, model has {model_names}")
     sampler_stats = _column_stats(columns, flat)
+    out_path = Path(args.output) if args.output else run_dir / "compare_report.json"
+    _under_a_directory(out_path.parent)
 
     if args.reference == "analytic":
         if model.analytic_posterior is None:
@@ -308,7 +308,7 @@ def compare_command(args) -> int:
         print(f"{name:<16}{m_s:>12.5f}{m_r:>12.5f}{disc:>14.4f}{ratio:>12.4f}")
     report["max_mean_discrepancy"] = max(
         v["mean_discrepancy"] for v in report["variables"].values())
-    out_path = Path(args.output) if args.output else run_dir / "compare_report.json"
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
     print(f"report -> {out_path}")

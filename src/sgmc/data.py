@@ -1,14 +1,14 @@
 """In-memory datasets and mini-batch streams.
 
 A Dataset is a dict of arrays sharing a leading observation axis of length N.
-Batches come in three flavours: i.i.d. draws with replacement, epoch-wise
-shuffling (tail batch padded and masked out), and continuous shuffling (the
-stream runs on into the next epoch, so every batch is full).  A stream draws in
+Batches come in three flavours: i.i.d. draws with replacement, epoch-wise shuffling
+(each epoch ends on a short batch of the N mod n rows left), and continuous shuffling
+(the stream runs on into the next epoch, so every batch is full).  A stream draws in
 order from one generator built from ``spec.key`` (shufflings: a permutation per epoch);
-its cursor, a :class:`BatchState`, is a stream like that generator, advanced in
-place and never copied.  Full batches share one read-only mask per size.
-A breach of a batch rule is a ConfigurationError naming its field.
-Consumers must honour the mask; pad rows are zeros and carry no information.
+its cursor, a :class:`BatchState`, is a stream like that generator, advanced in place
+and never copied.  Every batch served is whole rows; batches of a size share one
+read-only all-True mask.  A breach of a batch rule is a ConfigurationError naming its
+field.  Only a hand-built MiniBatch masks rows; consumers still honour its mask.
 The exact potential reads ``Dataset.arrays`` in fixed row blocks (views), with
 no draw and no mask.
 """
@@ -39,10 +39,10 @@ class Dataset:
 class MiniBatch:
     """A slice of the dataset: ``n`` rows, validity mask and the full size N.
 
-    ``indices`` records the source rows (pad rows point at row 0 with
-    ``mask == False``); it exists for bookkeeping and tests, consumers only
-    need ``arrays``, ``mask`` and ``n_effective``, the count of unmasked rows
-    (counted from the mask when not given).
+    ``indices`` records the source rows; it exists for bookkeeping and tests,
+    consumers only need ``arrays``, ``mask`` and ``n_effective``, the count of
+    unmasked rows (counted from the mask when not given).  :func:`next_batch`
+    serves whole rows; only a hand-built batch masks rows, and consumers honour it.
     """
 
     arrays: dict[str, np.ndarray]
@@ -110,18 +110,13 @@ def init_batch_state(dataset: Dataset, spec: BatchSpec) -> BatchState:
 
 @functools.lru_cache(maxsize=None)
 def _full_mask(n: int) -> np.ndarray:
-    return np.broadcast_to(True, n)  # read-only, shared by every full batch of size n
+    return np.broadcast_to(True, n)  # read-only, shared by every batch of size n
 
 
-def _take(dataset: Dataset, idx: np.ndarray, valid: int) -> MiniBatch:
-    """Gather rows ``idx``; the rows from ``valid`` on are padding, zeroed and masked."""
-    # fancy indexing copies, so padding is zeroed without touching the dataset
+def _take(dataset: Dataset, idx: np.ndarray) -> MiniBatch:
+    """Gather rows ``idx``: fancy indexing copies, so a batch shares no memory with the dataset."""
     arrays = {name: arr[idx] for name, arr in dataset.arrays.items()}
-    if valid == idx.shape[0]:
-        return MiniBatch(arrays, _full_mask(valid), dataset.size, idx, valid)
-    for rows in arrays.values():
-        rows[valid:] = 0.0  # pad value; correctness rests on the mask
-    return MiniBatch(arrays, np.arange(idx.shape[0]) < valid, dataset.size, idx, valid)
+    return MiniBatch(arrays, _full_mask(idx.shape[0]), dataset.size, idx, idx.shape[0])
 
 
 def _epoch_permutation(rng: np.random.Generator, big_n: int) -> np.ndarray:
@@ -140,19 +135,17 @@ def next_batch(dataset: Dataset, spec: BatchSpec, state: BatchState):
         raise ValueError(f"batch size {n} exceeds dataset size {big_n}")
 
     if spec.strategy == "draw_replacement":
-        return _take(dataset, state.rng.integers(0, big_n, size=n), n), state
+        return _take(dataset, state.rng.integers(0, big_n, size=n)), state
 
     if state.perm is None:
         state.perm = _epoch_permutation(state.rng, big_n)
     take = state.perm[state.position : state.position + n]
-    state.position, valid = state.position + n, n
+    state.position += n
     if state.position >= big_n:  # this batch ends the epoch
         state.position, state.perm = state.position - big_n, None
-        if spec.strategy == "shuffle_in_epochs":  # pad the tail with masked row 0
-            valid = take.shape[0]
-            take = np.concatenate([take, np.zeros(n - valid, dtype=take.dtype)])
+        if spec.strategy == "shuffle_in_epochs":  # the tail is short: N mod n rows
             state.position = 0
         elif state.position:  # "shuffle" runs on into the next epoch (n <= N: at most one)
             state.perm = _epoch_permutation(state.rng, big_n)
             take = np.concatenate([take, state.perm[:state.position]])
-    return _take(dataset, take, valid), state
+    return _take(dataset, take), state

@@ -4,12 +4,12 @@ A model supplies the vectorized log-likelihood and score of a batch of
 observations plus the log-prior and its gradient, all on the flat parameter
 vector and in log space.  There is one evaluator per quantity:
 :func:`minibatch_value_grad` gives the stochastic (U~, grad U~), scaling the
-mini-batch sums by N/n_eff, where n_eff counts unmasked rows, so padded epoch
-tails stay unbiased; with ``value=False`` it gives only grad U~ and evaluates no
-log-likelihood or log-prior.  :func:`full_value` gives the exact U from calls on
-row blocks, holding one (N,) vector.  Without a likelihood, neither reads a
-batch or the dataset.  :func:`per_observation` lifts
-per-observation functions of the named parameters to this contract.
+mini-batch sums by N/n_eff, where n_eff counts unmasked rows (only a hand-built batch
+masks any), so a short epoch tail of k rows is scaled by N/k and stays unbiased; with
+``value=False`` it gives only grad U~ and evaluates no log-likelihood or log-prior.
+:func:`full_value` gives the exact U from calls on row blocks, holding one (N,) vector.
+Without a likelihood, neither reads a batch or the dataset.  :func:`per_observation`
+lifts per-observation functions of the named parameters to this contract.
 """
 
 from __future__ import annotations

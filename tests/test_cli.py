@@ -71,6 +71,16 @@ class TestRun:
         assert "(field: chains)" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("output", ["afile", "afile/run"])
+    def test_output_under_a_file_is_refused_before_sampling(self, tmp_path, capsys,
+                                                            monkeypatch, output):
+        from sgmc.solver import SamplerBundle
+        (tmp_path / "afile").write_text("")
+        monkeypatch.setattr(SamplerBundle, "run", lambda *a, **k: pytest.fail("sampled"))
+        argv = small_run_args(tmp_path, **{"--output": str(tmp_path / output)})
+        assert run_cli(*argv) == 2
+        assert "(field: output)" in capsys.readouterr().err
+
     def test_selections_overflow_is_config_error(self, tmp_path):
         code = run_cli(*small_run_args(tmp_path, **{"--selections": "500"}))
         assert code == 2
@@ -524,6 +534,22 @@ class TestCompare:
         assert "(field: oracle_steps)" in capsys.readouterr().err
         assert not (run_dir / "compare_report.json").exists()
 
+    def test_report_under_a_file_is_refused_before_the_oracle(self, tmp_path, capsys,
+                                                              monkeypatch):
+        run_dir = self.run_gaussian(tmp_path)
+        (tmp_path / "afile").write_text("")
+        monkeypatch.setattr("sgmc.cli.rwmh_oracle", lambda *a, **k: pytest.fail("oracle"))
+        assert run_cli("compare", "--run", str(run_dir),
+                       "--output", str(tmp_path / "afile" / "r.json")) == 2
+        assert "(field: output)" in capsys.readouterr().err
+
+    def test_report_in_a_new_directory_is_written(self, tmp_path):
+        run_dir = self.run_gaussian(tmp_path)
+        out = tmp_path / "reports" / "r.json"
+        assert run_cli("compare", "--run", str(run_dir), "--reference", "analytic",
+                       "--output", str(out)) == 0
+        assert json.loads(out.read_text())["reference"] == "analytic"
+
     def test_missing_run_dir(self, tmp_path):
         assert run_cli("compare", "--run", str(tmp_path / "nope")) == 2
 
@@ -556,3 +582,20 @@ def test_run_config_reads_the_library_defaults_from_their_owners():
     assert cfg.temperature == parameters(init_scheduler)["temperature"].default
     assert cfg.batch_strategy == parameters(make_solver)["batch_strategy"].default
     assert cfg.step_size_decay == STEP_SIZE_DECAY
+
+
+def test_demo_presets_restate_no_default():
+    # a preset holds only what differs from RunConfig, whose fields own the defaults
+    from dataclasses import asdict
+
+    from sgmc.cli import RunConfig
+    defaults = asdict(RunConfig())
+    restated = [(name, key) for name, preset in DEMOS.items()
+                for key, value in preset.items() if value == defaults[key]]
+    assert restated == []
+
+
+def test_demo_presets_resolve_to_their_pinned_configs():
+    digests = {name: load_config(name, None, {}).digest() for name in DEMOS}
+    assert digests == {"gaussian": "957f285729bfa7b8", "regression": "97337da1fd08438a",
+                       "mixture": "aacfcb9440429c17"}

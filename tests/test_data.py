@@ -83,12 +83,15 @@ class TestNextBatch:
         assert ds["y"].tolist() == [3.0]
 
     def test_full_batches_share_one_read_only_mask(self):
+        # N = 7 in batches of 3: each epoch ends on a 1-row batch, with a mask of its own size
         ds = load_in_memory(arrays={"y": np.arange(7.0)})
-        full, other, tail = drain(ds, BatchSpec(3, "shuffle_in_epochs", RandomKey(2)), 3)
+        full, other, tail, *_, next_tail = drain(
+            ds, BatchSpec(3, "shuffle_in_epochs", RandomKey(2)), 6)
         assert full.mask is other.mask and full.mask.tolist() == [True] * 3
-        with pytest.raises(ValueError, match="read-only"):
-            full.mask[0] = False
-        assert tail.mask.tolist() == [True, False, False]
+        assert tail.mask is next_tail.mask and tail.mask.tolist() == [True]
+        for mask in (full.mask, tail.mask):
+            with pytest.raises(ValueError, match="read-only"):
+                mask[0] = False
 
     def test_epochs_partition(self):
         ds = load_in_memory(arrays={"y": np.arange(4.0)})
@@ -97,11 +100,18 @@ class TestNextBatch:
         assert seen == [0, 1, 2, 3]
         assert b1.mask.all() and b2.mask.all()
 
-    def test_epochs_padding_mask(self):
-        ds = load_in_memory(arrays={"y": np.arange(5.0)})
-        batches = drain(ds, BatchSpec(2, "shuffle_in_epochs", RandomKey(3)), 3)
-        assert np.array_equal(batches[2].mask, [True, False])
-        assert batches[2].n_effective == 1
+    def test_epoch_tail_is_the_rows_left(self):
+        # the epoch's last batch holds its N mod n rows, whole, and counts only them
+        for n_obs, batch in [(5, 2), (61, 7), (60, 8)]:
+            ds = load_in_memory(arrays={"x": np.ones((n_obs, 2)),
+                                        "y": np.arange(float(n_obs))})
+            per_epoch = -(-n_obs // batch)
+            tail = drain(ds, BatchSpec(batch, "shuffle_in_epochs", RandomKey(3)), per_epoch)[-1]
+            rows = n_obs % batch
+            assert tail.size == tail.n_effective == rows
+            assert tail.mask.tolist() == [True] * rows and tail.full_size == n_obs
+            assert tail.arrays["x"].shape == (rows, 2)
+            assert np.array_equal(tail.arrays["y"], tail.indices.astype(float))
 
     @given(st.integers(1, 20), st.integers(1, 20), st.integers(0, 1000))
     @settings(max_examples=40, deadline=None)
@@ -158,17 +168,13 @@ class TestNextBatch:
         assert np.array_equal(np.concatenate([b.indices for b in got]), stream)
         assert all(b.mask.all() for b in got)
 
-        expected = []
-        for perm in perms[:3]:
-            for start in range(0, n_obs, batch):
-                block = perm[start : start + batch]
-                pad = np.zeros(batch - block.shape[0], dtype=block.dtype)
-                expected.append((np.concatenate([block, pad]),
-                                 np.arange(batch) < block.shape[0]))
+        # each epoch's permutation cut into blocks of n, the last one short
+        expected = [perm[start : start + batch]
+                    for perm in perms[:3] for start in range(0, n_obs, batch)]
         got = drain(ds, BatchSpec(batch, "shuffle_in_epochs", key), len(expected))
-        for b, (indices, mask) in zip(got, expected):
+        for b, indices in zip(got, expected):
             assert np.array_equal(b.indices, indices)
-            assert np.array_equal(b.mask, mask)
+            assert b.mask.all() and b.n_effective == indices.shape[0]
 
     @pytest.mark.parametrize("strategy", ["shuffle", "shuffle_in_epochs"])
     def test_one_permutation_per_epoch(self, monkeypatch, strategy):

@@ -13,6 +13,8 @@ adaptive run with random thinning, whose plan weights every iteration alike.
 ``DATA_PATH_GOLDEN`` pins a real one-row dataset (``gaussian_mean`` at N = 1),
 which draws its batch stream like any dataset, and the Metropolis samplers on a
 data-free target with N > 1, whose exact potential is the prior alone.
+``TAIL_BATCH_GOLDEN`` pins every move under ``shuffle_in_epochs`` where N is no
+multiple of the batch size, so that each epoch ends on a short batch.
 ``FILE_GOLDEN`` pins the bytes of the sample files that one ``sgmc run``
 writes in each output format.
 
@@ -149,6 +151,42 @@ DATA_PATH_GOLDEN = {
 }
 
 
+# (model, model args, N, sampler, settings) under shuffle_in_epochs: logreg_2d at
+# N = 60, b = 8 ends each epoch on 4 rows, the others at N = 61, b = 7 on 5 rows
+TAIL_BATCH_CASES = {
+    **{f"logreg_2d_{sampler}_tail": ("logreg_2d", {}, 60, sampler,
+                                     dict(over, batch_strategy="shuffle_in_epochs"))
+       for sampler, over in [
+           ("amagold", {"leapfrog_steps": 3, "step_size_first": 0.05,
+                        "step_size_last": 0.02}),
+           ("sggmc", {"obabo_steps": 2, "friction": 1.0, "step_size_first": 0.05,
+                      "step_size_last": 0.02}),
+           ("sghmc", {"friction": 10.0}),
+           ("psgld", {}),
+           ("resgld", {"tau_high": 1.2, "swap_interval": 10})]},
+    **{f"{model}_{sampler}_tail": (model, model_args, 61, sampler,
+                                   dict(over, batch_strategy="shuffle_in_epochs",
+                                        batch_size=7))
+       for model, model_args, sampler, over in [
+           ("linreg_sigma", {"n_weights": 3}, "sgld", {}),
+           ("linreg_sigma", {"n_weights": 3}, "amagold", {"leapfrog_steps": 3}),
+           ("mixture_1d", {}, "sgld", {}),
+           ("gaussian_mean", {}, "sgld", {})]},
+}
+
+TAIL_BATCH_GOLDEN = {
+    'gaussian_mean_sgld_tail': ('14df51b2d837acf06d7861f21b942c9c00b0b793fc8cd3af9c2297a6cd3e8d90', 1.0, 300),
+    'linreg_sigma_amagold_tail': ('bb278ee0cb51f8ecba7a3a657e4eaa0ec0e791f8695b0c908ffee4b41275da70', 0.9166666666666666, 900),
+    'linreg_sigma_sgld_tail': ('cf304dd3fadab61528daaed8c52a3ed0afe42244af85b62f21abf6c4d44b6ac1', 1.0, 300),
+    'logreg_2d_amagold_tail': ('b1e543807da8aff2698099d6ab33ee0c44ed7010215f1c3e59129f2223498b5d', 0.88, 900),
+    'logreg_2d_psgld_tail': ('87985cf6d452d3944ebba0887a6244d0548ccde66580637810c8df79b038f898', 1.0, 300),
+    'logreg_2d_resgld_tail': ('8479d4065bb045f7299916a3c6edb587fdbc507bf4e8aa7eddffd83719211d55', 0.3, 600),
+    'logreg_2d_sggmc_tail': ('0320cd1c71d4c7b618eb6f8ef808e75d6d45a71fe1b9d4c168f562a03e9ed2ac', 0.9133333333333333, 1200),
+    'logreg_2d_sghmc_tail': ('888a98d1ad5187dde0b55d96d8c0f3da2cd5032442287817e09e21eb6fe25363', 1.0, 300),
+    'mixture_1d_sgld_tail': ('4ac423cc09a49d4d66ac2edb03e71a4938236e0ba7fc5c7582838c09b5576113', 1.0, 300),
+}
+
+
 # a small 2-chain run of the 2-parameter logistic regression
 FILE_RUN = {"model": "logreg_2d", "n_obs": 60, "sampler": "sgld", "iterations": 200,
             "burn_in": 50, "batch_size": 8, "seed": 11, "chains": 2,
@@ -181,8 +219,8 @@ def run_case(name):
         solver = Solver(block, model.density, synth_data_generate(model, RandomKey(0), 50), 8)
         return _digest(run_mcmc(solver, init_scheduler(600, step_size=0.01), model.init,
                                 key=RandomKey(3))[0])
-    if name in DATA_PATH_CASES:
-        model, model_args, n_obs, sampler, over = DATA_PATH_CASES[name]
+    if name in DATA_PATH_CASES or name in TAIL_BATCH_CASES:
+        model, model_args, n_obs, sampler, over = {**DATA_PATH_CASES, **TAIL_BATCH_CASES}[name]
         return _run(get_model(model, **model_args), n_obs, sampler, over)
     if name in ONE_ROW_CASES:
         model, model_args, sampler, over = ONE_ROW_CASES[name]
@@ -220,6 +258,11 @@ def test_data_path_golden_digest(name):
     assert run_case(name) == DATA_PATH_GOLDEN[name]
 
 
+@pytest.mark.parametrize("name", sorted(TAIL_BATCH_CASES))
+def test_tail_batch_golden_digest(name):
+    assert run_case(name) == TAIL_BATCH_GOLDEN[name]
+
+
 def file_digests(tmp: Path) -> dict:
     digests = {}
     for fmt in ("jsonl", "csv"):
@@ -243,11 +286,11 @@ if __name__ == "__main__":
     current = {case: run_case(case)
                for case in sorted(CASES) + sorted(ONE_ROW_CASES) + sorted(TEMPERED_GOLDEN)
                + sorted(THINNED_ADAPTIVE_CASES) + sorted(ADAPTIVE_SGGMC_CASES)
-               + sorted(DATA_PATH_CASES)}
+               + sorted(DATA_PATH_CASES) + sorted(TAIL_BATCH_CASES)}
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         current.update(file_digests(Path(tmp)))
     pinned = {**GOLDEN, **ONE_ROW_GOLDEN, **TEMPERED_GOLDEN, **THINNED_ADAPTIVE_GOLDEN,
-              **ADAPTIVE_SGGMC_GOLDEN, **DATA_PATH_GOLDEN, **FILE_GOLDEN}
+              **ADAPTIVE_SGGMC_GOLDEN, **DATA_PATH_GOLDEN, **TAIL_BATCH_GOLDEN, **FILE_GOLDEN}
     moved = {name: value for name, value in current.items() if value != pinned.get(name)}
     for name, value in (moved if check else current).items():
         print(f"    {name!r}: {value!r},")

@@ -4,7 +4,7 @@ import sgmc
 
 # Lines of src/sgmc/*.py, counted as `cat src/sgmc/*.py | wc -l` counts them.  A change
 # that grows src/ raises this constant and says why in CHANGES.md.
-SRC_LINE_BUDGET = 2276
+SRC_LINE_BUDGET = 2269
 SRC_LINE_WIDTH = 99  # columns
 SOURCES = sorted((Path(__file__).parents[1] / "src" / "sgmc").glob("*.py"))
 

@@ -102,7 +102,7 @@ class TestMinibatchPotential:
 class TestGradientOnly:
     @pytest.mark.parametrize("name", builtin_names())
     def test_gradient_equals_the_value_and_gradient_one(self, name):
-        # N = 7 in batches of 3: the third batch is padded and masked
+        # N = 7 in batches of 3: the third batch is the epoch's 1-row tail
         model = get_model(name)
         ds = synth_data_generate(model, RandomKey(12), 7)
         spec = BatchSpec(3, "shuffle_in_epochs", RandomKey(4))
@@ -121,7 +121,29 @@ class TestGradientOnly:
             _, grad = minibatch_value_grad(model.density, flat, batch)
             value, only = minibatch_value_grad(grad_only, flat, batch, value=False)
             assert value is None and np.array_equal(only, grad)
-        assert masks[2] == [True, False, False]
+        assert masks[2] == [True]
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_short_tail_equals_its_padded_form(self, name):
+        # the tail of N mod n rows gives, bit for bit, what the same rows gave when
+        # they were padded to n with zeroed copies of row 0 and masked
+        model = get_model(name)
+        ds = synth_data_generate(model, RandomKey(12), 61)
+        spec = BatchSpec(7, "shuffle_in_epochs", RandomKey(4))
+        state = init_batch_state(ds, spec)
+        tail = [next_batch(ds, spec, state)[0] for _ in range(9)][-1]
+        assert tail.size == 5
+        indices = np.concatenate([tail.indices, np.zeros(2, dtype=tail.indices.dtype)])
+        arrays = {field: arr[indices] for field, arr in ds.arrays.items()}
+        for rows in arrays.values():
+            rows[5:] = 0.0
+        padded = MiniBatch(arrays, np.arange(7) < 5, ds.size, indices, 5)
+        for key in [RandomKey(6).child(i) for i in range(3)]:
+            flat = key.generator().standard_normal(model.density.dim) * 0.5
+            for value in (True, False):
+                short_u, short_grad = minibatch_value_grad(model.density, flat, tail, value)
+                pad_u, pad_grad = minibatch_value_grad(model.density, flat, padded, value)
+                assert short_u == pad_u and np.array_equal(short_grad, pad_grad)
 
 
 class TestFullPotential:
