@@ -9,18 +9,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericError
-
 
 def rmsprop_step(v: np.ndarray, grad: np.ndarray, alpha: float, lam: float):
     """Update the second-moment estimate V <- alpha V + (1-alpha) g*g; return
     (V', preconditioner).
 
-    The preconditioner 1/(lam + sqrt(V)) is strictly positive and bounded by
-    1/lam elementwise.
+    The preconditioner 1/(lam + sqrt(V)) is positive and at most 1/lam where V
+    is finite; a non-finite V is returned, and ``sgmc_update`` refuses its step.
     """
-    if not np.all(np.isfinite(grad)):
-        raise NumericError("non-finite gradient fed to rmsprop_step")
     v = alpha * v + (1.0 - alpha) * grad * grad
     return v, 1.0 / (lam + np.sqrt(v))
 

@@ -267,13 +267,15 @@ def compare_command(args) -> int:
     if flat.shape[0] < 2:
         raise ConfigurationError("need at least two samples from chains with status ok")
     model, dataset = _model_and_data(cfg)
-    model_names = [name for name, _ in model.layout]
-    columns = sample_io.flat_column_names(model.layout)
+    model_names = [name for name, _ in model.density.layout]
+    columns = sample_io.flat_column_names(model.density.layout)
     if names != model_names or flat.shape[1] != len(columns):
         raise ConfigurationError(f"variable mismatch: run has {names}, model has {model_names}")
     sampler_stats = _column_stats(columns, flat)
     out_path = Path(args.output) if args.output else run_dir / "compare_report.json"
     _under_a_directory(out_path.parent)
+    if out_path.is_dir():
+        raise ConfigurationError(f"{out_path} is a directory", field="output")
 
     if args.reference == "analytic":
         if model.analytic_posterior is None:

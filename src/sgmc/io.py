@@ -3,7 +3,7 @@
 One store per chain, allocated up front and written in place in collection
 order; it serializes to JSON Lines or CSV.  Both formats round-trip at full
 float64 precision (shortest-round-trip float formatting).  Reading back holds
-one copy of the returned arrays plus one chunk of 64 parsed rows.
+one copy of the returned arrays plus one parsed row.
 """
 
 from __future__ import annotations
@@ -17,9 +17,6 @@ import numpy as np
 
 from .core import Layout, layout_size, layout_slices, named
 from .errors import StoreError
-
-READ_CHUNK_ROWS = 64  # parsed rows read_jsonl holds before converting them to float64
-SCAN_BUFFER_BYTES = 1 << 16  # read size of read_jsonl's row count
 
 
 def flat_column_names(layout: Layout) -> list[str]:
@@ -107,23 +104,20 @@ def finalize_results(store: SampleStore, format: str, path):
 def read_jsonl(path) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Parse a samples.jsonl file back into (iterations, {name: flat matrix})."""
     with open(path, "rb") as fh:  # count the lines, an unended last one too, in one pass
-        count, last = 0, b"\n"
-        while block := fh.read(SCAN_BUFFER_BYTES):
-            count, last = count + block.count(b"\n"), block[-1:]
-    iterations, variables, start = np.empty(count + (last != b"\n"), dtype=np.int64), {}, 0
+        count = sum(1 for _ in fh)
+    iterations, variables = np.empty(count, dtype=np.int64), {}
     with open(path, encoding="utf-8", newline="\n") as fh:  # lines end where counted
-        while rows := [json.loads(line) for line in itertools.islice(fh, READ_CHUNK_ROWS)]:
-            if start == 0:
-                widths = {name: len(v) for name, v in rows[0]["variables"].items()}
-                variables = {name: np.empty((len(iterations), w)) for name, w in widths.items()}
-            for line, obj in enumerate(rows, start + 1):
-                if (got := {k: len(v) for k, v in obj["variables"].items()}) != widths:
-                    name = next(k for k in [*widths, *got] if got.get(k) != widths.get(k))
-                    raise ValueError(f"{path}:{line}: variable {name!r} differs from line 1")
-            iterations[start:start + len(rows)] = [obj["iteration"] for obj in rows]
+        for row, line in enumerate(fh):
+            obj = json.loads(line)
+            if row == 0:
+                widths = {name: len(v) for name, v in obj["variables"].items()}
+                variables = {name: np.empty((count, w)) for name, w in widths.items()}
+            if (got := {k: len(v) for k, v in obj["variables"].items()}) != widths:
+                name = next(k for k in [*widths, *got] if got.get(k) != widths.get(k))
+                raise ValueError(f"{path}:{row + 1}: variable {name!r} differs from line 1")
+            iterations[row] = obj["iteration"]
             for name, out in variables.items():
-                out[start:start + len(rows)] = [obj["variables"][name] for obj in rows]
-            start += len(rows)
+                out[row] = obj["variables"][name]
     return iterations, variables
 
 

@@ -31,10 +31,6 @@ class BuiltinModel:
     analytic_posterior: Optional[Callable] = None  # dataset -> {"mean","std"}
 
     @property
-    def layout(self) -> Layout:
-        return self.density.layout
-
-    @property
     def init(self) -> np.ndarray:
         """The origin, where every built-in model starts."""
         return np.zeros(self.density.dim)

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from sgmc.adaption import rmsprop_step, welford_finalize, welford_step
 from sgmc.core import RandomKey
-from sgmc.errors import NumericError
 
 
 class TestRMSProp:
@@ -34,8 +33,10 @@ class TestRMSProp:
             assert np.all(precond <= 1e5)
 
     def test_non_finite_gradient(self):
-        with pytest.raises(NumericError):
-            rmsprop_step(np.zeros(2), np.array([1.0, np.inf]), 0.99, 1e-5)
+        # pure arithmetic: sgmc_update refuses the non-finite position that follows
+        v, precond = rmsprop_step(np.zeros(2), np.array([1.0, np.inf]), 0.99, 1e-5)
+        assert not np.isfinite(v).all()
+        assert precond[1] == 0.0
 
 
 class TestWelford:

@@ -543,6 +543,16 @@ class TestCompare:
                        "--output", str(tmp_path / "afile" / "r.json")) == 2
         assert "(field: output)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("output", ["adir", "run"])
+    def test_report_path_of_a_directory_is_refused_before_the_oracle(
+            self, tmp_path, capsys, monkeypatch, output):
+        run_dir = self.run_gaussian(tmp_path)
+        (tmp_path / "adir").mkdir()
+        monkeypatch.setattr("sgmc.cli.rwmh_oracle", lambda *a, **k: pytest.fail("oracle"))
+        assert run_cli("compare", "--run", str(run_dir),
+                       "--output", str(tmp_path / output)) == 2
+        assert "is a directory (field: output)" in capsys.readouterr().err
+
     def test_report_in_a_new_directory_is_written(self, tmp_path):
         run_dir = self.run_gaussian(tmp_path)
         out = tmp_path / "reports" / "r.json"

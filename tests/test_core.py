@@ -29,6 +29,10 @@ class TestParameterVector:
         assert list(views) == ["w", "log_sigma"]
         assert np.array_equal(views["w"], [1.0, 2.0]) and float(views["log_sigma"]) == 0.5
 
+    def test_empty_layout_is_refused(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            make_layout({})
+
     def test_structure_wrong_length(self, tiny_layout):
         with pytest.raises(ValueError):
             named(tiny_layout, np.zeros(4))

@@ -28,6 +28,16 @@ class TestLoadInMemory:
         with pytest.raises(ValueError, match="leading axes"):
             load_in_memory(arrays={"x": np.zeros((100, 4)), "y": np.zeros(99)})
 
+    def test_no_arrays(self):
+        with pytest.raises(ValueError, match="at least one array"):
+            load_in_memory({})
+
+    @pytest.mark.parametrize("array", [np.zeros(0), np.zeros((0, 3)), np.float64(1.0)],
+                             ids=["empty", "empty_rows", "scalar"])
+    def test_no_observations(self, array):
+        with pytest.raises(ValueError, match="at least one observation"):
+            load_in_memory({"x": array})
+
 
 class TestNextBatch:
     def test_batch_larger_than_dataset(self):

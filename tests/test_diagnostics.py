@@ -21,6 +21,11 @@ class TestWeightedMoments:
         mean, _ = weighted_moments(x, w)
         assert mean == 7.5
 
+    def test_one_nonzero_weight_has_zero_variance(self):
+        # the frequency-style denominator sum(w) - sum(w^2)/sum(w) is 0 here
+        assert weighted_moments(np.array([1.0, 4.0, 9.0]), np.array([0.0, 2.0, 0.0])) == (
+            4.0, 0.0)
+
     def test_bad_weights(self):
         with pytest.raises(ValueError):
             weighted_moments(np.ones(3), np.array([1.0, -1.0, 1.0]))
@@ -55,6 +60,12 @@ class TestESS:
         ess = effective_sample_size(x)
         # AR(1) integrated autocorrelation: (1+rho)/(1-rho) = 39
         assert 20000 / 80 < ess < 20000 / 20
+
+    def test_overflowing_autocovariance_floors_at_one(self):
+        # the centred square overflows, so autocorrelation returns zeros: no usable lag
+        x = np.tile([1e200, -1e200], 50)
+        with pytest.warns(RuntimeWarning):
+            assert effective_sample_size(x) == 1.0
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):

@@ -170,6 +170,12 @@ class TestRWMHOracle:
         assert out["acceptance_rate"] == 1.0
         assert np.all(out["samples"] == 0.4)
 
+    def test_no_steps_is_refused(self):
+        model = get_model("std_normal")
+        ds = synth_data_generate(model, RandomKey(0), 1)
+        with pytest.raises(ValueError, match="at least one step"):
+            rwmh_oracle(model, ds, model.init, 1.0, steps=0, key=RandomKey(1))
+
     @pytest.mark.parametrize("scale", [-1.0, math.nan, [math.nan]])
     def test_negative_or_nan_proposal_scale_rejected(self, scale):
         model = get_model("std_normal")
